@@ -13,8 +13,7 @@ import json
 from pathlib import Path
 
 from evtlite.cli import main as cli
-
-QUESTION_TARGETS = {"q1": 1.7, "q2": 5.7, "q3": 5.0}
+from evtlite.ensemble import QUESTIONS
 
 
 def run(argv=None):
@@ -33,7 +32,8 @@ def run(argv=None):
         raise SystemExit(f"no CSV files found in {args.data}")
     out = Path(args.out)
     rows = []
-    for question, target in QUESTION_TARGETS.items():
+    for question, spec in QUESTIONS.items():
+        target = spec.target
         fits = out / question / "fits"
         fit_args = ["fit", "--out", str(fits), "--question", question]
         if args.header:

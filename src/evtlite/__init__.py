@@ -10,12 +10,11 @@ simulation into point and interval estimates.
 from .cev import (
     CEVModel,
     LaplaceSeries,
+    count_chains,
     fit_cev,
     fit_conditional_pairs,
     laplace_cdf,
     laplace_quantile,
-    sample_residual,
-    simulate_chain,
     to_laplace,
 )
 from .decluster import ClusterSet, decluster_correction, extremal_index, run_decluster
@@ -26,12 +25,12 @@ from .ensemble import (
     RunEmulator,
     SimulationConfig,
     build_emulator,
+    chain_sampler,
     combine_rates,
     laplace_targets,
+    marginal_sampler,
     monte_carlo_estimate,
     run_question,
-    simulate_cluster_run,
-    simulate_marginal_run,
 )
 from .gpd import (
     GPModel,

@@ -147,7 +147,7 @@ def emulator_to_dict(emulator: RunEmulator, question: str, month_conditional_bul
         "run_id": emulator.run_id,
         "question": question,
         "order_k": emulator.order_k,
-        "n_days": emulator.n_days,
+        "n_days": emulator.months.size,
         "months": [int(m) for m in emulator.months],
         "values": [float(v) for v in emulator.series_values],
         "month_conditional_bulk": bool(month_conditional_bulk),
@@ -255,6 +255,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "point": result.point,
         "ci_low": result.ci_low,
         "ci_high": result.ci_high,
+        "mc_se": result.mc_se,
         "n_sim": config.n_sim,
         "n_srun": config.n_srun,
         "seed": config.seed,

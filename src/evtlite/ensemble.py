@@ -8,35 +8,32 @@ averaging counts within a synthetic ensemble and applying the extremal
 index correction. Point and interval estimates are the mean and central
 quantiles of the per-ensemble statistics.
 
-Randomness: every (t_sim, t_srun) cell owns the stream
-default_rng(SeedSequence(seed, spawn_key=(t_sim, t_srun))), so chunked or
-parallel execution over t_sim reproduces the serial output bit for bit.
+Sampling is exact and needs no daily draws. For the marginal questions a
+run's count is, by thinning, sum_m Binomial(n_days_m, pi_hat * S_m(target -
+u_m)), with S_m the month-m GP survivor function. For the persistence
+question all chains of one synthetic ensemble advance as one batch.
+
+Randomness: every synthetic ensemble t_sim owns the stream
+default_rng(SeedSequence(seed, spawn_key=(t_sim,))), so chunked or parallel
+execution over t_sim reproduces the serial output bit for bit.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
-from .cev import CEVModel, fit_cev, laplace_quantile, to_laplace
+from .cev import (PROB_CLIP, CEVModel, StackedCEV, count_chains, fit_cev, laplace_quantile,
+                  stack_cev, to_laplace)
 from .decluster import ClusterSet, run_decluster
-from .gpd import (
-    GPModel,
-    MixedDistribution,
-    build_mixed,
-    fit_gp,
-    gp_quantile,
-    mixed_cdf,
-    mixed_cdf_by_day,
-)
+from .gpd import GPModel, MixedDistribution, build_mixed, fit_gp, gp_cdf, mixed_cdf
 from .ingest import EnsembleRun, validate_ensemble
 from .summarise import spatial_order_statistic
 from .threshold import ThresholdModel, fit_threshold
 
-PROB_CLIP = 1e-10
 _CORRECTIONS = ("power", "multiplicative")
 
 
@@ -68,14 +65,6 @@ class RunEmulator:
     mixed: MixedDistribution
     cluster_set: ClusterSet
     cev_model: CEVModel | None = None
-
-    @property
-    def n_days(self) -> int:
-        return self.months.size
-
-    @cached_property
-    def month_cluster_counts(self) -> np.ndarray:
-        return self.cluster_set.month_cluster_counts
 
 
 @dataclass(frozen=True)
@@ -133,6 +122,12 @@ class EstimateResult:
     c_samples: np.ndarray
     mean_e_samples: np.ndarray
 
+    @property
+    def mc_se(self) -> float | None:
+        """Monte Carlo standard error of the point, std(c, ddof=1) / sqrt(n_sim); None for n_sim = 1."""
+        n = self.c_samples.size
+        return float(np.std(self.c_samples, ddof=1) / np.sqrt(n)) if n > 1 else None
+
 
 def combine_rates(emulators: list[RunEmulator]) -> CombinedEstimates:
     """Arithmetic means of the per-run declustered rates and extremal indices.
@@ -148,38 +143,44 @@ def combine_rates(emulators: list[RunEmulator]) -> CombinedEstimates:
     return CombinedEstimates(pi_hat=pi_hat, theta_hat=theta_hat)
 
 
-def _sim_months(emulator: RunEmulator, n_days: int | None) -> np.ndarray:
-    if n_days is None:
-        return emulator.months
-    if n_days > emulator.n_days:
-        raise ValueError(f"n_days={n_days} exceeds the fitted run length {emulator.n_days}")
-    return emulator.months[:n_days]
+@dataclass(frozen=True)
+class MarginalSampler:
+    """Per-emulator tables for the marginal questions (q1, q2).
+
+    A day hosts a threshold exceedance with probability pi_hat and its GP
+    excess passes the target with probability S_m(target - u_m), so by
+    thinning a run's count is exactly sum_m Binomial(days[r, m], p[r, m]).
+    """
+
+    days: np.ndarray  # (n_emulators, 12) simulated days per month
+    p: np.ndarray     # (n_emulators, 12) per-day probability of a target exceedance
+
+    def counts(self, rng: np.random.Generator, n_srun: int) -> np.ndarray:
+        """Exceedance counts of n_srun synthetic runs, each on a uniformly picked emulator."""
+        r = rng.integers(self.days.shape[0], size=n_srun)
+        return rng.binomial(self.days[r], self.p[r]).sum(axis=1)
 
 
-def simulate_marginal_run(emulator: RunEmulator, pi_hat: float, target: float,
-                          rng: np.random.Generator, n_days: int | None = None) -> int:
-    """Count target exceedances in one synthetic run.
+def marginal_sampler(emulators: list[RunEmulator], pi_hat: float, target: float,
+                     n_days: int | None = None) -> MarginalSampler:
+    """Tables for runs of n_days simulated days (None: the fitted length).
 
-    Each day independently hosts a threshold exceedance with probability
-    pi_hat; exceedance magnitudes are monthly-threshold plus a GP excess.
     The target must sit above every monthly threshold, otherwise the GP
     tail cannot express the event and the mixed distribution is needed.
     """
-    months = _sim_months(emulator, n_days)
-    u = emulator.threshold_model.u_by_month
-    if target <= float(np.max(u)):
-        raise ValueError(
-            f"target {target} is not above every monthly threshold (max {float(np.max(u)):.4f}); "
-            "use the mixed distribution for sub-threshold levels"
-        )
-    hits = rng.random(months.size) < pi_hat
-    hit_idx = months[hits] - 1
-    if hit_idx.size == 0:
-        return 0
-    sigma = emulator.gp_model.sigma_by_month[hit_idx]
-    xi = emulator.gp_model.xi_by_month[hit_idx]
-    excess = gp_quantile(rng.random(hit_idx.size), sigma, xi)
-    return int(np.sum(u[hit_idx] + excess > target))
+    days, p = [], []
+    for e in emulators:
+        u = e.threshold_model.u_by_month
+        if target <= float(np.max(u)):
+            raise ValueError(
+                f"target {target} is not above every monthly threshold (max {float(np.max(u)):.4f}); "
+                "use the mixed distribution for sub-threshold levels"
+            )
+        if n_days is not None and n_days > e.months.size:
+            raise ValueError(f"n_days={n_days} exceeds the fitted run length {e.months.size}")
+        days.append(np.bincount(e.months[:n_days] - 1, minlength=12))
+        p.append(pi_hat * (1.0 - gp_cdf(target - u, e.gp_model.sigma_by_month, e.gp_model.xi_by_month)))
+    return MarginalSampler(days=np.array(days), p=np.array(p))
 
 
 def laplace_targets(emulator: RunEmulator, target: float) -> np.ndarray:
@@ -189,98 +190,62 @@ def laplace_targets(emulator: RunEmulator, target: float) -> np.ndarray:
     return laplace_quantile(np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP))
 
 
-def simulate_cluster_run(emulator: RunEmulator, target_laplace, rng: np.random.Generator,
-                         steps: int = 30) -> int:
-    """Count clusters whose chain exceeds the target on >= 2 consecutive steps.
+def chain_starts(v, pi):
+    """Laplace-scale image of the chain start x0 = u + gp_quantile(v): x0 lies in the
+    tail branch 1 - pi (1 - H) of the mixed distribution and H(x0 - u) = v."""
+    return laplace_quantile(np.clip(1.0 - pi * (1.0 - v), PROB_CLIP, 1.0 - PROB_CLIP))
 
-    The cluster count is Poisson with the observed per-run cluster count as
-    its rate; each cluster starts from a GP exceedance in a month sampled
-    proportionally to the observed per-month cluster counts, transformed to
-    the Laplace scale, then propagated by the conditional recursion.
-    target_laplace is a scalar or a 12-vector of per-month levels.
 
-    Chains are advanced as a batch; every step draws residuals for all
-    clusters so the random stream layout does not depend on chain values.
+@dataclass(frozen=True)
+class ChainSampler:
+    """Per-emulator tables for the persistence question (q3).
+
+    A run has Poisson(observed clusters in month m) clusters starting in
+    month m, independently over months: a Poisson total split by the
+    observed month shares. Each starts from a GP exceedance, the month only
+    picks the Laplace-scale target, and it counts when its chain exceeds
+    the target on two consecutive steps.
     """
-    cev = emulator.cev_model
-    if cev is None:
-        raise ValueError("emulator has no fitted conditional tail model")
-    t_by_month = np.broadcast_to(np.asarray(target_laplace, dtype=np.float64), (12,))
-    n_r = emulator.cluster_set.n_clusters
-    n_clusters = int(rng.poisson(n_r))
-    if n_clusters == 0:
-        return 0
-    counts = emulator.month_cluster_counts
-    months = rng.choice(12, size=n_clusters, p=counts / counts.sum()) + 1
-    idx = months - 1
-    sigma = emulator.gp_model.sigma_by_month[idx]
-    xi = emulator.gp_model.xi_by_month[idx]
-    u = emulator.threshold_model.u_by_month[idx]
-    x0 = u + gp_quantile(rng.random(n_clusters), sigma, xi)
-    p0 = np.clip(mixed_cdf_by_day(emulator.mixed, x0, months), PROB_CLIP, 1.0 - PROB_CLIP)
-    y = laplace_quantile(p0)
-    t = t_by_month[idx]
-    # initial values at or below the conditioning threshold cannot be chained;
-    # a lone step-0 exceedance never makes two consecutive ones, so they count 0
-    alive = y > cev.q_threshold
-    prev_exceed = (y > t) & alive
-    counted = np.zeros(n_clusters, dtype=bool)
-    res = cev.residuals
-    h = cev.kde_bandwidth
-    for _ in range(steps):
-        z = res[rng.integers(res.size, size=n_clusters)] + h * rng.standard_normal(n_clusters)
-        with np.errstate(invalid="ignore", over="ignore"):
-            y = np.where(alive & (y > 0.0), cev.beta0 * y + y ** cev.beta1 * z, np.nan)
-        cur_exceed = y > t  # NaN compares False
-        counted |= prev_exceed & cur_exceed
-        prev_exceed = cur_exceed
-        alive &= np.isfinite(y) & (y > 0.0)
-    return int(counted.sum())
+
+    month_rate: np.ndarray  # (n_emulators, 12) observed clusters per month
+    pi: np.ndarray          # (n_emulators,) tail weight of each mixed distribution
+    targets: np.ndarray     # (n_emulators, 12) Laplace-scale target by month
+    cev: StackedCEV
+
+    def counts(self, rng: np.random.Generator, n_srun: int) -> np.ndarray:
+        """Counting clusters of n_srun synthetic runs, all chains in one batch."""
+        r = rng.integers(self.pi.size, size=n_srun)
+        n_chains = rng.poisson(self.month_rate[r])  # (n_srun, 12)
+        per_run = n_chains.sum(axis=1)
+        j = np.repeat(r, per_run)
+        y0 = chain_starts(rng.random(j.size), self.pi[j])
+        target = np.repeat(self.targets[r], n_chains.ravel())
+        hit = count_chains(self.cev, j, y0, target, rng)
+        return np.bincount(np.repeat(np.arange(n_srun), per_run)[hit], minlength=n_srun)
 
 
-def _cell_rng(seed: int, t_sim: int, t_srun: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t_sim, t_srun)))
+def chain_sampler(emulators: list[RunEmulator], target: float) -> ChainSampler:
+    """Tables for the persistence question at a raw target level."""
+    for e in emulators:
+        if e.cev_model is None:
+            raise ValueError(f"run {e.run_id}: the persistence question needs a conditional tail model")
+    return ChainSampler(
+        month_rate=np.array([e.cluster_set.month_cluster_counts for e in emulators], dtype=np.float64),
+        pi=np.array([e.mixed.pi for e in emulators]),
+        targets=np.array([laplace_targets(e, target) for e in emulators]),
+        cev=stack_cev([e.cev_model for e in emulators]),
+    )
 
 
-def _simulate_cells(emulators, config: SimulationConfig, theta_hat: float, pi_hat: float,
-                    targets_laplace, t_sims):
-    """Compute (c, e_bar) for a list of outer-loop indices."""
-    spec_chain = QUESTIONS[config.question].uses_chain
-    c_out = np.empty(len(t_sims))
-    ebar_out = np.empty(len(t_sims))
+def _simulate_cells(sampler: MarginalSampler | ChainSampler, config: SimulationConfig,
+                    t_sims) -> np.ndarray:
+    """Mean count per synthetic run, e_bar, for each synthetic ensemble in t_sims."""
+    e_bar = np.empty(len(t_sims))
     for k, t_sim in enumerate(t_sims):
-        e_vals = np.empty(config.n_srun)
-        for t_srun in range(1, config.n_srun + 1):
-            rng = _cell_rng(config.seed, t_sim, t_srun)
-            r = int(rng.integers(len(emulators)))
-            if spec_chain:
-                e = simulate_cluster_run(emulators[r], targets_laplace[r], rng)
-            else:
-                e = simulate_marginal_run(emulators[r], pi_hat, config.target_level, rng,
-                                          n_days=config.n_days)
-            if config.rate_mode:
-                e = min(e, 1)
-            e_vals[t_srun - 1] = e
-        e_bar = float(e_vals.mean())
-        if spec_chain:
-            c = e_bar  # no extremal-index correction for the persistence question
-        elif config.correction == "multiplicative":
-            c = theta_hat * e_bar
-        else:
-            if e_bar > 1.0:
-                raise RuntimeError(
-                    f"mean exceedance count {e_bar:.4f} > 1: the power correction needs a "
-                    "rate; rerun with rate_mode or shorter simulated runs"
-                )
-            # theta = 1 is an exact identity, not 1 - (1 - e_bar)**1
-            c = e_bar if theta_hat == 1.0 else 1.0 - (1.0 - e_bar) ** theta_hat
-        c_out[k] = c
-        ebar_out[k] = e_bar
-    return c_out, ebar_out
-
-
-def _cells_worker(payload):
-    return _simulate_cells(*payload)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(t_sim,)))
+        e = sampler.counts(rng, config.n_srun)
+        e_bar[k] = (np.minimum(e, 1) if config.rate_mode else e).mean()
+    return e_bar
 
 
 def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
@@ -296,29 +261,35 @@ def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
     if config.target_level is None:
         raise ValueError("config.target_level must be set")
     spec = QUESTIONS[config.question]
-    targets_laplace = None
     if spec.uses_chain:
-        for e in emulators:
-            if e.cev_model is None:
-                raise ValueError(f"run {e.run_id}: question {config.question} needs a conditional tail model")
-        targets_laplace = [laplace_targets(e, config.target_level) for e in emulators]
+        sampler = chain_sampler(emulators, config.target_level)
+    else:
+        sampler = marginal_sampler(emulators, combined.pi_hat, config.target_level, config.n_days)
 
     all_t_sims = list(range(1, config.n_sim + 1))
     if config.workers == 1:
-        c, ebar = _simulate_cells(emulators, config, combined.theta_hat, combined.pi_hat,
-                                  targets_laplace, all_t_sims)
+        ebar = _simulate_cells(sampler, config, all_t_sims)
     else:
         n_chunks = min(config.workers * 4, config.n_sim)
         # plain ints: spawn keys must not depend on how the chunking was done
         chunks = [[int(t) for t in chunk] for chunk in np.array_split(all_t_sims, n_chunks)]
-        payloads = [
-            (emulators, config, combined.theta_hat, combined.pi_hat, targets_laplace, chunk)
-            for chunk in chunks if chunk
-        ]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(_cells_worker, payloads))
-        c = np.concatenate([p[0] for p in parts])
-        ebar = np.concatenate([p[1] for p in parts])
+            ebar = np.concatenate(list(pool.map(_simulate_cells, repeat(sampler), repeat(config),
+                                                chunks)))
+
+    theta = combined.theta_hat
+    if spec.uses_chain:
+        c = ebar.copy()  # no extremal-index correction for the persistence question
+    elif config.correction == "multiplicative":
+        c = theta * ebar
+    else:
+        if np.any(ebar > 1.0):
+            raise RuntimeError(
+                f"mean exceedance count {ebar[ebar > 1.0][0]:.4f} > 1: the power correction needs "
+                "a rate; rerun with rate_mode or shorter simulated runs"
+            )
+        # theta = 1 is an exact identity, not 1 - (1 - e_bar)**1
+        c = ebar.copy() if theta == 1.0 else 1.0 - (1.0 - ebar) ** theta
 
     point = float(np.mean(c))
     ci_low, ci_high = np.quantile(c, [config.alpha / 2.0, 1.0 - config.alpha / 2.0])

@@ -81,3 +81,17 @@ def make_marginal_emulator(n_days=1000, u=1.0, sigma=1.0, xi=0.0, n_clusters=50,
         run_id=run_id, order_k=1, months=months, series_values=series.values,
         threshold_model=tm, gp_model=gp, mixed=mixed, cluster_set=cs,
     )
+
+
+def daily_marginal_count(emulator, pi_hat, target, rng, n_days=None):
+    """Day-by-day reference for one synthetic run's exceedance count.
+
+    Each simulated day hosts a threshold exceedance with probability
+    pi_hat; each exceedance gets a GP excess by inversion in its month and
+    counts when threshold plus excess passes the target.
+    """
+    months = emulator.months[:n_days]
+    idx = months[rng.random(months.size) < pi_hat] - 1
+    excess = ev.gp_quantile(rng.random(idx.size), emulator.gp_model.sigma_by_month[idx],
+                            emulator.gp_model.xi_by_month[idx])
+    return int(np.sum(emulator.threshold_model.u_by_month[idx] + excess > target))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtlite as ev
-from evtlite.cev import CEVModel, laplace_cdf, silverman_bandwidth
+from evtlite.cev import CEVModel, laplace_cdf, sample_residuals, silverman_bandwidth, stack_cev
 
 
 def make_cev(beta0, beta1, residuals, bandwidth=0.0, q=1.6094379124341003):
@@ -141,75 +141,97 @@ class TestFitCev:
         assert again.kde_bandwidth == model.kde_bandwidth
 
 
+def draws(model, n, seed):
+    return sample_residuals(stack_cev([model]), np.zeros(n, dtype=np.int64),
+                               np.random.default_rng(seed))
+
+
 class TestSampleResidual:
+    """Kernel-smoothed residual draws of the batched chain stepper."""
+
     def test_zero_bandwidth_returns_stored_value(self):
         model = make_cev(0.5, 0.1, [1.25, -0.75, 3.5])
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert ev.sample_residual(model, rng) in (1.25, -0.75, 3.5)
+        assert set(draws(model, 50, 0).tolist()) <= {1.25, -0.75, 3.5}
 
     def test_single_residual(self):
-        model = make_cev(0.5, 0.1, [2.5])
-        rng = np.random.default_rng(1)
-        assert all(ev.sample_residual(model, rng) == 2.5 for _ in range(10))
+        assert np.all(draws(make_cev(0.5, 0.1, [2.5]), 10, 1) == 2.5)
 
     def test_variance_convolution_identity(self):
         rng = np.random.default_rng(99)
         residuals = rng.standard_normal(400) * 1.3
         h = 0.4
         model = make_cev(0.5, 0.1, residuals, bandwidth=h)
-        draws = np.array([ev.sample_residual(model, rng) for _ in range(10 ** 6)])
         expected = float(np.var(residuals)) + h ** 2
-        assert float(np.var(draws)) == pytest.approx(expected, rel=0.02)
+        assert float(np.var(draws(model, 10 ** 6, 100))) == pytest.approx(expected, rel=0.02)
 
     def test_empty_pool_rejected(self):
         model = make_cev(0.5, 0.1, [])
         with pytest.raises(ValueError):
-            ev.sample_residual(model, np.random.default_rng(0))
+            stack_cev([make_cev(0.5, 0.1, [1.0]), model])
+
+    def test_each_chain_draws_from_its_own_pool(self):
+        models = stack_cev([make_cev(0.5, 0.1, [1.0, 2.0]), make_cev(0.5, 0.1, [-3.0]),
+                            make_cev(0.5, 0.1, [7.0, 8.0, 9.0], bandwidth=0.0)])
+        j = np.repeat([0, 1, 2], 200)
+        z = sample_residuals(models, j, np.random.default_rng(4))
+        assert set(z[j == 0]) == {1.0, 2.0}
+        assert set(z[j == 1]) == {-3.0}
+        assert set(z[j == 2]) == {7.0, 8.0, 9.0}
+
+
+def counted(model, y0, target, steps=30, seed=0):
+    """count_chains for chains of one model."""
+    y0, target = np.broadcast_arrays(np.asarray(y0, dtype=float), np.asarray(target, dtype=float))
+    return ev.count_chains(stack_cev([model]), np.zeros(y0.size, dtype=np.int64), y0.ravel(),
+                           target.ravel(), np.random.default_rng(seed), steps)
 
 
 class TestSimulateChain:
+    """The batched stepper: which chains exceed the target on two consecutive steps."""
+
     def test_requires_start_above_threshold(self):
-        model = make_cev(0.5, 0.0, [0.0])
-        with pytest.raises(ValueError):
-            ev.simulate_chain(model, 1.0, rng=np.random.default_rng(0))
+        # beta0 = 1 holds a chain at its start; only the start above q is propagated
+        model = make_cev(1.0, 0.0, [0.0])
+        assert counted(model, [1.0, 4.0], 0.5).tolist() == [False, True]
 
     def test_independence_corner_is_iid_residuals(self):
-        residuals = np.array([2.0, -1.0, 0.5])
-        model = make_cev(0.0, 0.0, residuals)
-        chain = ev.simulate_chain(model, 4.0, steps=6, rng=np.random.default_rng(12))
-        replay = np.random.default_rng(12)
-        expected = [4.0]
-        y = 4.0
-        for _ in range(6):
-            if y <= 0:
-                break
-            y = float(ev.sample_residual(model, replay))
-            expected.append(y)
-        assert chain.tolist() == expected
+        # beta0 = beta1 = 0: Y_k = Z_k, an iid draw from {2, -1, 0.5}. With
+        # target 1 a draw exceeds (2), ends the chain (-1) or does neither.
+        # Exact counting probability by recursion over the steps.
+        model = make_cev(0.0, 0.0, [2.0, -1.0, 0.5])
+        steps = 6
+        above, below, p_count = 1.0, 0.0, 0.0  # P(live, last value above / not above)
+        for _ in range(steps):
+            p_count += above / 3.0
+            above, below = below / 3.0, (above + below) / 3.0
+        got = counted(model, np.full(200_000, 4.0), 1.0, steps=steps, seed=12)
+        se = np.sqrt(p_count * (1.0 - p_count) / got.size)
+        assert abs(got.mean() - p_count) <= 5.0 * se
 
     def test_degenerate_persistence(self):
         model = make_cev(1.0, 0.05, [0.0])
-        chain = ev.simulate_chain(model, 4.0, steps=10, rng=np.random.default_rng(0))
-        assert np.allclose(chain, 4.0)
+        assert counted(model, 4.0, [3.9, 4.0], steps=10).tolist() == [True, False]
 
     def test_halving_chain(self):
+        # 4, 2, 1, 0.5, ...: two consecutive values above the target only below 2
         model = make_cev(0.5, 0.0, [0.0], q=1.0)
-        chain = ev.simulate_chain(model, 4.0, steps=4, rng=np.random.default_rng(0))
-        assert chain.tolist() == [4.0, 2.0, 1.0, 0.5, 0.25]
+        assert counted(model, 4.0, [1.5, 2.0, 0.9, 0.4], steps=4).tolist() == [True, False, True, True]
+        assert counted(model, 4.0, 1.5, steps=0).tolist() == [False]
 
     def test_truncation_at_nonpositive(self):
-        model = make_cev(0.1, 0.5, [-10.0], q=1.0)
-        chain = ev.simulate_chain(model, 4.0, steps=30, rng=np.random.default_rng(0))
-        assert chain.size < 31
-        assert chain[-1] <= 0.0
+        # 4 -> 2 + Z, Z in {-10, 20}: a chain at -8 ends, so only Z = 20 counts
+        # (without the end, -8 -> -4 + 20 -> 8 + 20 would count as well)
+        model = make_cev(0.5, 0.0, [-10.0, 20.0], q=1.0)
+        got = counted(model, np.full(20_000, 4.0), 3.0, seed=3)
+        assert abs(got.mean() - 0.5) <= 5.0 * np.sqrt(0.25 / got.size)
 
     def test_seed_reproducibility(self):
         rng_res = np.random.default_rng(55)
         model = make_cev(0.6, 0.3, rng_res.standard_normal(100), bandwidth=0.2)
-        a = ev.simulate_chain(model, 3.0, steps=30, rng=np.random.default_rng(777))
-        b = ev.simulate_chain(model, 3.0, steps=30, rng=np.random.default_rng(777))
-        assert np.array_equal(a, b)
+        y0 = np.linspace(2.0, 6.0, 500)
+        a = counted(model, y0, 3.0, seed=777)
+        b = counted(model, y0, 3.0, seed=777)
+        assert np.array_equal(a, b) and 0 < a.sum() < a.size
 
 
 class TestSilverman:

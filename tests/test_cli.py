@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -137,6 +138,21 @@ class TestEstimateCommand:
         assert payload["question"] == "q1"
         assert payload["ci_low"] <= payload["point"] <= payload["ci_high"]
         assert payload["c_samples_path"].endswith("c_samples_q1.csv")
+
+    def test_mc_se_reported(self, workspace, tmp_path):
+        _, _, fits = workspace
+        for n_sim in (60, 1):
+            out = tmp_path / f"n{n_sim}"
+            assert run_cli("estimate", "--out", out, "--question", "q1", "--target", 5.0,
+                           "--n-sim", n_sim, "--n-srun", 10, "--seed", 3, "--sim-days", 1000,
+                           "--c-samples", fits / "run_1.json", fits / "run_2.json") == 0
+            d = json.loads((out / "estimate_q1.json").read_text())
+            c = np.loadtxt(out / "c_samples_q1.csv", delimiter=",", skiprows=1, ndmin=2)[:, 0]
+            if n_sim == 1:
+                assert d["mc_se"] is None
+            else:
+                assert math.isfinite(d["mc_se"]) and d["mc_se"] > 0.0
+                assert d["mc_se"] == pytest.approx(np.std(c, ddof=1) / np.sqrt(n_sim), rel=1e-12)
 
     def test_alpha_nesting(self, workspace, tmp_path):
         _, _, fits = workspace

@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import evtlite as ev
-from conftest import make_marginal_emulator
-from evtlite.cev import CEVModel
+from conftest import daily_marginal_count, make_marginal_emulator
+from evtlite.cev import PROB_CLIP, CEVModel
+from evtlite.ensemble import _simulate_cells, chain_starts
 
 
 def with_cev(emulator, beta0, beta1, residuals, bandwidth=0.0, q=None):
@@ -49,58 +52,115 @@ class TestCombineRates:
             ev.combine_rates([undefined])
 
 
+def month_varying_emulator(u, sigma, xi, n_days):
+    """Hand-set emulator whose threshold and GP parameters differ by month."""
+    em = make_marginal_emulator(n_days=n_days)
+    tm = dataclasses.replace(em.threshold_model, u_by_month=np.asarray(u, dtype=float))
+    gp = ev.GPModel(log_sigma_by_month=np.log(sigma), shape_mode="by_month",
+                    xi=np.asarray(xi, dtype=float), threshold_model=tm, loglik=0.0)
+    return dataclasses.replace(em, threshold_model=tm, gp_model=gp,
+                               mixed=dataclasses.replace(em.mixed, gp=gp))
+
+
 class TestSimulateMarginalRun:
+    """The binomial-thinning sampler of the marginal questions."""
+
     def test_zero_rate(self):
         em = make_marginal_emulator()
-        assert ev.simulate_marginal_run(em, 0.0, 10.0, np.random.default_rng(0)) == 0
+        counts = ev.marginal_sampler([em], 0.0, 10.0).counts(np.random.default_rng(0), 20)
+        assert np.all(counts == 0)
 
     def test_infinite_target(self):
         em = make_marginal_emulator()
-        assert ev.simulate_marginal_run(em, 0.5, np.inf, np.random.default_rng(0)) == 0
+        counts = ev.marginal_sampler([em], 0.5, np.inf).counts(np.random.default_rng(0), 20)
+        assert np.all(counts == 0)
 
     def test_target_below_threshold_rejected(self):
         em = make_marginal_emulator(u=1.0)
+        for target in (0.9, 1.0):  # below and at the threshold
+            with pytest.raises(ValueError, match="mixed"):
+                ev.marginal_sampler([em], 0.05, target)
+        cfg = ev.SimulationConfig(question="q1", target_level=1.0, n_sim=5, n_srun=2, seed=1)
         with pytest.raises(ValueError, match="mixed"):
-            ev.simulate_marginal_run(em, 0.05, 0.9, np.random.default_rng(0))
+            ev.monte_carlo_estimate([em], cfg, ev.CombinedEstimates(pi_hat=0.05, theta_hat=1.0))
 
     def test_closed_form_expectation(self):
         # exponential tail: P(u + Z > u + log 2) = 1/2, so E = N * pi * 0.5
         n_days = 60225
         em = make_marginal_emulator(n_days=n_days, u=1.0, sigma=1.0, xi=0.0)
         target = 1.0 + np.log(2.0)
-        rng = np.random.default_rng(31)
-        counts = [ev.simulate_marginal_run(em, 0.05, target, rng) for _ in range(200)]
+        counts = ev.marginal_sampler([em], 0.05, target).counts(np.random.default_rng(31), 200)
         expected = 0.05 * 0.5 * n_days
         sd_mean = np.sqrt(expected * (1 - 0.025) / 200)
         assert abs(np.mean(counts) - expected) < 3 * sd_mean
 
     def test_n_days_window(self):
         em = make_marginal_emulator(n_days=1000)
-        rng = np.random.default_rng(1)
-        count = ev.simulate_marginal_run(em, 1.0, 1.4, rng, n_days=100)
-        assert count <= 100
+        sampler = ev.marginal_sampler([em], 1.0, 1.4, n_days=100)
+        assert sampler.days.sum() == 100
+        assert np.all(sampler.counts(np.random.default_rng(1), 50) <= 100)
         with pytest.raises(ValueError):
-            ev.simulate_marginal_run(em, 0.5, 3.0, rng, n_days=2000)
+            ev.marginal_sampler([em], 0.5, 3.0, n_days=2000)
+
+
+def by_month(low, high):
+    return st.lists(st.floats(low, high), min_size=12, max_size=12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(u=by_month(0.5, 1.5), sigma=by_month(0.3, 2.0), xi=by_month(-0.3, 0.5),
+       pi=st.floats(0.02, 0.3), above=st.floats(0.05, 2.0), n_days=st.integers(50, 1500),
+       seed=st.integers(0, 2 ** 32))
+def test_thinned_counts_match_the_daily_oracle(u, sigma, xi, pi, above, n_days, seed):
+    # the count is sum_m Binomial(n_m, p_m): mean sum n_m p_m, variance
+    # sum n_m p_m (1 - p_m); the day-by-day oracle has the same law
+    em = month_varying_emulator(u, sigma, xi, n_days=2000)
+    target = max(u) + above
+    sampler = ev.marginal_sampler([em], pi, target, n_days=n_days)
+    n_m, p_m = sampler.days[0], sampler.p[0]
+    mean = float(n_m @ p_m)
+    assume(mean >= 0.2)
+    k2 = float(n_m @ (p_m * (1.0 - p_m)))
+    k4 = float(n_m @ (p_m * (1.0 - p_m) * (1.0 - 6.0 * p_m * (1.0 - p_m))))
+    rng = np.random.default_rng(seed)
+    n = 4000
+    thinned = sampler.counts(rng, n)
+    daily = np.array([daily_marginal_count(em, pi, target, rng, n_days) for _ in range(n)])
+    for counts in (thinned, daily):
+        assert abs(counts.mean() - mean) <= 5.0 * np.sqrt(k2 / n)
+        # Var(sample variance) ~ (kappa4 + 2 kappa2**2) / n
+        assert abs(counts.var(ddof=1) - k2) <= 5.0 * np.sqrt((k4 + 2.0 * k2 ** 2) / n)
+    assert abs(thinned.mean() - daily.mean()) <= 5.0 * np.sqrt(2.0 * k2 / n)
+
+
+def q3_emulators():
+    """Two emulators with conditional models that differ in every parameter."""
+    a = with_cev(make_marginal_emulator(n_days=2000, n_clusters=40, run_id=1), 0.7, 0.2,
+                 np.linspace(-1.0, 2.0, 50), bandwidth=0.3)
+    b = with_cev(make_marginal_emulator(n_days=2000, n_clusters=90, pi_mixed=0.02, run_id=2),
+                 0.4, -0.3, np.linspace(-0.5, 3.0, 20), bandwidth=0.1)
+    return [a, b]
 
 
 class TestSimulateClusterRun:
+    """The batched chain sampler of the persistence question."""
+
     def test_zero_cluster_rate(self):
         em = with_cev(make_marginal_emulator(n_clusters=0), 0.5, 0.0, [0.0])
-        assert ev.simulate_cluster_run(em, 2.0, np.random.default_rng(0)) == 0
+        counts = ev.chain_sampler([em], 2.0).counts(np.random.default_rng(0), 20)
+        assert np.all(counts == 0)
 
     def test_missing_cev_rejected(self):
         em = make_marginal_emulator()
         with pytest.raises(ValueError):
-            ev.simulate_cluster_run(em, 2.0, np.random.default_rng(0))
+            ev.chain_sampler([em], 2.0)
 
     def test_persistence_corner_counts_initial_exceedances(self):
         # beta0 = 1 with zero residuals holds the chain at its start value
         em = with_cev(make_marginal_emulator(n_days=2000, u=1.0, sigma=1.0, xi=0.0,
                                              n_clusters=60, pi_mixed=0.03),
                       1.0, 0.0, [0.0])
-        tl = ev.laplace_targets(em, 3.0)
-        rng = np.random.default_rng(123)
-        counts = [ev.simulate_cluster_run(em, tl, rng) for _ in range(800)]
+        counts = ev.chain_sampler([em], 3.0).counts(np.random.default_rng(123), 800)
         expected = 60 * np.exp(-2.0)  # Poisson(60) starts, each above 3.0 w.p. e^-2
         assert np.mean(counts) == pytest.approx(expected, rel=0.05)
 
@@ -113,25 +173,80 @@ class TestSimulateClusterRun:
         em = with_cev(make_marginal_emulator(n_days=400000, u=1.0, sigma=1.0, xi=0.0,
                                              n_clusters=100000, pi_mixed=0.03),
                       0.0, 0.0, residuals)
-        target_laplace = 2.0  # all starts exceed this (y0 >= laplace(0.97) = 2.81)
-        rng = np.random.default_rng(9)
-        count = ev.simulate_cluster_run(em, target_laplace, rng)
-        n_clusters = 100000
-        frac = count / n_clusters
+        # all starts exceed 2.0 on the Laplace scale (y0 >= laplace(0.97) = 2.81)
+        sampler = dataclasses.replace(ev.chain_sampler([em], 3.0), targets=np.full((1, 12), 2.0))
+        count = int(sampler.counts(np.random.default_rng(9), 1)[0])
+        frac = count / 100000
         assert frac >= rho - 0.02
         assert frac < 1.0
 
     def test_start_below_conditioning_threshold_never_counts(self):
         em = with_cev(make_marginal_emulator(n_clusters=50), 1.0, 0.0, [0.0], q=100.0)
-        assert ev.simulate_cluster_run(em, -10.0, np.random.default_rng(2)) == 0
+        sampler = dataclasses.replace(ev.chain_sampler([em], 3.0), targets=np.full((1, 12), -10.0))
+        assert np.all(sampler.counts(np.random.default_rng(2), 20) == 0)
 
-    def test_scalar_target_broadcasts(self):
-        em = with_cev(make_marginal_emulator(n_clusters=40), 0.9, 0.1, [0.5], bandwidth=0.1)
-        rng1 = np.random.default_rng(5)
-        rng2 = np.random.default_rng(5)
-        a = ev.simulate_cluster_run(em, 2.5, rng1)
-        b = ev.simulate_cluster_run(em, np.full(12, 2.5), rng2)
-        assert a == b
+    def test_month_picks_the_target(self):
+        # chains held at their start count exactly when their month's target
+        # lies below the start (y0 >= laplace(0.95) = 2.30 here)
+        em = with_cev(make_marginal_emulator(n_clusters=40), 1.0, 0.0, [0.0])
+        targets = np.full((1, 12), np.inf)
+        targets[0, 6] = 0.0  # July
+        counts = {}
+        for month in (1, 7):
+            cs = dataclasses.replace(em.cluster_set, maxima_months=np.full(40, month))
+            sampler = ev.chain_sampler([dataclasses.replace(em, cluster_set=cs)], 3.0)
+            sampler = dataclasses.replace(sampler, targets=targets)
+            counts[month] = sampler.counts(np.random.default_rng(5), 30)
+        assert np.all(counts[1] == 0)
+        assert counts[7].sum() > 0.5 * 40 * 30
+
+    def test_batch_equals_chains_run_alone(self):
+        # a deterministic chain (zero bandwidth, one residual) counts the same
+        # whichever other chains share its batch
+        ems = [with_cev(make_marginal_emulator(run_id=1), 1.0, 0.0, [0.0]),
+               with_cev(make_marginal_emulator(run_id=2), 0.5, 0.0, [0.0])]
+        sampler = ev.chain_sampler(ems, 3.0)
+        j = np.array([0, 1, 1, 0])
+        y0 = np.array([4.0, 4.0, 4.0, 2.5])
+        target = np.array([3.5, 1.5, 2.5, 2.0])
+        rng = np.random.default_rng(0)
+        batch = ev.count_chains(sampler.cev, j, y0, target, rng)
+        alone = [ev.count_chains(sampler.cev, j[i:i + 1], y0[i:i + 1], target[i:i + 1], rng)[0]
+                 for i in range(4)]
+        assert batch.tolist() == alone == [True, True, False, True]
+
+
+@pytest.mark.parametrize("xi", [-0.3, 0.0, 0.2, 0.8])
+@pytest.mark.parametrize("pi", [0.01, 0.05, 0.3])
+def test_analytic_chain_start_matches_the_mixed_cdf_route(xi, pi):
+    # the old route: x0 = u + gp_quantile(v) through the month's mixed
+    # distribution function, then the Laplace quantile; the tolerance holds
+    # while 1 - p >= 1e-3 (an ulp of p moves y by ulp / (1 - p))
+    sigma = np.geomspace(0.2, 3.0, 12)
+    em = month_varying_emulator(np.linspace(0.8, 1.6, 12), sigma, np.full(12, xi), n_days=1000)
+    md = dataclasses.replace(em.mixed, pi=pi)
+    v = np.linspace(0.0, 0.9, 31)
+    for m in range(1, 13):
+        x0 = md.gp.threshold_model.u_by_month[m - 1] + ev.gp_quantile(v, sigma[m - 1], xi)
+        old = ev.laplace_quantile(np.clip(ev.mixed_cdf(md, x0, m), PROB_CLIP, 1 - PROB_CLIP))
+        assert np.max(np.abs(chain_starts(v, pi) - old)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(question=st.sampled_from(["q1", "q3"]), n_sim=st.integers(1, 25),
+       cuts=st.lists(st.integers(1, 24), max_size=6), seed=st.integers(0, 2 ** 32))
+def test_any_split_of_t_sims_concatenates_to_the_serial_output(question, n_sim, cuts, seed):
+    if question == "q3":
+        sampler = ev.chain_sampler(q3_emulators(), 2.0)
+    else:
+        ems = [make_marginal_emulator(n_days=500, run_id=1),
+               make_marginal_emulator(n_days=500, sigma=0.5, run_id=2)]
+        sampler = ev.marginal_sampler(ems, 0.05, 4.0)
+    cfg = ev.SimulationConfig(question=question, n_sim=n_sim, n_srun=7, seed=seed)
+    t_sims = list(range(1, n_sim + 1))
+    edges = [0, *sorted({c for c in cuts if c < n_sim}), n_sim]
+    parts = [_simulate_cells(sampler, cfg, t_sims[a:b]) for a, b in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate(parts), _simulate_cells(sampler, cfg, t_sims))
 
 
 class TestMonteCarloEstimate:
@@ -210,9 +325,13 @@ class TestMonteCarloEstimate:
         assert 0.0 <= res.point <= 1.0
 
     def test_multiplicative_correction(self):
+        # 100 simulated days: a run expects 100 * 0.05 * e^-4.5 = 0.056 events,
+        # and e_bar > 1 (11 or more among 10 runs) has probability 2.2e-11 per
+        # ensemble, so the power correction's guard never trips here
         em = make_marginal_emulator(n_days=800)
         combined = ev.CombinedEstimates(pi_hat=0.05, theta_hat=0.6)
-        cfg_pow = ev.SimulationConfig(question="q1", target_level=5.5, n_sim=50, n_srun=10, seed=5)
+        cfg_pow = ev.SimulationConfig(question="q1", target_level=5.5, n_sim=50, n_srun=10, seed=5,
+                                      n_days=100)
         cfg_mul = dataclasses.replace(cfg_pow, correction="multiplicative")
         res_pow = ev.monte_carlo_estimate([em], cfg_pow, combined)
         res_mul = ev.monte_carlo_estimate([em], cfg_mul, combined)
