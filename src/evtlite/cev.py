@@ -8,7 +8,7 @@ threshold on that scale, tomorrow's value is modelled as
 
 with beta0 in [0, 1], beta1 < 1 and Z a residual with unspecified
 distribution. The two-step fit first maximises a Gaussian working
-likelihood for (beta0, beta1) plus nuisance mean/scale, then drops the
+likelihood for (beta0, beta1) plus a nuisance mean and scale, then drops the
 Gaussian assumption and keeps the empirical residuals, smoothed at
 sampling time by a Gaussian kernel with Silverman's bandwidth.
 """
@@ -18,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gpd import MixedDistribution, mixed_cdf_by_day
+from .optimise import minimise_1d
 from .summarise import SummarySeries
 
 PROB_CLIP = 1e-10
-_BETA1_MAX = 1.0 - 1e-6
+BETA1_MIN = -5.0
+BETA1_MAX = 1.0 - 1e-6
 
 
 def laplace_quantile(p):
@@ -70,11 +71,15 @@ class CEVModel:
     beta1: float
     q_threshold: float
     residuals: np.ndarray
-    fit_nuisance: tuple  # (mu, sigma) of the Gaussian working model, discarded after the fit
     kde_bandwidth: float
-    cond_x: np.ndarray   # conditioning values of the training pairs
-    cond_y: np.ndarray   # following-day values of the training pairs
     loglik: float
+
+    @property
+    def at_bound(self) -> tuple:
+        """Parameters on the edge of their box, beta0 in [0, 1] and beta1 in [-5, 1 - 1e-6]."""
+        return tuple(name for name, v, edges in (("beta0", self.beta0, (0.0, 1.0)),
+                                                 ("beta1", self.beta1, (BETA1_MIN, BETA1_MAX)))
+                     if v in edges)
 
     def to_dict(self) -> dict:
         return {
@@ -83,21 +88,20 @@ class CEVModel:
             "q_threshold": float(self.q_threshold),
             "kde_bandwidth": float(self.kde_bandwidth),
             "residuals": [float(z) for z in self.residuals],
-            "fit_nuisance": [float(v) for v in self.fit_nuisance],
             "loglik": float(self.loglik),
+            "at_bound": list(self.at_bound),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CEVModel":
+        # artifacts written before the working-model nuisance (mu, sigma) was
+        # dropped carry a "fit_nuisance" entry, which is ignored
         return cls(
             beta0=float(d["beta0"]),
             beta1=float(d["beta1"]),
             q_threshold=float(d["q_threshold"]),
             residuals=np.asarray(d["residuals"], dtype=np.float64),
-            fit_nuisance=tuple(float(v) for v in d.get("fit_nuisance", (0.0, 1.0))),
             kde_bandwidth=float(d["kde_bandwidth"]),
-            cond_x=np.empty(0),
-            cond_y=np.empty(0),
             loglik=float(d.get("loglik", np.nan)),
         )
 
@@ -112,26 +116,33 @@ def silverman_bandwidth(x: np.ndarray) -> float:
     return 0.9 * min(sd, (q75 - q25) / 1.34) * n ** (-0.2)
 
 
-def _working_negloglik(params, x, y):
-    b0, b1, mu, log_s = params
-    if not np.all(np.isfinite(params)):
-        return float("inf")
-    if not 0.0 <= b0 <= 1.0 or not -5.0 <= b1 <= _BETA1_MAX or abs(log_s) > 600.0:
-        return float("inf")
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = x ** b1
-        sd = np.exp(log_s) * t
-        r = (y - b0 * x - mu * t) / sd
-        val = np.sum(np.log(sd) + 0.5 * r * r) + 0.5 * x.size * np.log(2.0 * np.pi)
-    return float(val) if np.isfinite(val) else float("inf")
+def _working_fit(beta1: float, x: np.ndarray, y: np.ndarray, log_x: np.ndarray) -> tuple[float, float]:
+    """(beta0, negative log-likelihood) of the Gaussian working model
+    y = beta0 x + x**beta1 (mu + sigma eps) at a fixed beta1, with beta0, mu
+    and sigma profiled out.
+
+    Divided by t = x**beta1 the model is an OLS regression of y / t on x / t
+    and a constant. Its sum of squares is a convex quadratic in beta0 once mu
+    is profiled out, so clamping the OLS slope to [0, 1] gives the
+    constrained optimum; sigma**2 = RSS / n, floored at the smallest positive
+    double so that an exact fit (RSS = 0) keeps a finite profile.
+    """
+    t = np.exp(beta1 * log_x)
+    a, b = x / t, y / t
+    a, b = a - a.mean(), b - b.mean()
+    beta0 = min(max(float(np.dot(a, b) / np.dot(a, a)), 0.0), 1.0)
+    r = b - beta0 * a
+    var = max(float(np.dot(r, r)) / x.size, np.finfo(np.float64).tiny)
+    return beta0, beta1 * float(np.sum(log_x)) + 0.5 * x.size * (np.log(2.0 * np.pi * var) + 1.0)
 
 
-def fit_conditional_pairs(x: np.ndarray, y: np.ndarray, q: float,
-                          n_restarts: int = 5, max_iter: int = 3000) -> CEVModel:
+def fit_conditional_pairs(x: np.ndarray, y: np.ndarray, q: float) -> CEVModel:
     """Two-step fit on explicit (x, y) pairs with x > q > 0.
 
-    Step one maximises the Gaussian working likelihood over
-    (beta0, beta1, mu, log sigma); step two recomputes the residuals
+    Step one maximises the Gaussian working likelihood over (beta0, beta1)
+    plus a nuisance mean and scale, by profiling: everything but beta1 has
+    a closed form, and the profile is minimised over beta1 in [-5, 1 - 1e-6]
+    (Heffernan & Tawn 2004). Step two recomputes the residuals
     (y - beta0 * x) / x**beta1 without the nuisance parameters.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -141,39 +152,13 @@ def fit_conditional_pairs(x: np.ndarray, y: np.ndarray, q: float,
     if q <= 0.0 or np.any(x <= q):
         raise ValueError("conditioning values must exceed a positive threshold q")
 
-    slope = float(np.clip(np.sum(x * y) / np.sum(x * x), 0.01, 0.99))
-    resid0 = y - slope * x
-    base = (slope, 0.2, float(np.mean(resid0)), float(np.log(max(np.std(resid0), 1e-8))))
-    starts = [base, (0.9, 0.0, base[2], base[3]), (0.1, 0.8, base[2], base[3]),
-              (0.5, -0.5, base[2], base[3])]
-    rng = np.random.default_rng(424242)  # fixed seed: deterministic fits
-    for _ in range(n_restarts):
-        starts.append((
-            float(rng.uniform(0.05, 0.95)),
-            float(rng.uniform(-1.0, 0.9)),
-            base[2] + rng.standard_normal(),
-            base[3] + 0.5 * rng.standard_normal(),
-        ))
-    options = {"maxiter": max_iter, "fatol": 1e-10, "xatol": 1e-9}
-    best = None
-    for p0 in starts:
-        res = minimize(_working_negloglik, np.asarray(p0, dtype=np.float64), args=(x, y),
-                       method="Nelder-Mead", options=options)
-        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
-        raise RuntimeError("conditional tail fit found no finite optimum")
-    best = minimize(_working_negloglik, best.x, args=(x, y), method="Nelder-Mead", options=options)
-
-    b0 = float(np.clip(best.x[0], 0.0, 1.0))
-    b1 = float(np.clip(best.x[1], -5.0, _BETA1_MAX))
-    mu, sigma = float(best.x[2]), float(np.exp(best.x[3]))
+    log_x = np.log(x)
+    b1, nll = minimise_1d(lambda b: _working_fit(b, x, y, log_x)[1], BETA1_MIN, BETA1_MAX, 61)
+    b0 = _working_fit(b1, x, y, log_x)[0]
     residuals = (y - b0 * x) / x ** b1
     return CEVModel(
-        beta0=b0, beta1=b1, q_threshold=float(q),
-        residuals=residuals, fit_nuisance=(mu, sigma),
-        kde_bandwidth=silverman_bandwidth(residuals),
-        cond_x=x, cond_y=y, loglik=-float(best.fun),
+        beta0=b0, beta1=b1, q_threshold=float(q), residuals=residuals,
+        kde_bandwidth=silverman_bandwidth(residuals), loglik=-nll,
     )
 
 

@@ -2,8 +2,8 @@
 
 Options come from flags, an optional flat key=value config file, then
 built-in defaults, in that precedence order. All randomness in a command
-derives from its --seed; fits use fixed internal restart seeds, so every
-command is idempotent given identical inputs.
+derives from its --seed and fits are exact or profiled, with no random
+restarts, so every command is idempotent given identical inputs.
 
 Exit codes: 0 success, 1 statistical failure (non-convergence, degenerate
 data), 2 I/O or configuration error.
@@ -206,6 +206,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
             raise RuntimeError(f"run {i} ({path}): {exc}") from exc
         artifact = out / f"run_{i}.json"
         _write_json(artifact, emulator_to_dict(emulator, opts["question"], month_bulk))
+        models = (("gp", emulator.gp_model), ("cev", emulator.cev_model))
+        edges = [f"{name} {p}" for name, model in models if model is not None for p in model.at_bound]
+        if edges:
+            print(f"warning: run {i}: fitted {', '.join(edges)} on the edge of the search box",
+                  file=sys.stderr)
         cs = emulator.cluster_set
         theta = "undefined" if cs.theta_hat is None else f"{cs.theta_hat:.4f}"
         print(f"  run {i}: n_exceed={cs.n_exceedances} n_clusters={cs.n_clusters} "

@@ -8,7 +8,7 @@ exceedance probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,15 +104,15 @@ def run_decluster(series: SummarySeries, thresholds: ThresholdModel, l: int = 3)
     maxima = np.array([vals[i] for vals, i in zip(cluster_values, max_idx)])
     maxima_days = np.array([days[i] for days, i in zip(cluster_days, max_idx)], dtype=np.int64)
     maxima_months = series.months[maxima_days - 1]
-    n = maxima.size
-    return ClusterSet(
+    cs = ClusterSet(
         run_id=series.run_id, run_length_l=l, n_days=series.n_days,
         cluster_days=cluster_days, cluster_values=cluster_values,
         maxima=maxima, maxima_days=maxima_days, maxima_months=maxima_months,
         n_exceedances=int(exceed_days.size),
-        theta_hat=n / exceed_days.size,
-        pi_star_hat=n / series.n_days,
+        theta_hat=None,
+        pi_star_hat=maxima.size / series.n_days,
     )
+    return replace(cs, theta_hat=extremal_index(cs))
 
 
 def extremal_index(cs: ClusterSet) -> float:
@@ -122,10 +122,13 @@ def extremal_index(cs: ClusterSet) -> float:
     return cs.n_clusters / cs.n_exceedances
 
 
-def decluster_correction(p_star: float, theta: float) -> float:
-    """Map a declustered exceedance probability back to the clustered scale."""
-    if not 0.0 <= p_star <= 1.0:
+def decluster_correction(p_star, theta: float):
+    """Map declustered exceedance probabilities back to the clustered scale,
+    1 - (1 - p_star)**theta elementwise; theta = 1 is the identity, exactly."""
+    p = np.asarray(p_star, dtype=np.float64)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"p_star must lie in [0, 1], got {p_star}")
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    return 1.0 - (1.0 - p_star) ** theta
+    out = p.copy() if theta == 1.0 else 1.0 - (1.0 - p) ** theta
+    return float(out) if np.ndim(p_star) == 0 else out

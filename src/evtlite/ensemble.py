@@ -28,7 +28,7 @@ import numpy as np
 
 from .cev import (PROB_CLIP, CEVModel, StackedCEV, count_chains, fit_cev, laplace_quantile,
                   stack_cev, to_laplace)
-from .decluster import ClusterSet, run_decluster
+from .decluster import ClusterSet, decluster_correction, run_decluster
 from .gpd import GPModel, MixedDistribution, build_mixed, fit_gp, gp_cdf, mixed_cdf
 from .ingest import EnsembleRun, validate_ensemble
 from .summarise import spatial_order_statistic
@@ -288,8 +288,7 @@ def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
                 f"mean exceedance count {ebar[ebar > 1.0][0]:.4f} > 1: the power correction needs "
                 "a rate; rerun with rate_mode or shorter simulated runs"
             )
-        # theta = 1 is an exact identity, not 1 - (1 - e_bar)**1
-        c = ebar.copy() if theta == 1.0 else 1.0 - (1.0 - ebar) ** theta
+        c = decluster_correction(ebar, theta)
 
     point = float(np.mean(c))
     ci_low, ci_high = np.quantile(c, [config.alpha / 2.0, 1.0 - config.alpha / 2.0])

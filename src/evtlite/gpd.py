@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq
 
 from .decluster import ClusterSet
+from .optimise import minimise_1d
 from .summarise import SummarySeries
 from .threshold import ThresholdModel
 
@@ -106,12 +107,21 @@ class GPModel:
     def xi_by_month(self) -> np.ndarray:
         return self.xi if self.xi.size == 12 else np.full(12, self.xi[0])
 
+    @property
+    def at_bound(self) -> tuple:
+        """Shapes on the edge of [XI_MIN, XI_MAX]: ("xi",), or "xi[m]" for each such month."""
+        edge = (self.xi == XI_MIN) | (self.xi == XI_MAX)
+        if self.shape_mode == "constant":
+            return ("xi",) if edge[0] else ()
+        return tuple(f"xi[{m}]" for m in np.flatnonzero(edge) + 1)
+
     def to_dict(self) -> dict:
         return {
             "log_sigma_by_month": [float(v) for v in self.log_sigma_by_month],
             "shape_mode": self.shape_mode,
             "xi": float(self.xi[0]) if self.xi.size == 1 else [float(v) for v in self.xi],
             "loglik": float(self.loglik),
+            "at_bound": list(self.at_bound),
         }
 
     @classmethod
@@ -143,39 +153,42 @@ def _gp_negloglik(z: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> float:
     return total if np.isfinite(total) else float("inf")
 
 
-def _pwm_init(z: np.ndarray) -> tuple[float, float]:
-    """Probability-weighted-moment starting values (sigma0, xi0).
+def _scale_mle(z: np.ndarray, xi: float) -> float:
+    """GP scale MLE of an excess sample for a fixed shape xi > -1.
 
-    Uses a0 = E[Z] and a1 = E[Z (1 - F(Z))]; for the GP these are
-    sigma / (1 - xi) and sigma / (2 (2 - xi)).
+    The score equation divided by xi is mean((s - z) / (s + xi z)) = 0. Where
+    every s + xi z > 0 the left side increases in s, is negative at min(z) or
+    just above the support edge -xi max(z), and is non-negative at max(z), so
+    it has one root. At xi = 0 the root is the sample mean.
     """
-    zs = np.sort(z)
-    n = zs.size
-    a0 = float(zs.mean())
-    p = (np.arange(1, n + 1) - 0.35) / n
-    a1 = float(np.mean(zs * (1.0 - p)))
-    denom = a0 - 2.0 * a1
-    if denom <= 0.0 or a0 <= 0.0:
-        return max(a0, 1e-8), 0.5  # extremely heavy sample; start heavy-tailed
-    xi0 = (a0 - 4.0 * a1) / denom
-    sigma0 = a0 * (1.0 - xi0)
-    if not np.isfinite(sigma0) or sigma0 <= 0.0:
-        sigma0 = a0
-    return float(sigma0), float(np.clip(xi0, -0.4, 1.2))
+    if abs(xi) < XI_ZERO_EPS:
+        return float(z.mean())
+    lo, hi = float(z.min()), float(z.max())
+    if lo == hi:
+        return lo
+    xz = xi * z
+    return brentq(lambda s: ((s - z) / (s + xz)).sum(), max(lo, -xi * hi * (1.0 + 1e-12)), hi)
 
 
-def _minimize_simplex(fun, x0, max_iter):
-    options = {"maxiter": max_iter, "fatol": 1e-9, "xatol": 1e-9}
-    res = minimize(fun, x0, method="Nelder-Mead", options=options)
-    # restart once from the solution; helps 13-dimensional simplexes settle
-    return minimize(fun, res.x, method="Nelder-Mead", options=options)
+def _fit_shared_shape(groups: list[np.ndarray]) -> tuple[np.ndarray, float, float]:
+    """GP maximum likelihood for excess samples with one scale each and a shared
+    shape: (scales, xi, negative log-likelihood).
+
+    The scales are profiled out, and the profile is minimised over xi in
+    [XI_MIN, XI_MAX] by a 0.1-spaced grid refined by bounded Brent.
+    """
+    def profile(xi):
+        return sum(_gp_negloglik(z, _scale_mle(z, xi), xi) for z in groups)
+
+    xi, nll = minimise_1d(profile, XI_MIN, XI_MAX, 30)
+    return np.array([_scale_mle(z, xi) for z in groups]), xi, nll
 
 
-def fit_gp_excesses(z: np.ndarray, max_iter: int = 2000) -> tuple[float, float, float]:
+def fit_gp_excesses(z: np.ndarray) -> tuple[float, float, float]:
     """Two-parameter GP maximum likelihood fit to a plain excess sample.
 
     Returns (sigma, xi, loglik) with xi box-constrained to [-0.9, 2.0].
-    This is the primitive behind the month-indexed fits.
+    This is the primitive behind the by-month fits.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
@@ -184,21 +197,8 @@ def fit_gp_excesses(z: np.ndarray, max_iter: int = 2000) -> tuple[float, float, 
         raise ValueError("excesses must be positive")
     if float(np.ptp(z)) <= 1e-12 * max(1.0, float(np.max(z))):
         raise RuntimeError("degenerate excesses: all values are (numerically) equal")
-    sigma0, xi0 = _pwm_init(z)
-
-    def nll(params):
-        log_s, x = params
-        if not np.all(np.isfinite(params)) or not XI_MIN <= x <= XI_MAX:
-            return float("inf")
-        return _gp_negloglik(z, np.full(z.size, np.exp(log_s)), np.full(z.size, x))
-
-    x0 = np.array([np.log(sigma0), xi0])
-    if not np.isfinite(nll(x0)):
-        x0 = np.array([np.log(max(z.mean(), 1e-10)), 0.0])  # exponential start is always feasible
-    res = _minimize_simplex(nll, x0, max_iter=max_iter)
-    if not np.isfinite(res.fun):
-        raise RuntimeError("GP fit did not converge")
-    return float(np.exp(res.x[0])), float(np.clip(res.x[1], XI_MIN, XI_MAX)), -float(res.fun)
+    sigma, xi, nll = _fit_shared_shape([z])
+    return float(sigma[0]), xi, -nll
 
 
 def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "constant",
@@ -226,37 +226,18 @@ def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "consta
     if short:
         raise RuntimeError(f"months {short} have fewer than {floor} cluster maxima for shape_mode={shape_mode}")
 
-    idx = months - 1
+    groups = [z[months == m] for m in range(1, 13)]
     if shape_mode == "constant":
-        sigma0, xi0 = _pwm_init(z)
-        month_means = np.array([z[idx == m].mean() for m in range(12)])
-
-        def start(xi_init):
-            scales = np.maximum(month_means * max(1.0 - xi_init, 0.1), 1e-10)
-            return np.concatenate([np.log(scales), [xi_init]])
-
-        def nll(params):
-            log_sigma, xi = params[:12], params[12]
-            if not np.all(np.isfinite(params)) or not XI_MIN <= xi <= XI_MAX:
-                return float("inf")
-            return _gp_negloglik(z, np.exp(log_sigma)[idx], np.full(z.size, xi))
-
-        x0 = start(xi0)
-        if not np.isfinite(nll(x0)):
-            x0 = start(0.0)  # PWM start lies outside the support; exponential start always works
-        res = _minimize_simplex(nll, x0, max_iter=400 * 13)
-        if not np.isfinite(res.fun):
-            raise RuntimeError("GP fit did not converge (constant shape)")
-        log_sigma = res.x[:12].copy()
-        xi = np.array([np.clip(res.x[12], XI_MIN, XI_MAX)])
-        total_nll = float(res.fun)
+        sigma, xi, total_nll = _fit_shared_shape(groups)
+        log_sigma = np.log(sigma)
+        xi = np.array([xi])
     else:
         log_sigma = np.empty(12)
         xi = np.empty(12)
         total_nll = 0.0
         for m in range(12):
             try:
-                sigma_m, xi_m, ll_m = fit_gp_excesses(z[idx == m])
+                sigma_m, xi_m, ll_m = fit_gp_excesses(groups[m])
             except RuntimeError as exc:
                 raise RuntimeError(f"month {m + 1}: {exc}") from exc
             log_sigma[m] = np.log(sigma_m)
@@ -371,12 +352,15 @@ def qq_exponential(model: GPModel, cs: ClusterSet) -> np.ndarray:
 
 def qq_envelope(model: GPModel, cs: ClusterSet, n_boot: int = 200, level: float = 0.95,
                 seed: int = 0) -> np.ndarray:
-    """Pointwise parametric-bootstrap envelope for the exponential QQ plot.
+    """Known-parameter envelope for the exponential QQ plot.
 
-    Simulates n_boot replicate excess samples from the fitted model (same
-    months), transforms them with the same fitted parameters and takes the
-    pointwise central quantiles of the sorted values. Returns (n, 3) columns
-    (theoretical, lower, upper).
+    If the fitted parameters were the true ones, the transformed excesses
+    of qq_exponential would be n = cs.n_clusters independent Exp(1) values.
+    The envelope is the pointwise central level-quantiles of the sorted
+    values of n_boot simulated Exp(1) samples of size n. The model's
+    parameters are not used and nothing is refitted, so the envelope leaves
+    out estimation error and is narrower than a parametric-bootstrap one.
+    Returns (n, 3) columns (theoretical, lower, upper).
     """
     n = cs.n_clusters
     rng = np.random.default_rng(seed)

@@ -4,7 +4,7 @@ The location parameter of an asymmetric Laplace density with asymmetry tau
 is the tau-quantile of the data, so maximising the likelihood month by month
 estimates the month-specific tau-quantile together with a scale. Months are
 disjoint factor levels, hence the joint 24-parameter fit decomposes into 12
-independent two-parameter fits; we exploit that directly.
+independent two-parameter fits, each with a closed-form answer.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .summarise import SummarySeries
 
@@ -72,8 +71,7 @@ def ald_negloglik(params, series: SummarySeries, tau: float) -> float:
     """Negative log-likelihood of the month-indexed asymmetric Laplace model.
 
     params holds the 12 locations followed by the 12 log-scales. Returns
-    +inf for non-finite parameters or underflowing scales so unconstrained
-    optimisers can be used directly.
+    +inf for non-finite parameters or underflowing scales.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
@@ -93,42 +91,16 @@ def ald_negloglik(params, series: SummarySeries, tau: float) -> float:
     return float(nll) if np.isfinite(nll) else float("inf")
 
 
-def _month_negloglik(p, x: np.ndarray, tau: float) -> float:
-    u, log_zeta = p
-    if not (np.isfinite(u) and np.isfinite(log_zeta)) or abs(log_zeta) > 600.0:
-        return float("inf")
-    zeta = np.exp(log_zeta)
-    val = x.size * (log_zeta - np.log(tau * (1.0 - tau))) + np.sum(pinball((x - u) / zeta, tau))
-    return float(val) if np.isfinite(val) else float("inf")
+def fit_threshold(series: SummarySeries, tau: float = 0.95, min_month_obs: int = 50) -> ThresholdModel:
+    """Fit the month-varying tau-quantile threshold to a summary series.
 
-
-def _fit_month(x: np.ndarray, tau: float, month: int, max_iter: int, n_restarts: int, tol: float):
-    # ALD likelihood is non-smooth in u, so use a derivative-free simplex
-    # initialised at (empirical tau-quantile, log mean absolute deviation).
-    u0 = float(np.quantile(x, tau))
-    mad = float(np.mean(np.abs(x - np.median(x))))
-    s0 = float(np.log(max(mad, 1e-12)))
-    rng = np.random.default_rng(90210 + month)  # fixed seed: fits stay deterministic
-    starts = [(u0, s0)]
-    jitter = max(mad, 1e-6)
-    for _ in range(n_restarts):
-        starts.append((u0 + 0.1 * jitter * rng.standard_normal(), s0 + 0.5 * rng.standard_normal()))
-    best = None
-    options = {"maxiter": max_iter, "fatol": tol, "xatol": 1e-10}
-    for p0 in starts:
-        res = minimize(_month_negloglik, np.asarray(p0, dtype=np.float64), args=(x, tau),
-                       method="Nelder-Mead", options=options)
-        res = minimize(_month_negloglik, res.x, args=(x, tau), method="Nelder-Mead", options=options)
-        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
-        raise RuntimeError(f"threshold fit for month {month} found no finite optimum after {len(starts)} starts")
-    return float(best.x[0]), float(best.x[1]), float(best.fun)
-
-
-def fit_threshold(series: SummarySeries, tau: float = 0.95, min_month_obs: int = 50,
-                  max_iter: int = 500, n_restarts: int = 3, tol: float = 1e-8) -> ThresholdModel:
-    """Fit the month-varying tau-quantile threshold to a summary series."""
+    The asymmetric-Laplace MLE of a month is exact (Yu & Moyeed 2001). For a
+    fixed location u the scale MLE is the mean pinball loss at u, so the
+    location minimises that loss: the k-th order statistic, k = ceil(n tau).
+    When n tau is an integer (to within 1e-9) the loss is flat between the
+    k-th and (k+1)-th order statistics and the lower one is taken. A month
+    with zero loss (all values equal) gets the smallest positive scale.
+    """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     counts = np.bincount(series.months, minlength=13)[1:]
@@ -137,9 +109,10 @@ def fit_threshold(series: SummarySeries, tau: float = 0.95, min_month_obs: int =
         raise ValueError(f"months {short} have fewer than {min_month_obs} observations")
     u = np.empty(12)
     log_zeta = np.empty(12)
-    total_nll = 0.0
-    for month in range(1, 13):
-        x = series.values[series.months == month]
-        u[month - 1], log_zeta[month - 1], nll = _fit_month(x, tau, month, max_iter, n_restarts, tol)
-        total_nll += nll
-    return ThresholdModel(tau=tau, u_by_month=u, log_zeta_by_month=log_zeta, loglik=-total_nll)
+    for m in range(12):
+        x = series.values[series.months == m + 1]
+        k = int(np.ceil(x.size * tau - 1e-9))
+        u[m] = np.partition(x, k - 1)[k - 1]
+        log_zeta[m] = np.log(max(float(np.mean(pinball(x - u[m], tau))), np.finfo(np.float64).tiny))
+    nll = ald_negloglik(np.concatenate([u, log_zeta]), series, tau)
+    return ThresholdModel(tau=tau, u_by_month=u, log_zeta_by_month=log_zeta, loglik=-nll)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import minimize
 
 import evtlite as ev
 from evtlite.decluster import ClusterSet
@@ -95,3 +96,79 @@ def daily_marginal_count(emulator, pi_hat, target, rng, n_days=None):
     excess = ev.gp_quantile(rng.random(idx.size), emulator.gp_model.sigma_by_month[idx],
                             emulator.gp_model.xi_by_month[idx])
     return int(np.sum(emulator.threshold_model.u_by_month[idx] + excess > target))
+
+
+def _nelder_mead(f, starts):
+    """Smallest value of f found by Nelder-Mead from each finite start,
+    restarted from its own solution until a restart gains less than 1e-12."""
+    options = {"maxiter": 40_000, "maxfev": 40_000, "xatol": 1e-10, "fatol": 1e-12}
+    best = np.inf
+    for x0 in starts:
+        x0 = np.asarray(x0, dtype=float)
+        if not np.isfinite(f(x0)):
+            continue
+        res = minimize(f, x0, method="Nelder-Mead", options=options)
+        for _ in range(20):
+            again = minimize(f, res.x, method="Nelder-Mead", options=options)
+            if again.fun > res.fun - 1e-12:
+                break
+            res = again
+        best = min(best, float(res.fun))
+    return best
+
+
+def gp_group_negloglik(groups, log_sigma, xi):
+    """GP negative log-likelihood of excess samples, one scale each and a shared shape."""
+    z = np.concatenate(groups)
+    ls = np.repeat(np.asarray(log_sigma, dtype=float), [g.size for g in groups])
+    if abs(xi) < 1e-10:
+        return float(np.sum(ls + z / np.exp(ls)))
+    t = 1.0 + xi * z / np.exp(ls)
+    if np.any(t <= 0.0):
+        return np.inf
+    return float(np.sum(ls) + (1.0 + 1.0 / xi) * np.sum(np.log(t)))
+
+
+def oracle_gp_negloglik(groups):
+    """Multi-start Nelder-Mead minimum of gp_group_negloglik over the log-scales
+    and the shared shape in [-0.9, 2.0]; starts at three shapes with the
+    scales that match each group's mean."""
+    def f(p):
+        if not np.all(np.isfinite(p)) or not -0.9 <= p[-1] <= 2.0:
+            return np.inf
+        return gp_group_negloglik(groups, p[:-1], p[-1])
+
+    means = np.array([z.mean() for z in groups])
+    maxima = np.array([z.max() for z in groups])
+    starts = []
+    for xi0 in (0.0, 0.5, -0.3):
+        sigma0 = np.maximum(means * (1.0 - xi0), -xi0 * maxima * 1.05)
+        starts.append(np.append(np.log(sigma0), xi0))
+    return _nelder_mead(f, starts)
+
+
+def working_negloglik(params, x, y):
+    """Gaussian working negative log-likelihood of the conditional model,
+    params = (beta0, beta1, mu, log sigma), +inf outside the parameter box."""
+    b0, b1, mu, log_s = params
+    if not np.all(np.isfinite(params)) or not (0.0 <= b0 <= 1.0 and -5.0 <= b1 <= 1.0 - 1e-6):
+        return np.inf
+    t = x ** b1
+    sd = np.exp(log_s) * t
+    r = (y - b0 * x - mu * t) / sd
+    return float(np.sum(np.log(sd) + 0.5 * r * r) + 0.5 * x.size * np.log(2.0 * np.pi))
+
+
+def oracle_working_negloglik(x, y, seed=424242):
+    """Multi-start Nelder-Mead minimum of working_negloglik: four fixed
+    starts around the least-squares slope and five random ones."""
+    slope = float(np.clip(np.sum(x * y) / np.sum(x * x), 0.01, 0.99))
+    resid = y - slope * x
+    mu0, ls0 = float(np.mean(resid)), float(np.log(max(np.std(resid), 1e-8)))
+    starts = [(slope, 0.2, mu0, ls0), (0.9, 0.0, mu0, ls0), (0.1, 0.8, mu0, ls0),
+              (0.5, -0.5, mu0, ls0)]
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        starts.append((rng.uniform(0.05, 0.95), rng.uniform(-1.0, 0.9),
+                       mu0 + rng.standard_normal(), ls0 + 0.5 * rng.standard_normal()))
+    return _nelder_mead(lambda p: working_negloglik(p, x, y), starts)

@@ -125,7 +125,7 @@ def test_criterion_5_cev_recovery():
     t0 = time.perf_counter()
     model = ev.fit_conditional_pairs(x, y, q)
     elapsed = time.perf_counter() - t0
-    recomputed = (model.cond_y - model.beta0 * model.cond_x) / model.cond_x ** model.beta1
+    recomputed = (y - model.beta0 * x) / x ** model.beta1
     bitwise = np.array_equal(recomputed, model.residuals)
     ok = (0.35 <= model.beta0 <= 0.45) and (0.1 <= model.beta1 <= 0.3) \
         and bitwise and elapsed < 20.0

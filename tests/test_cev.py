@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtlite as ev
+from conftest import oracle_working_negloglik, working_negloglik
 from evtlite.cev import CEVModel, laplace_cdf, sample_residuals, silverman_bandwidth, stack_cev
 
 
 def make_cev(beta0, beta1, residuals, bandwidth=0.0, q=1.6094379124341003):
     residuals = np.asarray(residuals, dtype=float)
     return CEVModel(beta0=beta0, beta1=beta1, q_threshold=q, residuals=residuals,
-                    fit_nuisance=(0.0, 1.0), kde_bandwidth=bandwidth,
-                    cond_x=np.empty(0), cond_y=np.empty(0), loglik=0.0)
+                    kde_bandwidth=bandwidth, loglik=0.0)
 
 
 def conditional_pairs(n, beta0, beta1, q_prob=0.9, seed=0):
@@ -95,7 +95,7 @@ class TestFitCev:
     def test_residual_reconstruction_bitwise(self):
         x, y, q = conditional_pairs(5000, beta0=0.3, beta1=0.1, seed=2)
         model = ev.fit_conditional_pairs(x, y, q)
-        recomputed = (model.cond_y - model.beta0 * model.cond_x) / model.cond_x ** model.beta1
+        recomputed = (y - model.beta0 * x) / x ** model.beta1
         assert np.array_equal(recomputed, model.residuals)
 
     def test_comonotone_corner(self):
@@ -104,6 +104,7 @@ class TestFitCev:
         model = ev.fit_conditional_pairs(x, x.copy(), ev.laplace_quantile(0.9))
         assert model.beta0 >= 0.98
         assert float(np.std(model.residuals)) < 0.05
+        assert np.isfinite(model.loglik)
 
     def test_independent_pairs_corner(self):
         rng = np.random.default_rng(6)
@@ -112,6 +113,12 @@ class TestFitCev:
         model = ev.fit_conditional_pairs(x, y, ev.laplace_quantile(0.9))
         assert model.beta0 <= 0.1
         assert model.beta1 < 1.0
+
+    def test_negative_dependence_clamps_beta0(self):
+        x, y, q = conditional_pairs(4000, beta0=-0.5, beta1=0.2, seed=9)
+        model = ev.fit_conditional_pairs(x, y, q)
+        assert model.beta0 == 0.0 and model.at_bound == ("beta0",)
+        assert model.to_dict()["at_bound"] == ["beta0"]
 
     def test_fit_cev_pair_floor(self, homogeneous_fit):
         series, mixed = homogeneous_fit
@@ -139,6 +146,29 @@ class TestFitCev:
         assert again.beta0 == model.beta0 and again.beta1 == model.beta1
         assert np.array_equal(again.residuals, model.residuals)
         assert again.kde_bandwidth == model.kde_bandwidth
+
+    def test_old_artifact_with_nuisance_loads(self):
+        x, y, q = conditional_pairs(500, beta0=0.5, beta1=0.0, seed=3)
+        d = ev.fit_conditional_pairs(x, y, q).to_dict()
+        d["fit_nuisance"] = [0.1, 1.2]
+        del d["at_bound"]
+        again = CEVModel.from_dict(d)
+        assert again.beta0 == d["beta0"] and again.loglik == d["loglik"]
+
+
+@pytest.mark.parametrize("seed, beta0, beta1", [
+    (0, 0.4, 0.2), (1, 0.8, -0.5), (2, 0.1, 0.6), (3, 0.6, 0.0),
+    (4, -0.3, 0.3),  # negative dependence: beta0 clamped to 0
+])
+def test_profiled_fit_not_worse_than_nelder_mead(seed, beta0, beta1):
+    x, y, q = conditional_pairs(1500, beta0=beta0, beta1=beta1, seed=seed)
+    model = ev.fit_conditional_pairs(x, y, q)
+    r = model.residuals
+    # at (beta0, beta1) the nuisance MLEs are the residual mean and standard deviation
+    nll = working_negloglik((model.beta0, model.beta1, r.mean(), np.log(r.std())), x, y)
+    assert nll == pytest.approx(-model.loglik, rel=1e-9)
+    assert nll <= oracle_working_negloglik(x, y) + 1e-6
+    assert (model.beta0 == 0.0) == (beta0 < 0.0)
 
 
 def draws(model, n, seed):

@@ -63,6 +63,18 @@ class TestFitCommand:
         again = emulator_to_dict(emulator, question, d["month_conditional_bulk"])
         assert again == d
 
+    def test_shape_on_the_box_edge_warns(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli("synth", "--out", data, "--n-runs", 1, "--n-days", 7300, "--n-sites", 3,
+                       "--xi", 3.0, "--seed", 2) == 0
+        capsys.readouterr()
+        assert run_cli("fit", "--out", tmp_path / "fits", "--question", "q1", "--shape", "constant",
+                       data / "run_1.csv") == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: run 1: fitted gp xi on the edge of the search box") == 1
+        d = json.loads((tmp_path / "fits" / "run_1.json").read_text())
+        assert d["gp"]["xi"] == 2.0 and d["gp"]["at_bound"] == ["xi"]
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run_cli("fit", "--out", tmp_path, "--question", "q1", tmp_path / "nope.csv") == 2
 

@@ -107,6 +107,16 @@ class TestDeclusterCorrection:
     def test_hand_value(self):
         assert ev.decluster_correction(0.19, 0.5) == pytest.approx(0.1, abs=1e-12)
 
+    def test_vectorised_over_probabilities(self):
+        p = np.array([0.0, 0.19, 0.5, 1.0])
+        assert np.array_equal(ev.decluster_correction(p, 0.5),
+                              [ev.decluster_correction(v, 0.5) for v in p])
+        assert np.array_equal(ev.decluster_correction(p, 1.0), p)  # exact identity
+        with pytest.raises(ValueError):
+            ev.decluster_correction(np.array([0.2, 1.1]), 0.5)
+        with pytest.raises(ValueError):
+            ev.decluster_correction(np.array([0.2, np.nan]), 0.5)
+
     def test_range_checks(self):
         with pytest.raises(ValueError):
             ev.decluster_correction(-0.1, 0.5)

@@ -16,8 +16,7 @@ def with_cev(emulator, beta0, beta1, residuals, bandwidth=0.0, q=None):
     q_thr = ev.laplace_quantile(0.9) if q is None else q
     cev = CEVModel(beta0=beta0, beta1=beta1, q_threshold=q_thr,
                    residuals=np.asarray(residuals, dtype=float),
-                   fit_nuisance=(0.0, 1.0), kde_bandwidth=bandwidth,
-                   cond_x=np.empty(0), cond_y=np.empty(0), loglik=0.0)
+                   kde_bandwidth=bandwidth, loglik=0.0)
     return dataclasses.replace(emulator, cev_model=cev)
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtlite as ev
-from conftest import constant_threshold_model, make_cluster_set
+from conftest import (constant_threshold_model, gp_group_negloglik, make_cluster_set,
+                      oracle_gp_negloglik)
 
 
 class TestGpCdf:
@@ -139,6 +140,56 @@ class TestFitGp:
         assert np.array_equal(gp.log_sigma_by_month, again.log_sigma_by_month)
         assert np.array_equal(gp.xi, again.xi)
         assert gp.shape_mode == again.shape_mode
+
+    def test_shape_beyond_the_box_is_reported(self):
+        # a Pareto sample with xi = 3 has its likelihood maximum beyond XI_MAX = 2
+        rng = np.random.default_rng(8)
+        months = np.tile(np.arange(1, 13), 50)
+        cs = make_cluster_set(ev.gp_quantile(rng.random(600), 1.0, 3.0), months, n_days=10 ** 5)
+        tm = constant_threshold_model(0.0)
+        gp = ev.fit_gp(cs, tm, "constant")
+        assert gp.xi[0] == 2.0 and gp.at_bound == ("xi",)
+        assert gp.to_dict()["at_bound"] == ["xi"]
+        by_month = ev.fit_gp(cs, tm, "by_month")
+        edge = np.flatnonzero(by_month.xi == 2.0) + 1
+        assert edge.size > 0 and by_month.at_bound == tuple(f"xi[{m}]" for m in edge)
+        interior = ev.GPModel(np.zeros(12), "constant", np.array([0.15]), tm, 0.0)
+        assert interior.at_bound == ()
+
+
+def gp_month_groups(seed, xi):
+    """12 GP excess samples of 20-59 values, scales 0.5-2.0, one shape xi."""
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.5, 2.0, 12)
+    sizes = rng.integers(20, 60, 12)
+    groups = [ev.gp_quantile(rng.random(n), s, xi) for s, n in zip(sigma, sizes)]
+    cs = make_cluster_set(np.concatenate(groups), np.repeat(np.arange(1, 13), sizes), n_days=10 ** 5)
+    return groups, cs
+
+
+ORACLE_CASES = [(0, -0.3), (1, -0.05), (2, 0.0), (3, 0.2), (4, 0.6)]
+
+
+class TestProfiledFitAgainstOracle:
+    """The profiled GP fits reach at least the multi-start Nelder-Mead optimum."""
+
+    @pytest.mark.parametrize("seed, xi", ORACLE_CASES)
+    def test_constant_shape(self, seed, xi):
+        groups, cs = gp_month_groups(seed, xi)
+        gp = ev.fit_gp(cs, constant_threshold_model(0.0), "constant")
+        nll = gp_group_negloglik(groups, gp.log_sigma_by_month, gp.xi[0])
+        assert nll == pytest.approx(-gp.loglik, rel=1e-12)
+        assert nll <= oracle_gp_negloglik(groups) + 1e-6
+
+    @pytest.mark.parametrize("seed, xi", ORACLE_CASES)
+    def test_by_month(self, seed, xi):
+        groups, cs = gp_month_groups(seed, xi)
+        gp = ev.fit_gp(cs, constant_threshold_model(0.0), "by_month")
+        nll = [gp_group_negloglik([z], [ls], x)
+               for z, ls, x in zip(groups, gp.log_sigma_by_month, gp.xi)]
+        assert sum(nll) == pytest.approx(-gp.loglik, rel=1e-12)
+        for z, month_nll in zip(groups, nll):
+            assert month_nll <= oracle_gp_negloglik([z]) + 1e-6
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,14 +22,14 @@ def exact_ald_mle(x, tau):
     """Closed-form joint ALD MLE for one month.
 
     The profile likelihood in the location is minus the log of the mean
-    pinball loss, whose unique minimiser (for non-integer n * tau) is the
-    ceil(n * tau)-th order statistic; the scale MLE is the mean pinball
-    loss at that point.
+    pinball loss, minimised by the ceil(n * tau)-th order statistic; when
+    n * tau is an integer the loss is flat up to the next order statistic
+    and the lower end is taken. n * tau is computed exactly from the
+    decimal tau. The scale MLE is the mean pinball loss at that point.
     """
     xs = np.sort(x)
-    n = xs.size
-    assert abs(n * tau - round(n * tau)) > 1e-9, "test data must give a unique knot"
-    u = xs[int(np.ceil(n * tau)) - 1]
+    k = math.ceil(Fraction(str(tau)) * xs.size)
+    u = xs[k - 1]
     zeta = float(np.mean(pinball(x - u, tau)))
     return float(u), zeta
 
@@ -161,3 +164,37 @@ def test_pinball_nonnegative_and_zero_at_origin(tau, values):
     losses = pinball(t, tau)
     assert np.all(losses >= 0.0)
     assert pinball(np.array([0.0]), tau)[0] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(50, 130), st.sampled_from([0.5, 0.75, 0.9, 0.95]),
+       st.booleans())
+def test_fit_is_the_exact_ald_mle(seed, n, tau, ties):
+    # months hold n, n + 1, ..., n + 11 values, so for tau = 0.5 or 0.75 some
+    # months always have an integer n * tau and a flat likelihood stretch
+    rng = np.random.default_rng(seed)
+    samples = [rng.gamma(2.0, 1.0, size=n + m) for m in range(12)]
+    if ties:
+        samples = [np.round(x, 1) for x in samples]
+    series = series_by_month(samples)
+    model = ev.fit_threshold(series, tau=tau, min_month_obs=50)
+    for m, x in enumerate(samples):
+        u_exact, zeta_exact = exact_ald_mle(x, tau)
+        assert model.u_by_month[m] == u_exact
+        assert np.exp(model.log_zeta_by_month[m]) == pytest.approx(zeta_exact, rel=1e-12)
+    params = np.concatenate([model.u_by_month, model.log_zeta_by_month])
+    best = ev.ald_negloglik(params, series, tau)
+    assert best == pytest.approx(-model.loglik, rel=1e-12)
+    for j in range(24):
+        for step in (-1e-3, -1e-6, 1e-6, 1e-3):
+            moved = params.copy()
+            moved[j] += step
+            assert ev.ald_negloglik(moved, series, tau) >= best - 1e-10 * abs(best)
+
+
+def test_integer_n_tau_takes_the_lower_knot():
+    # 4,620 February days at tau = 0.95: n * tau = 4,389 exactly
+    x = np.random.default_rng(1).permutation(np.arange(1.0, 4621.0))
+    series = series_by_month([x] * 12)
+    model = ev.fit_threshold(series, tau=0.95)
+    assert np.all(model.u_by_month == 4389.0)
