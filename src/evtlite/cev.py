@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gpd import MixedDistribution, mixed_cdf_by_day
+from .ingest import pack_floats, unpack_floats
 from .optimise import minimise_1d
 from .summarise import SummarySeries
 
@@ -87,22 +88,20 @@ class CEVModel:
             "beta1": float(self.beta1),
             "q_threshold": float(self.q_threshold),
             "kde_bandwidth": float(self.kde_bandwidth),
-            "residuals": [float(z) for z in self.residuals],
+            "residuals": pack_floats(self.residuals),
             "loglik": float(self.loglik),
             "at_bound": list(self.at_bound),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CEVModel":
-        # artifacts written before the working-model nuisance (mu, sigma) was
-        # dropped carry a "fit_nuisance" entry, which is ignored
         return cls(
             beta0=float(d["beta0"]),
             beta1=float(d["beta1"]),
             q_threshold=float(d["q_threshold"]),
-            residuals=np.asarray(d["residuals"], dtype=np.float64),
+            residuals=unpack_floats(d["residuals"]),
             kde_bandwidth=float(d["kde_bandwidth"]),
-            loglik=float(d.get("loglik", np.nan)),
+            loglik=float(d["loglik"]),
         )
 
 

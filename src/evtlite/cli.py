@@ -19,22 +19,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .cev import CEVModel, to_laplace
-from .decluster import ClusterSet
+from .cev import to_laplace
 from .ensemble import (
     QUESTIONS,
-    CombinedEstimates,
     RunEmulator,
     SimulationConfig,
     build_emulator,
     combine_rates,
+    emulator_from_dict,
+    emulator_to_dict,
     monte_carlo_estimate,
 )
-from .gpd import GPModel, build_mixed, qq_envelope, qq_exponential
+from .gpd import qq_envelope, qq_exponential
 from .ingest import Calendar, load_run
 from .summarise import SummarySeries
 from .synth import SynthSpec, event_truth, generate_ensemble
-from .threshold import ThresholdModel
 
 _CONFIG_KEYS = {
     "question", "tau", "run_length", "q_prob", "shape", "bulk", "order_k",
@@ -141,41 +140,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
 
 
-def emulator_to_dict(emulator: RunEmulator, question: str, month_conditional_bulk: bool) -> dict:
-    return {
-        "schema": "evtlite-emulator-v1",
-        "run_id": emulator.run_id,
-        "question": question,
-        "order_k": emulator.order_k,
-        "n_days": emulator.months.size,
-        "months": [int(m) for m in emulator.months],
-        "values": [float(v) for v in emulator.series_values],
-        "month_conditional_bulk": bool(month_conditional_bulk),
-        "threshold": emulator.threshold_model.to_dict(),
-        "gp": emulator.gp_model.to_dict(),
-        "clusters": emulator.cluster_set.to_dict(),
-        "cev": None if emulator.cev_model is None else emulator.cev_model.to_dict(),
-    }
-
-
-def emulator_from_dict(d: dict) -> tuple[RunEmulator, str]:
-    months = np.asarray(d["months"], dtype=np.int64)
-    values = np.asarray(d["values"], dtype=np.float64)
-    tm = ThresholdModel.from_dict(d["threshold"])
-    gp = GPModel.from_dict(d["gp"], tm)
-    cs = ClusterSet.from_dict(d["clusters"], values_by_day=values)
-    series = SummarySeries(run_id=int(d["run_id"]), order_k=int(d["order_k"]),
-                           values=values, months=months)
-    # a zero-cluster artifact has no meaningful tail weight; use half an
-    # observation so the mixed distribution stays well defined for diagnostics
-    pi = cs.pi_star_hat if cs.pi_star_hat > 0.0 else 0.5 / max(cs.n_days, 1)
-    mixed = build_mixed(series, gp, pi=pi,
-                        month_conditional_bulk=bool(d.get("month_conditional_bulk", False)))
-    cev = None if d.get("cev") is None else CEVModel.from_dict(d["cev"])
-    emulator = RunEmulator(run_id=int(d["run_id"]), order_k=int(d["order_k"]),
-                           months=months, series_values=values, threshold_model=tm,
-                           gp_model=gp, mixed=mixed, cluster_set=cs, cev_model=cev)
-    return emulator, str(d["question"])
+def _read_emulator(path) -> tuple[RunEmulator, str]:
+    with open(path) as fh:
+        try:
+            return emulator_from_dict(json.load(fh))
+        except ValueError as exc:  # JSONDecodeError included
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -191,7 +161,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ValueError("no run CSV files given")
     out = Path(args.out)
     calendar = _parse_calendar(opts["calendar"])
-    month_bulk = opts["bulk"] == "monthly"
     print(f"question {opts['question']}: fitting {len(paths)} run(s)")
     for i, path in enumerate(paths, start=1):
         run = load_run(path, run_id=i, calendar=calendar, skip_header=opts["header"])
@@ -200,21 +169,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 run, opts["question"], order_k=opts["order_k"], tau=opts["tau"],
                 run_length=opts["run_length"], q_prob=opts["q_prob"],
                 shape_mode=opts["shape"], min_month_obs=opts["min_month_obs"],
-                min_month_maxima=opts["min_month_maxima"], month_conditional_bulk=month_bulk,
+                min_month_maxima=opts["min_month_maxima"],
+                month_conditional_bulk=opts["bulk"] == "monthly",
             )
         except (ValueError, RuntimeError) as exc:
             raise RuntimeError(f"run {i} ({path}): {exc}") from exc
         artifact = out / f"run_{i}.json"
-        _write_json(artifact, emulator_to_dict(emulator, opts["question"], month_bulk))
+        _write_json(artifact, emulator_to_dict(emulator, opts["question"], calendar))
         models = (("gp", emulator.gp_model), ("cev", emulator.cev_model))
         edges = [f"{name} {p}" for name, model in models if model is not None for p in model.at_bound]
         if edges:
             print(f"warning: run {i}: fitted {', '.join(edges)} on the edge of the search box",
                   file=sys.stderr)
-        cs = emulator.cluster_set
-        theta = "undefined" if cs.theta_hat is None else f"{cs.theta_hat:.4f}"
+        cs = emulator.cluster_set  # fit_gp has refused an empty one, so theta is defined
         print(f"  run {i}: n_exceed={cs.n_exceedances} n_clusters={cs.n_clusters} "
-              f"pi_star={cs.pi_star_hat:.5f} theta={theta} -> {artifact}")
+              f"pi_star={cs.pi_star_hat:.5f} theta={cs.theta_hat:.4f} -> {artifact}")
         sig = emulator.gp_model.sigma_by_month
         xi = emulator.gp_model.xi_by_month
         u = emulator.threshold_model.u_by_month
@@ -232,9 +201,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise ValueError("no emulator artifacts given")
     emulators = []
     for path in args.emulators:
-        with open(path) as fh:
-            d = json.load(fh)
-        emulator, question = emulator_from_dict(d)
+        emulator, question = _read_emulator(path)
         if question != opts["question"]:
             raise ValueError(f"{path}: fitted for question {question}, requested {opts['question']}")
         emulators.append(emulator)
@@ -307,9 +274,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     opts = _merge_options(args, ["n_boot", "seed"])
-    with open(args.emulator) as fh:
-        d = json.load(fh)
-    emulator, _question = emulator_from_dict(d)
+    emulator, _question = _read_emulator(args.emulator)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -18,101 +18,64 @@ from .threshold import ThresholdModel
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """Declustered exceedances of one run."""
+    """Declustered exceedances of one run.
 
-    run_id: int
+    Cluster i holds exceedance_days[cluster_starts[i]:cluster_starts[i + 1]]
+    (the last cluster runs to the end), and its maximum is maxima[i] on day
+    maxima_days[i].
+    """
+
     run_length_l: int
-    n_days: int
-    cluster_days: tuple    # tuple of int arrays, 1-based day indices
-    cluster_values: tuple  # tuple of float arrays, matching cluster_days
+    exceedance_days: np.ndarray  # 1-based days above the threshold, increasing
+    cluster_starts: np.ndarray   # index of each cluster's first day in exceedance_days
     maxima: np.ndarray
     maxima_days: np.ndarray
     maxima_months: np.ndarray
-    n_exceedances: int
     theta_hat: float | None  # None when there are no exceedances
     pi_star_hat: float
+
+    @property
+    def n_exceedances(self) -> int:
+        return self.exceedance_days.size
 
     @property
     def n_clusters(self) -> int:
         return self.maxima.size
 
     @property
+    def cluster_days(self) -> tuple:
+        """1-based days of each cluster, one int array per cluster."""
+        return tuple(np.split(self.exceedance_days, self.cluster_starts)[1:])
+
+    @property
     def month_cluster_counts(self) -> np.ndarray:
         """Number of cluster maxima falling in each month (12,)."""
         return np.bincount(self.maxima_months, minlength=13)[1:]
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": int(self.run_id),
-            "run_length_l": int(self.run_length_l),
-            "n_days": int(self.n_days),
-            "cluster_days": [[int(d) for d in days] for days in self.cluster_days],
-            "maxima": [float(v) for v in self.maxima],
-            "maxima_days": [int(d) for d in self.maxima_days],
-            "maxima_months": [int(m) for m in self.maxima_months],
-            "n_exceedances": int(self.n_exceedances),
-            "theta_hat": None if self.theta_hat is None else float(self.theta_hat),
-            "pi_star_hat": float(self.pi_star_hat),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, values_by_day: np.ndarray | None = None) -> "ClusterSet":
-        cluster_days = tuple(np.asarray(days, dtype=np.int64) for days in d["cluster_days"])
-        if values_by_day is not None:
-            cluster_values = tuple(values_by_day[days - 1] for days in cluster_days)
-        else:
-            cluster_values = tuple(np.full(days.size, np.nan) for days in cluster_days)
-        return cls(
-            run_id=int(d["run_id"]),
-            run_length_l=int(d["run_length_l"]),
-            n_days=int(d["n_days"]),
-            cluster_days=cluster_days,
-            cluster_values=cluster_values,
-            maxima=np.asarray(d["maxima"], dtype=np.float64),
-            maxima_days=np.asarray(d["maxima_days"], dtype=np.int64),
-            maxima_months=np.asarray(d["maxima_months"], dtype=np.int64),
-            n_exceedances=int(d["n_exceedances"]),
-            theta_hat=None if d["theta_hat"] is None else float(d["theta_hat"]),
-            pi_star_hat=float(d["pi_star_hat"]),
-        )
 
 
 def run_decluster(series: SummarySeries, thresholds: ThresholdModel, l: int = 3) -> ClusterSet:
     """Group exceedances of the monthly threshold into runs-based clusters.
 
+    A cluster's maximum sits on its earliest day holding the largest value.
     Zero exceedances give an empty ClusterSet with theta_hat flagged as
     None rather than an error; downstream consumers must handle the flag.
     """
     if l < 1:
         raise ValueError(f"run length l must be >= 1, got {l}")
-    u = thresholds.u_by_month[series.months - 1]
-    exceed_days = np.flatnonzero(series.values > u) + 1  # 1-based
-    if exceed_days.size == 0:
-        return ClusterSet(
-            run_id=series.run_id, run_length_l=l, n_days=series.n_days,
-            cluster_days=(), cluster_values=(),
-            maxima=np.empty(0), maxima_days=np.empty(0, dtype=np.int64),
-            maxima_months=np.empty(0, dtype=np.int64),
-            n_exceedances=0, theta_hat=None, pi_star_hat=0.0,
-        )
-    # gap of >= l sub-threshold days between consecutive exceedances splits
-    gaps = np.diff(exceed_days) - 1
-    breaks = np.flatnonzero(gaps >= l) + 1
-    cluster_days = tuple(np.split(exceed_days, breaks))
-    cluster_values = tuple(series.values[days - 1] for days in cluster_days)
-    max_idx = [int(np.argmax(vals)) for vals in cluster_values]  # earliest day on ties
-    maxima = np.array([vals[i] for vals, i in zip(cluster_values, max_idx)])
-    maxima_days = np.array([days[i] for days, i in zip(cluster_days, max_idx)], dtype=np.int64)
-    maxima_months = series.months[maxima_days - 1]
+    exceed = np.flatnonzero(series.values > thresholds.u_by_month[series.months - 1])
+    # a gap of >= l sub-threshold days between consecutive exceedances splits
+    starts = np.flatnonzero(np.diff(exceed, prepend=-l - 1) > l)
+    values = series.values[exceed]
+    maxima = np.maximum.reduceat(values, starts)
+    at_max = values == np.repeat(maxima, np.diff(starts, append=exceed.size))
+    first = np.minimum.reduceat(np.where(at_max, np.arange(exceed.size), exceed.size), starts)
+    maxima_days = exceed[first] + 1
     cs = ClusterSet(
-        run_id=series.run_id, run_length_l=l, n_days=series.n_days,
-        cluster_days=cluster_days, cluster_values=cluster_values,
-        maxima=maxima, maxima_days=maxima_days, maxima_months=maxima_months,
-        n_exceedances=int(exceed_days.size),
-        theta_hat=None,
-        pi_star_hat=maxima.size / series.n_days,
+        run_length_l=l, exceedance_days=exceed + 1, cluster_starts=starts,
+        maxima=maxima, maxima_days=maxima_days, maxima_months=series.months[maxima_days - 1],
+        theta_hat=None, pi_star_hat=maxima.size / series.n_days,
     )
-    return replace(cs, theta_hat=extremal_index(cs))
+    return replace(cs, theta_hat=extremal_index(cs)) if exceed.size else cs
 
 
 def extremal_index(cs: ClusterSet) -> float:

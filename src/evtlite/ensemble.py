@@ -26,15 +26,17 @@ from itertools import repeat
 
 import numpy as np
 
+from . import decluster
 from .cev import (PROB_CLIP, CEVModel, StackedCEV, count_chains, fit_cev, laplace_quantile,
                   stack_cev, to_laplace)
 from .decluster import ClusterSet, decluster_correction, run_decluster
 from .gpd import GPModel, MixedDistribution, build_mixed, fit_gp, gp_cdf, mixed_cdf
-from .ingest import EnsembleRun, validate_ensemble
-from .summarise import spatial_order_statistic
+from .ingest import Calendar, EnsembleRun, pack_floats, unpack_floats, validate_ensemble
+from .summarise import SummarySeries, spatial_order_statistic
 from .threshold import ThresholdModel, fit_threshold
 
 _CORRECTIONS = ("power", "multiplicative")
+ARTIFACT_SCHEMA = "evtlite-emulator-v2"
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,50 @@ class RunEmulator:
     mixed: MixedDistribution
     cluster_set: ClusterSet
     cev_model: CEVModel | None = None
+
+
+def emulator_to_dict(emulator: RunEmulator, question: str, calendar: Calendar) -> dict:
+    """The artifact of one fitted run. Months are stored as the calendar and clusters
+    as the run length, and emulator_from_dict rebuilds both with the fit's own code."""
+    n_days = emulator.months.size
+    if not np.array_equal(calendar.months_for(n_days), emulator.months):
+        raise ValueError("the calendar does not give the emulator's months")
+    return {
+        "schema": ARTIFACT_SCHEMA,
+        "run_id": emulator.run_id,
+        "question": question,
+        "order_k": emulator.order_k,
+        "n_days": n_days,
+        "month_lengths": list(calendar.month_lengths),
+        "values": pack_floats(emulator.series_values),
+        "month_conditional_bulk": emulator.mixed.bulk_by_month is not None,
+        "run_length_l": emulator.cluster_set.run_length_l,
+        "threshold": emulator.threshold_model.to_dict(),
+        "gp": emulator.gp_model.to_dict(),
+        "cev": None if emulator.cev_model is None else emulator.cev_model.to_dict(),
+    }
+
+
+def emulator_from_dict(d: dict) -> tuple[RunEmulator, str]:
+    """Inverse of emulator_to_dict: (emulator, question)."""
+    if d.get("schema") != ARTIFACT_SCHEMA:
+        raise ValueError(f"artifact schema {d.get('schema')!r} is not {ARTIFACT_SCHEMA!r}; "
+                         "refit the runs with this version")
+    series = SummarySeries(run_id=int(d["run_id"]), order_k=int(d["order_k"]),
+                           values=unpack_floats(d["values"]),
+                           months=Calendar(tuple(d["month_lengths"])).months_for(int(d["n_days"])))
+    tm = ThresholdModel.from_dict(d["threshold"])
+    gp = GPModel.from_dict(d["gp"], tm)
+    # through the module: perfbench traces this module's run_decluster as the fit's stage
+    cs = decluster.run_decluster(series, tm, l=int(d["run_length_l"]))
+    # fit never writes a run without clusters; a hand-made one keeps a defined
+    # mixed distribution for diagnostics with half an observation of tail weight
+    pi = cs.pi_star_hat if cs.pi_star_hat > 0.0 else 0.5 / series.n_days
+    mixed = build_mixed(series, gp, pi=pi, month_conditional_bulk=bool(d["month_conditional_bulk"]))
+    cev = None if d["cev"] is None else CEVModel.from_dict(d["cev"])
+    return RunEmulator(run_id=series.run_id, order_k=series.order_k, months=series.months,
+                       series_values=series.values, threshold_model=tm, gp_model=gp,
+                       mixed=mixed, cluster_set=cs, cev_model=cev), str(d["question"])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ repeating yearly calendar over the 1-based day index.
 
 from __future__ import annotations
 
+import base64
 import csv
 from dataclasses import dataclass
 
@@ -109,10 +110,21 @@ def _first_bad_row(path, skip_header: bool):
     return None
 
 
+def _line_count(path) -> int:
+    """Lines in a file, counting a last line without a newline; one pass over its bytes."""
+    n, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            n += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+            last = chunk[-1:]
+    return n + (last != b"\n")
+
+
 def load_run(path, run_id: int, calendar: Calendar = Calendar(), skip_header: bool = False) -> EnsembleRun:
     """Load one run from CSV and attach month labels from the calendar.
 
-    Rejects malformed rows, non-finite and negative values, naming the
+    Rejects malformed rows (empty and "#" lines included, since months fold
+    over the row index), non-finite and negative values, naming the
     offending 1-based data row (header excluded when skip_header is set).
     """
     try:
@@ -122,7 +134,11 @@ def load_run(path, run_id: int, calendar: Calendar = Calendar(), skip_header: bo
             skiprows=1 if skip_header else 0,
             ndmin=2,
             dtype=np.float64,
+            comments=None,
         )
+        # loadtxt skips empty lines; every other line is a data row or an error
+        if values.shape[0] + int(skip_header) < _line_count(path):
+            raise ValueError("empty line")
     except ValueError as exc:
         located = _first_bad_row(path, skip_header)
         if located is not None:
@@ -141,6 +157,15 @@ def load_run(path, run_id: int, calendar: Calendar = Calendar(), skip_header: bo
         raise ValueError(f"{path}: row {row + 1}: negative value {values[row, col]} in column {col + 1}")
     months = calendar.months_for(values.shape[0])
     return EnsembleRun(run_id=run_id, values=values, months=months)
+
+
+def pack_floats(a: np.ndarray) -> str:
+    """Base64 text of an array's little-endian float64 bytes; unpack_floats inverts it exactly."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unpack_floats(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
 
 
 def save_run(run: EnsembleRun, path) -> None:

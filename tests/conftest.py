@@ -44,18 +44,18 @@ def constant_threshold_model(u, tau=0.95):
 
 
 def make_cluster_set(maxima, maxima_months, n_days=10_000, n_exceedances=None,
-                     run_length_l=3, run_id=1):
+                     run_length_l=3):
+    """Hand-set cluster set: cluster i starts on day i + 1 and has its maximum
+    there; the last cluster also holds any exceedances beyond one per cluster."""
     maxima = np.asarray(maxima, dtype=float)
-    maxima_months = np.asarray(maxima_months, dtype=np.int64)
     n = maxima.size
     n_exc = n if n_exceedances is None else n_exceedances
     return ClusterSet(
-        run_id=run_id, run_length_l=run_length_l, n_days=n_days,
-        cluster_days=tuple(np.array([d]) for d in range(1, n + 1)),
-        cluster_values=tuple(np.array([v]) for v in maxima),
+        run_length_l=run_length_l,
+        exceedance_days=np.arange(1, n_exc + 1, dtype=np.int64),
+        cluster_starts=np.arange(n, dtype=np.int64),
         maxima=maxima, maxima_days=np.arange(1, n + 1, dtype=np.int64),
-        maxima_months=maxima_months,
-        n_exceedances=n_exc,
+        maxima_months=np.asarray(maxima_months, dtype=np.int64),
         theta_hat=(n / n_exc) if n_exc else None,
         pi_star_hat=n / n_days,
     )
@@ -74,7 +74,7 @@ def make_marginal_emulator(n_days=1000, u=1.0, sigma=1.0, xi=0.0, n_clusters=50,
     cs = make_cluster_set(
         maxima=u + 0.5 + np.linspace(0.0, 1.0, n_cl),
         maxima_months=months[:n_cl].copy(),
-        n_days=n_days, run_id=run_id,
+        n_days=n_days,
     )
     series = ev.SummarySeries(run_id, 1, np.linspace(0.0, u, n_days), months)
     mixed = ev.build_mixed(series, gp, pi=pi_mixed)

@@ -6,10 +6,51 @@ import pytest
 
 import evtlite as ev
 from evtlite.cli import emulator_from_dict, emulator_to_dict, main
+from evtlite.ensemble import ARTIFACT_SCHEMA
+from evtlite.ingest import pack_floats
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_emulator(loaded, fitted):
+    """Every array and scalar the estimate and diagnose read, bit for bit."""
+    assert same_bits(loaded.series_values, fitted.series_values)
+    assert same_bits(loaded.months, fitted.months)
+    cs, ref = loaded.cluster_set, fitted.cluster_set
+    for name in ("exceedance_days", "cluster_starts", "maxima", "maxima_days", "maxima_months"):
+        assert same_bits(getattr(cs, name), getattr(ref, name)), name
+    for name in ("run_length_l", "n_exceedances", "n_clusters", "theta_hat", "pi_star_hat"):
+        assert getattr(cs, name) == getattr(ref, name), name
+    for name in ("u_by_month", "log_zeta_by_month"):
+        assert same_bits(getattr(loaded.threshold_model, name), getattr(fitted.threshold_model, name))
+    assert same_bits(loaded.gp_model.log_sigma_by_month, fitted.gp_model.log_sigma_by_month)
+    assert same_bits(loaded.gp_model.xi, fitted.gp_model.xi)
+    assert loaded.mixed.pi == fitted.mixed.pi
+    assert same_bits(loaded.mixed.bulk_sorted, fitted.mixed.bulk_sorted)
+    assert (loaded.mixed.bulk_by_month is None) == (fitted.mixed.bulk_by_month is None)
+    for a, b in zip(loaded.mixed.bulk_by_month or (), fitted.mixed.bulk_by_month or ()):
+        assert same_bits(a, b)
+    assert (loaded.cev_model is None) == (fitted.cev_model is None)
+    if fitted.cev_model is not None:
+        assert same_bits(loaded.cev_model.residuals, fitted.cev_model.residuals)
+        for name in ("beta0", "beta1", "q_threshold", "kde_bandwidth", "loglik"):
+            assert getattr(loaded.cev_model, name) == getattr(fitted.cev_model, name), name
+
+
+def assert_same_estimate(loaded, fitted, config):
+    combined = ev.combine_rates(fitted)
+    assert ev.combine_rates(loaded) == combined
+    a = ev.monte_carlo_estimate(loaded, config, combined)
+    b = ev.monte_carlo_estimate(fitted, config, combined)
+    assert (a.point, a.ci_low, a.ci_high) == (b.point, b.ci_low, b.ci_high)
+    assert same_bits(a.c_samples, b.c_samples) and same_bits(a.mean_e_samples, b.mean_e_samples)
 
 
 @pytest.fixture(scope="module")
@@ -51,17 +92,50 @@ class TestFitCommand:
         _, _, fits = workspace
         for name in ("run_1.json", "run_2.json"):
             d = json.loads((fits / name).read_text())
-            assert d["question"] == "q1"
+            assert d["schema"] == ARTIFACT_SCHEMA and d["question"] == "q1"
+            assert d["n_days"] == 7300 and d["month_lengths"] == list(ev.Calendar().month_lengths)
+            assert d["run_length_l"] == 3 and "clusters" not in d and "months" not in d
             assert len(d["threshold"]["u_by_month"]) == 12
-            assert d["clusters"]["theta_hat"] is not None
             assert d["cev"] is None
 
     def test_emulator_roundtrip(self, workspace):
-        _, _, fits = workspace
+        # fit -> write -> read gives back the fitted emulator, bit for bit
+        _, data, fits = workspace
+        fitted, loaded = [], []
+        for i in (1, 2):
+            run = ev.load_run(data / f"run_{i}.csv", run_id=i)
+            fitted.append(ev.build_emulator(run, "q1", shape_mode="constant"))
+            d = json.loads((fits / f"run_{i}.json").read_text())
+            emulator, question = emulator_from_dict(d)
+            assert question == "q1"
+            assert emulator_to_dict(emulator, question, ev.Calendar()) == d
+            loaded.append(emulator)
+            assert_same_emulator(emulator, fitted[-1])
+        config = ev.SimulationConfig(question="q1", target_level=5.0, n_sim=50, n_srun=10,
+                                     seed=4, n_days=1000)
+        assert_same_estimate(loaded, fitted, config)
+
+    def test_roundtrip_chain_model_custom_calendar(self, tmp_path):
+        lengths = "30,30,30,30,30,30,30,30,30,30,30,31"
+        calendar = ev.Calendar(tuple(int(t) for t in lengths.split(",")))
+        data = tmp_path / "data"
+        assert run_cli("synth", "--out", data, "--n-runs", 1, "--n-days", 14600, "--n-sites", 4,
+                       "--order-k", 3, "--sigma", 0.6, "--u0", 1.2, "--rho", 0.5,
+                       "--calendar", lengths, "--seed", 19) == 0
+        fits = tmp_path / "fits"
+        assert run_cli("fit", "--out", fits, "--question", "q3", "--order-k", 3, "--bulk", "monthly",
+                       "--calendar", lengths, data / "run_1.csv") == 0
+        run = ev.load_run(data / "run_1.csv", run_id=1, calendar=calendar)
+        fitted = ev.build_emulator(run, "q3", order_k=3, month_conditional_bulk=True)
         d = json.loads((fits / "run_1.json").read_text())
-        emulator, question = emulator_from_dict(d)
-        again = emulator_to_dict(emulator, question, d["month_conditional_bulk"])
-        assert again == d
+        assert d["month_lengths"] == list(calendar.month_lengths)
+        loaded, question = emulator_from_dict(d)
+        assert question == "q3" and loaded.months[360] == 12 and loaded.months[361] == 1
+        assert_same_emulator(loaded, fitted)
+        config = ev.SimulationConfig(question="q3", target_level=4.0, n_sim=20, n_srun=5, seed=3)
+        assert_same_estimate([loaded], [fitted], config)
+        with pytest.raises(ValueError, match="calendar"):
+            emulator_to_dict(fitted, "q3", ev.Calendar())
 
     def test_shape_on_the_box_edge_warns(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -92,7 +166,7 @@ class TestFitCommand:
         assert rc == 0
         d = json.loads((out / "run_1.json").read_text())
         assert d["threshold"]["tau"] == 0.95  # flag wins over config file
-        assert d["clusters"]["run_length_l"] == 2  # config key applies
+        assert d["run_length_l"] == 2  # config key applies
 
     def test_unknown_config_key_exit_2(self, tmp_path, workspace):
         _, data, _ = workspace
@@ -131,6 +205,21 @@ class TestFitCommand:
         assert rc_no_header == 2
         rc_header = run_cli("fit", "--header", "--out", tmp_path / "y", "--min-month-obs", 1, path)
         assert rc_header == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("", "row 3: empty row"),
+        ("# note", "row 3: expected 3 columns, found 1"),
+        ("0.1,0.2,0.3 # note", "row 3: non-numeric value '0.3 # note' in column 3"),
+    ])
+    def test_blank_or_comment_line_exit_2(self, tmp_path, capsys, line, message):
+        # months fold over the row index, so a skipped line would shift every later month
+        rows = ["0.1,0.2,0.3"] * 40
+        path = tmp_path / "gap.csv"
+        path.write_text("\n".join(rows[:2] + [line] + rows[2:]) + "\n")
+        assert run_cli("fit", "--out", tmp_path / "x", "--min-month-obs", 1, path) == 2
+        assert message in capsys.readouterr().err
+        path.write_text("\n".join(rows) + "\n")  # one trailing newline is fine
+        assert run_cli("fit", "--out", tmp_path / "y", "--min-month-obs", 1, path) == 1
 
 
 class TestEstimateCommand:
@@ -216,48 +305,64 @@ class TestDiagnoseCommand:
         assert np.all(env[:, 1] <= env[:, 2])
 
     def test_envelope_calibration_well_specified(self, tmp_path):
-        # cluster maxima drawn exactly from the stored model: at most ~5% of
-        # QQ points should leave the 95% pointwise envelope
-        import dataclasses
-
-        from conftest import make_marginal_emulator
-
-        em = make_marginal_emulator(n_days=20000, u=1.0, sigma=0.5, xi=0.1, n_clusters=600)
+        # cluster maxima drawn exactly from the stored model, on isolated days
+        # of a series that is otherwise below the threshold: at most ~5% of QQ
+        # points should leave the 95% pointwise envelope
+        n_days, u, sigma, xi = 20000, 1.0, 0.5, 0.1
         rng = np.random.default_rng(14)
-        maxima = 1.0 + ev.gp_quantile(rng.random(600), 0.5, 0.1)
-        cs = dataclasses.replace(em.cluster_set, maxima=maxima)
-        em = dataclasses.replace(em, cluster_set=cs)
+        values = np.linspace(0.0, u, n_days)
+        values[::33][:600] = u + ev.gp_quantile(rng.random(600), sigma, xi)
+        series = ev.SummarySeries(1, 1, values, ev.Calendar().months_for(n_days))
+        tm = ev.ThresholdModel(0.95, np.full(12, u), np.zeros(12), 0.0)
+        gp = ev.GPModel(np.full(12, np.log(sigma)), "constant", np.array([xi]), tm, 0.0)
+        cs = ev.run_decluster(series, tm, l=3)
+        assert cs.n_clusters == 600
+        em = ev.RunEmulator(run_id=1, order_k=1, months=series.months, series_values=values,
+                            threshold_model=tm, gp_model=gp,
+                            mixed=ev.build_mixed(series, gp, pi=cs.pi_star_hat), cluster_set=cs)
         path = tmp_path / "well_specified.json"
-        path.write_text(json.dumps(emulator_to_dict(em, "q1", False)))
+        path.write_text(json.dumps(emulator_to_dict(em, "q1", ev.Calendar())))
         out = tmp_path / "diag"
         assert run_cli("diagnose", "--out", out, "--n-boot", 200, path) == 0
         qq = np.loadtxt(out / "qq.csv", delimiter=",", skiprows=1)
         env = np.loadtxt(out / "qq_envelope.csv", delimiter=",", skiprows=1)
+        assert qq.shape == (600, 2)
         outside = np.mean((qq[:, 1] < env[:, 1]) | (qq[:, 1] > env[:, 2]))
         assert outside <= 0.05
 
-    def test_empty_cluster_artifact_warns(self, tmp_path, capsys):
-        months = ev.Calendar().months_for(400)
-        tm = ev.ThresholdModel(0.95, np.full(12, 9.0), np.zeros(12), 0.0)
+    @staticmethod
+    def artifact(values, u):
+        tm = ev.ThresholdModel(0.95, np.full(12, u), np.zeros(12), 0.0)
         gp = ev.GPModel(np.zeros(12), "constant", np.array([0.0]), tm, 0.0)
-        artifact = {
-            "schema": "evtlite-emulator-v1", "run_id": 1, "question": "q1",
-            "order_k": 1, "n_days": 400,
-            "months": [int(m) for m in months],
-            "values": list(np.linspace(0.0, 1.0, 400)),
-            "month_conditional_bulk": False,
-            "threshold": tm.to_dict(), "gp": gp.to_dict(),
-            "clusters": {"run_id": 1, "run_length_l": 3, "n_days": 400, "cluster_days": [],
-                         "maxima": [], "maxima_days": [], "maxima_months": [],
-                         "n_exceedances": 0, "theta_hat": None, "pi_star_hat": 0.0},
-            "cev": None,
+        return {
+            "schema": ARTIFACT_SCHEMA, "run_id": 1, "question": "q1", "order_k": 1,
+            "n_days": values.size, "month_lengths": list(ev.Calendar().month_lengths),
+            "values": pack_floats(values), "month_conditional_bulk": False, "run_length_l": 3,
+            "threshold": tm.to_dict(), "gp": gp.to_dict(), "cev": None,
         }
+
+    def test_empty_cluster_artifact_warns(self, tmp_path, capsys):
+        # a series that never exceeds its thresholds rebuilds an empty cluster set
         path = tmp_path / "empty.json"
-        path.write_text(json.dumps(artifact))
+        path.write_text(json.dumps(self.artifact(np.linspace(0.0, 1.0, 400), 9.0)))
         assert run_cli("diagnose", "--out", tmp_path / "d", path) == 0
         assert "empty cluster set" in capsys.readouterr().err
         assert not (tmp_path / "d" / "qq.csv").exists()
         assert (tmp_path / "d" / "thresholds.csv").exists()
+
+    @pytest.mark.parametrize("schema", ["evtlite-emulator-v1", None])
+    def test_other_schema_refused(self, tmp_path, capsys, schema):
+        d = self.artifact(np.linspace(0.0, 2.0, 400), 1.0)
+        if schema is None:
+            del d["schema"]
+        else:
+            d["schema"] = schema
+        path = tmp_path / "run_1.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("estimate", "--out", tmp_path / "e", "--question", "q1", path) == 2
+        assert run_cli("diagnose", "--out", tmp_path / "d", path) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{path}: artifact schema {schema!r}") == 2 and "refit" in err
 
 
 class TestQ3Pipeline:

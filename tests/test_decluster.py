@@ -135,3 +135,45 @@ def test_decluster_matches_oracle_property(flags, l):
     assert [list(d) for d in cs.cluster_days] == oracle_decluster(values, 0.5, l)
     if cs.n_exceedances:
         assert 0.0 < cs.theta_hat <= 1.0
+
+
+def argmax_reference(values, clusters):
+    """Per-cluster maximum and its day, earliest day on ties, one cluster at a time."""
+    maxima, days = [], []
+    for cluster in clusters:
+        vals = [values[d - 1] for d in cluster]
+        i = int(np.argmax(vals))
+        maxima.append(vals[i])
+        days.append(cluster[i])
+    return maxima, days
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 12)), min_size=1, max_size=150),
+       st.lists(st.sampled_from([0.5, 1.5, 2.5, 4.5]), min_size=12, max_size=12),
+       st.integers(1, 5))
+def test_vectorised_decluster_matches_per_cluster_reference(days, u, l):
+    # few distinct values, so clusters often hold tied maxima; u = 4.5 in
+    # every month gives series with no exceedances at all
+    values = np.array([v for v, _ in days], dtype=float)
+    months = np.array([m for _, m in days], dtype=np.int64)
+    tm = ev.ThresholdModel(0.95, np.asarray(u), np.zeros(12), 0.0)
+    cs = ev.run_decluster(ev.SummarySeries(1, 1, values, months), tm, l=l)
+    u_day = np.asarray(u)[months - 1]
+    clusters = oracle_decluster(values, u_day, l)
+    assert [list(d) for d in cs.cluster_days] == clusters
+    assert cs.exceedance_days.tolist() == [d for c in clusters for d in c]
+    maxima, maxima_days = argmax_reference(values, clusters)
+    assert cs.maxima.tolist() == maxima and cs.maxima.dtype == np.float64
+    assert cs.maxima_days.tolist() == maxima_days
+    assert cs.maxima_months.tolist() == [int(months[d - 1]) for d in maxima_days]
+    assert cs.n_clusters == len(clusters) and cs.pi_star_hat == len(clusters) / values.size
+    assert cs.theta_hat == (len(clusters) / cs.n_exceedances if clusters else None)
+
+
+def test_ties_take_the_earliest_day_in_every_cluster():
+    values = [12, 11, 12, 0, 0, 0, 13, 13, 0, 0, 0, 0, 11, 11, 11]
+    cs = ev.run_decluster(series_of(values), constant_threshold_model(10.0), l=3)
+    assert [list(d) for d in cs.cluster_days] == [[1, 2, 3], [7, 8], [13, 14, 15]]
+    assert cs.maxima.tolist() == [12.0, 13.0, 11.0]
+    assert cs.maxima_days.tolist() == [1, 7, 13]
