@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gpd import MixedDistribution, mixed_cdf_by_day
+from .gpd import MixedDistribution, mixed_cdf
 from .ingest import pack_floats, unpack_floats
 from .optimise import minimise_1d
 from .summarise import SummarySeries
@@ -53,15 +53,14 @@ class LaplaceSeries:
 
     values: np.ndarray
     months: np.ndarray
-    source: MixedDistribution
 
 
 def to_laplace(series: SummarySeries, md: MixedDistribution) -> LaplaceSeries:
     """Probability integral transform through the mixed distribution,
     clipped to [1e-10, 1 - 1e-10], then the standard Laplace quantile."""
-    p = mixed_cdf_by_day(md, series.values, series.months)
+    p = mixed_cdf(md, series.values, series.months)
     p = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-    return LaplaceSeries(values=laplace_quantile(p), months=series.months.copy(), source=md)
+    return LaplaceSeries(values=laplace_quantile(p), months=series.months.copy())
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 """Batch command line: fit, estimate, synth, diagnose.
 
-Options come from flags, an optional flat key=value config file, then
-built-in defaults, in that precedence order. All randomness in a command
-derives from its --seed and fits are exact or profiled, with no random
-restarts, so every command is idempotent given identical inputs.
+build_parser is the one place that names an option, its type, its choices
+and its default. An optional flat key = value config file (--config) sets
+options by their dest, the flag name with _ for -: each value is converted
+and checked by the flag's own argparse Action and becomes a default of the
+command, so flags beat config values, which beat built-in defaults. One
+file may serve every command; keys of the other commands are skipped. All
+randomness in a command derives from its --seed and fits are exact or
+profiled, with no random restarts, so every command is idempotent given
+identical inputs.
 
 Exit codes: 0 success, 1 statistical failure (non-convergence, degenerate
 data), 2 I/O or configuration error.
@@ -31,97 +36,72 @@ from .ensemble import (
     monte_carlo_estimate,
 )
 from .gpd import qq_envelope, qq_exponential
-from .ingest import Calendar, load_run
+from .ingest import Calendar, load_run, save_run
 from .summarise import SummarySeries
 from .synth import SynthSpec, event_truth, generate_ensemble
 
-_CONFIG_KEYS = {
-    "question", "tau", "run_length", "q_prob", "shape", "bulk", "order_k",
-    "header", "calendar", "min_month_obs", "min_month_maxima",
-    "target", "n_sim", "n_srun", "seed", "alpha", "rate_mode", "correction",
-    "sim_days", "workers", "c_samples",
-    "n_runs", "n_days", "n_sites", "pi", "xi", "sigma", "u0", "rho", "targets",
-    "n_boot", "out", "runs",
-}
-
-_DEFAULTS = {
-    "question": "q1", "tau": 0.95, "run_length": 3, "q_prob": 0.90,
-    "shape": None, "bulk": "pooled", "order_k": None, "header": False,
-    "calendar": "noleap", "min_month_obs": 50, "min_month_maxima": 10,
-    "target": None, "n_sim": 10_000, "n_srun": 50, "seed": 0, "alpha": 0.05,
-    "rate_mode": False, "correction": "power", "sim_days": None, "workers": 1,
-    "c_samples": False,
-    "n_runs": 4, "n_days": 60225, "n_sites": 25, "pi": 0.05, "xi": 0.0,
-    "sigma": "0.5", "u0": "1.0", "rho": 0.0, "targets": None, "n_boot": 200,
-}
-
-_BOOL_KEYS = {"header", "rate_mode", "c_samples"}
-_INT_KEYS = {"run_length", "order_k", "min_month_obs", "min_month_maxima",
-             "n_sim", "n_srun", "seed", "sim_days", "workers",
-             "n_runs", "n_days", "n_sites", "n_boot"}
-_FLOAT_KEYS = {"tau", "q_prob", "target", "alpha", "pi", "xi", "rho"}
+_BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
 
 
-def _parse_config_file(path: str) -> dict:
+def calendar(spec: str) -> Calendar:
+    """Type of --calendar: "noleap" or 12 comma-separated month lengths."""
+    if spec == "noleap":
+        return Calendar()
+    return Calendar(month_lengths=tuple(int(tok) for tok in spec.split(",")))
+
+
+def float_list(spec: str) -> list[float]:
+    """Type of a comma-separated list of numbers."""
+    return [float(tok) for tok in spec.split(",")]
+
+
+def monthly_floats(spec: str) -> list[float]:
+    """Type of a per-month value: one for every month or 12 comma-separated."""
+    values = float_list(spec)
+    if len(values) not in (1, 12):
+        raise argparse.ArgumentTypeError(f"expected 1 or 12 comma-separated values, got {len(values)}")
+    return values
+
+
+def _config_value(action: argparse.Action, text: str):
+    """A config value converted and checked as the flag's Action would: a
+    true/false word for a store_true flag, comma-separated items for a list
+    positional, else the Action's type and choices."""
+    if action.required:
+        raise ValueError("must be given on the command line")
+    if action.nargs == 0:
+        if text.lower() not in _BOOLEAN_WORDS:
+            raise ValueError(f"expected true or false, got {text!r}")
+        return _BOOLEAN_WORDS[text.lower()]
+    items = [tok.strip() for tok in text.split(",")] if action.nargs == "*" else [text]
+    values = [action.type(tok) for tok in items] if action.type else items
+    for value in values:
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"invalid choice {value!r} (choose from {', '.join(action.choices)})")
+    return values if action.nargs == "*" else values[0]
+
+
+def _config_defaults(path: str, actions: dict, known: set) -> dict:
+    """Checked values of a flat key = value config file for the command whose
+    Actions are given by dest; keys of the other commands (in known) are skipped."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        key, eq, text = (part.strip() for part in line.partition("="))
+        where = f"{path}:{lineno}"
+        if not eq:
+            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
+        if key not in known:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        if key in actions:
+            try:
+                values[key] = _config_value(actions[key], text)
+            except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{where}: {key}: {exc}") from None
     return values
-
-
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    if key in _BOOL_KEYS:
-        if value.lower() in ("1", "true", "yes", "on"):
-            return True
-        if value.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"config key {key!r}: expected a boolean, got {value!r}")
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
-
-
-def _merge_options(args: argparse.Namespace, keys) -> dict:
-    file_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    for key in keys:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None and flag_value is not False:
-            merged[key] = flag_value
-        elif key in file_values:
-            merged[key] = _coerce(key, file_values[key])
-        else:
-            merged[key] = _DEFAULTS[key]
-    return merged
-
-
-def _parse_calendar(spec) -> Calendar:
-    if spec is None or spec == "noleap":
-        return Calendar()
-    lengths = [int(tok) for tok in str(spec).split(",")]
-    return Calendar(month_lengths=tuple(lengths))
-
-
-def _parse_float_list(spec, n: int) -> np.ndarray:
-    vals = [float(tok) for tok in str(spec).split(",")]
-    if len(vals) == 1:
-        return np.full(n, vals[0])
-    if len(vals) != n:
-        raise ValueError(f"expected 1 or {n} comma-separated values, got {len(vals)}")
-    return np.asarray(vals)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -149,33 +129,24 @@ def _read_emulator(path) -> tuple[RunEmulator, str]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    opts = _merge_options(args, ["question", "tau", "run_length", "q_prob", "shape", "bulk",
-                                 "order_k", "header", "calendar", "min_month_obs",
-                                 "min_month_maxima"])
-    paths = list(args.runs)
-    if not paths and getattr(args, "config", None):
-        conf = _parse_config_file(args.config)
-        if "runs" in conf:
-            paths = [p.strip() for p in conf["runs"].split(",")]
-    if not paths:
+    if not args.runs:
         raise ValueError("no run CSV files given")
     out = Path(args.out)
-    calendar = _parse_calendar(opts["calendar"])
-    print(f"question {opts['question']}: fitting {len(paths)} run(s)")
-    for i, path in enumerate(paths, start=1):
-        run = load_run(path, run_id=i, calendar=calendar, skip_header=opts["header"])
+    print(f"question {args.question}: fitting {len(args.runs)} run(s)")
+    for i, path in enumerate(args.runs, start=1):
+        run = load_run(path, run_id=i, calendar=args.calendar, skip_header=args.header)
         try:
             emulator = build_emulator(
-                run, opts["question"], order_k=opts["order_k"], tau=opts["tau"],
-                run_length=opts["run_length"], q_prob=opts["q_prob"],
-                shape_mode=opts["shape"], min_month_obs=opts["min_month_obs"],
-                min_month_maxima=opts["min_month_maxima"],
-                month_conditional_bulk=opts["bulk"] == "monthly",
+                run, args.question, order_k=args.order_k, tau=args.tau,
+                run_length=args.run_length, q_prob=args.q_prob,
+                shape_mode=args.shape, min_month_obs=args.min_month_obs,
+                min_month_maxima=args.min_month_maxima,
+                month_conditional_bulk=args.bulk == "monthly",
             )
         except (ValueError, RuntimeError) as exc:
             raise RuntimeError(f"run {i} ({path}): {exc}") from exc
         artifact = out / f"run_{i}.json"
-        _write_json(artifact, emulator_to_dict(emulator, opts["question"], calendar))
+        _write_json(artifact, emulator_to_dict(emulator, args.question, args.calendar))
         models = (("gp", emulator.gp_model), ("cev", emulator.cev_model))
         edges = [f"{name} {p}" for name, model in models if model is not None for p in model.at_bound]
         if edges:
@@ -195,30 +166,26 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    opts = _merge_options(args, ["question", "target", "n_sim", "n_srun", "seed", "alpha",
-                                 "rate_mode", "correction", "sim_days", "workers", "c_samples"])
     if not args.emulators:
         raise ValueError("no emulator artifacts given")
     emulators = []
     for path in args.emulators:
         emulator, question = _read_emulator(path)
-        if question != opts["question"]:
-            raise ValueError(f"{path}: fitted for question {question}, requested {opts['question']}")
+        if question != args.question:
+            raise ValueError(f"{path}: fitted for question {question}, requested {args.question}")
         emulators.append(emulator)
     combined = combine_rates(emulators)
-    target = opts["target"]
-    if target is None:
-        target = QUESTIONS[opts["question"]].target
+    target = QUESTIONS[args.question].target if args.target is None else args.target
     config = SimulationConfig(
-        question=opts["question"], target_level=float(target), n_sim=opts["n_sim"],
-        n_srun=opts["n_srun"], seed=opts["seed"], alpha=opts["alpha"],
-        rate_mode=bool(opts["rate_mode"]), correction=opts["correction"],
-        n_days=opts["sim_days"], workers=opts["workers"],
+        question=args.question, target_level=float(target), n_sim=args.n_sim,
+        n_srun=args.n_srun, seed=args.seed, alpha=args.alpha,
+        rate_mode=args.rate_mode, correction=args.correction,
+        n_days=args.sim_days, workers=args.workers,
     )
     result = monte_carlo_estimate(emulators, config, combined)
     out = Path(args.out)
     samples_path = None
-    if opts["c_samples"]:
+    if args.c_samples:
         samples_path = str(out / f"c_samples_{config.question}.csv")
         _write_csv(Path(samples_path), ["c", "mean_e"],
                    zip(result.c_samples, result.mean_e_samples))
@@ -248,32 +215,24 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    opts = _merge_options(args, ["n_runs", "n_days", "n_sites", "order_k", "pi", "xi",
-                                 "sigma", "u0", "rho", "seed", "calendar", "targets"])
     out = Path(args.out)
-    order_k = opts["order_k"] if opts["order_k"] is not None else 1
     spec = SynthSpec(
-        n_runs=opts["n_runs"], n_days=opts["n_days"], n_sites=opts["n_sites"],
-        order_k=order_k, pi=opts["pi"],
-        u0_by_month=_parse_float_list(opts["u0"], 12),
-        sigma_by_month=_parse_float_list(opts["sigma"], 12),
-        xi=opts["xi"], rho=opts["rho"], calendar=_parse_calendar(opts["calendar"]),
+        n_runs=args.n_runs, n_days=args.n_days, n_sites=args.n_sites,
+        order_k=args.order_k, pi=args.pi, u0_by_month=args.u0, sigma_by_month=args.sigma,
+        xi=args.xi, rho=args.rho, calendar=args.calendar,
     )
-    runs = generate_ensemble(spec, seed=opts["seed"])
+    runs = generate_ensemble(spec, seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
     for run in runs:
-        np.savetxt(out / f"run_{run.run_id}.csv", run.values, delimiter=",", fmt="%.17g")
-    truth = {"seed": opts["seed"], "spec": spec.to_dict(), "events": []}
-    if opts["targets"]:
-        for tok in str(opts["targets"]).split(","):
-            truth["events"].append(event_truth(spec, float(tok)))
+        save_run(run, out / f"run_{run.run_id}.csv")
+    truth = {"seed": args.seed, "spec": spec.to_dict(),
+             "events": [event_truth(spec, target) for target in args.targets or ()]}
     _write_json(out / "truth.json", truth)
     print(f"wrote {spec.n_runs} run(s) of {spec.n_days} x {spec.n_sites} to {out}")
     return 0
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    opts = _merge_options(args, ["n_boot", "seed"])
     emulator, _question = _read_emulator(args.emulator)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,13 +244,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 for m in range(1, 13)])
 
     cs = emulator.cluster_set
-    if cs.n_clusters == 0:
-        print("warning: empty cluster set, skipping QQ output", file=sys.stderr)
-    else:
-        qq = qq_exponential(emulator.gp_model, cs)
-        _write_csv(out / "qq.csv", ["theoretical", "empirical"], qq)
-        env = qq_envelope(emulator.gp_model, cs, n_boot=opts["n_boot"], seed=opts["seed"])
-        _write_csv(out / "qq_envelope.csv", ["theoretical", "lower", "upper"], env)
+    _write_csv(out / "qq.csv", ["theoretical", "empirical"], qq_exponential(emulator.gp_model, cs))
+    env = qq_envelope(emulator.gp_model, cs, n_boot=args.n_boot, seed=args.seed)
+    _write_csv(out / "qq_envelope.csv", ["theoretical", "lower", "upper"], env)
 
     cev = emulator.cev_model
     if cev is not None:
@@ -315,79 +270,90 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and, for each command, its subparser and the Actions of the
+    options a config file may set, by dest. The only place an option is named."""
     parser = argparse.ArgumentParser(prog="evtlite",
                                      description="exceedance-probability estimation for climate ensembles")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def add_common(p):
+    def command(name: str, summary: str):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key = value config file; flags win")
-        p.add_argument("--out", required=True, help="output directory")
+        actions = {}
+        commands[name] = (p, actions)
 
-    p_fit = sub.add_parser("fit", help="fit per-run emulators from run CSVs")
-    add_common(p_fit)
-    p_fit.add_argument("runs", nargs="*", help="run CSV files, one per climate run")
-    p_fit.add_argument("--question", choices=sorted(QUESTIONS))
-    p_fit.add_argument("--tau", type=float)
-    p_fit.add_argument("--run-length", dest="run_length", type=int)
-    p_fit.add_argument("--q-prob", dest="q_prob", type=float)
-    p_fit.add_argument("--shape", choices=["constant", "by_month"])
-    p_fit.add_argument("--bulk", choices=["pooled", "monthly"])
-    p_fit.add_argument("--order-k", dest="order_k", type=int)
-    p_fit.add_argument("--header", action="store_true", default=None,
-                       help="skip one header line in each CSV")
-    p_fit.add_argument("--calendar", help='"noleap" or 12 comma-separated month lengths')
-    p_fit.add_argument("--min-month-obs", dest="min_month_obs", type=int)
-    p_fit.add_argument("--min-month-maxima", dest="min_month_maxima", type=int)
+        def add(*flags, **kwargs):
+            action = p.add_argument(*flags, **kwargs)
+            actions[action.dest] = action
 
-    p_est = sub.add_parser("estimate", help="combine emulator artifacts into an estimate")
-    add_common(p_est)
-    p_est.add_argument("emulators", nargs="*", help="emulator JSON artifacts")
-    p_est.add_argument("--question", choices=sorted(QUESTIONS))
-    p_est.add_argument("--target", type=float)
-    p_est.add_argument("--n-sim", dest="n_sim", type=int)
-    p_est.add_argument("--n-srun", dest="n_srun", type=int)
-    p_est.add_argument("--seed", type=int)
-    p_est.add_argument("--alpha", type=float)
-    p_est.add_argument("--rate-mode", dest="rate_mode", action="store_true", default=None,
-                       help="count at most one event per simulated run")
-    p_est.add_argument("--correction", choices=["power", "multiplicative"])
-    p_est.add_argument("--sim-days", dest="sim_days", type=int,
-                       help="simulate runs of this many days (default: fitted length)")
-    p_est.add_argument("--workers", type=int)
-    p_est.add_argument("--c-samples", dest="c_samples", action="store_true", default=None,
-                       help="also dump per-simulation statistics to CSV")
+        add("--out", help="output directory (required, as a flag or a config key)")
+        return add
 
-    p_syn = sub.add_parser("synth", help="generate a synthetic ensemble with known truth")
-    add_common(p_syn)
-    p_syn.add_argument("--n-runs", dest="n_runs", type=int)
-    p_syn.add_argument("--n-days", dest="n_days", type=int)
-    p_syn.add_argument("--n-sites", dest="n_sites", type=int)
-    p_syn.add_argument("--order-k", dest="order_k", type=int)
-    p_syn.add_argument("--pi", type=float)
-    p_syn.add_argument("--xi", type=float)
-    p_syn.add_argument("--sigma", help="GP scale: one value or 12 comma-separated")
-    p_syn.add_argument("--u0", help="tail start: one value or 12 comma-separated")
-    p_syn.add_argument("--rho", type=float, help="AR(1) copula coefficient in [0, 1)")
-    p_syn.add_argument("--seed", type=int)
-    p_syn.add_argument("--calendar")
-    p_syn.add_argument("--targets", help="comma-separated target levels for truth.json")
+    fit = command("fit", "fit per-run emulators from run CSVs")
+    estimate = command("estimate", "combine emulator artifacts into an estimate")
+    synth = command("synth", "generate a synthetic ensemble with known truth")
+    diagnose = command("diagnose", "export QQ and dependence diagnostics")
+    for add in (fit, estimate):
+        add("--question", choices=sorted(QUESTIONS), default="q1")
+    for add in (fit, synth):
+        add("--calendar", type=calendar, default="noleap",
+            help='"noleap" or 12 comma-separated month lengths')
+    for add in (estimate, synth, diagnose):
+        add("--seed", type=int, default=0)
 
-    p_diag = sub.add_parser("diagnose", help="export QQ and dependence diagnostics")
-    add_common(p_diag)
-    p_diag.add_argument("emulator", help="emulator JSON artifact")
-    p_diag.add_argument("--n-boot", dest="n_boot", type=int)
-    p_diag.add_argument("--seed", type=int)
+    fit("runs", nargs="*", default=[], help="run CSV files, one per climate run")
+    fit("--tau", type=float, default=0.95)
+    fit("--run-length", type=int, default=3)
+    fit("--q-prob", type=float, default=0.90)
+    fit("--shape", choices=["constant", "by_month"], help="default: the question's")
+    fit("--bulk", choices=["pooled", "monthly"], default="pooled")
+    fit("--order-k", type=int, help="default: the question's")
+    fit("--header", action="store_true", help="skip one header line in each CSV")
+    fit("--min-month-obs", type=int, default=50)
+    fit("--min-month-maxima", type=int, default=10)
 
-    return parser
+    estimate("emulators", nargs="*", default=[], help="emulator JSON artifacts")
+    estimate("--target", type=float, help="default: the question's")
+    estimate("--n-sim", type=int, default=10_000)
+    estimate("--n-srun", type=int, default=50)
+    estimate("--alpha", type=float, default=0.05)
+    estimate("--rate-mode", action="store_true", help="count at most one event per simulated run")
+    estimate("--correction", choices=["power", "multiplicative"], default="power")
+    estimate("--sim-days", type=int, help="simulate runs of this many days (default: fitted length)")
+    estimate("--workers", type=int, default=1)
+    estimate("--c-samples", action="store_true", help="also dump per-simulation statistics to CSV")
+
+    synth("--n-runs", type=int, default=4)
+    synth("--n-days", type=int, default=60225)
+    synth("--n-sites", type=int, default=25)
+    synth("--order-k", type=int, default=1)
+    synth("--pi", type=float, default=0.05)
+    synth("--xi", type=float, default=0.0)
+    synth("--sigma", type=monthly_floats, default="0.5", help="GP scale: one value or 12 comma-separated")
+    synth("--u0", type=monthly_floats, default="1.0", help="tail start: one value or 12 comma-separated")
+    synth("--rho", type=float, default=0.0, help="AR(1) copula coefficient in [0, 1)")
+    synth("--targets", type=float_list, help="comma-separated target levels for truth.json")
+
+    diagnose("emulator", help="emulator JSON artifact")
+    diagnose("--n-boot", type=int, default=200)
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     handlers = {"fit": cmd_fit, "estimate": cmd_estimate, "synth": cmd_synth,
                 "diagnose": cmd_diagnose}
     try:
+        if args.config:
+            subparser, actions = commands[args.command]
+            known = {dest for _, command_actions in commands.values() for dest in command_actions}
+            subparser.set_defaults(**_config_defaults(args.config, actions, known))
+            args = parser.parse_args(argv)  # flags win over the new defaults
+        if args.out is None:
+            raise ValueError("no output directory: give --out or out in the config file")
         return handlers[args.command](args)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,10 +103,11 @@ def emulator_from_dict(d: dict) -> tuple[RunEmulator, str]:
     gp = GPModel.from_dict(d["gp"], tm)
     # through the module: perfbench traces this module's run_decluster as the fit's stage
     cs = decluster.run_decluster(series, tm, l=int(d["run_length_l"]))
-    # fit never writes a run without clusters; a hand-made one keeps a defined
-    # mixed distribution for diagnostics with half an observation of tail weight
-    pi = cs.pi_star_hat if cs.pi_star_hat > 0.0 else 0.5 / series.n_days
-    mixed = build_mixed(series, gp, pi=pi, month_conditional_bulk=bool(d["month_conditional_bulk"]))
+    if cs.n_clusters == 0:
+        raise ValueError("the series never exceeds its thresholds, so the run has no clusters; "
+                         "fit does not write such a run")
+    mixed = build_mixed(series, gp, pi=cs.pi_star_hat,
+                        month_conditional_bulk=bool(d["month_conditional_bulk"]))
     cev = None if d["cev"] is None else CEVModel.from_dict(d["cev"])
     return RunEmulator(run_id=series.run_id, order_k=series.order_k, months=series.months,
                        series_values=series.values, threshold_model=tm, gp_model=gp,
@@ -232,7 +233,7 @@ def marginal_sampler(emulators: list[RunEmulator], pi_hat: float, target: float,
 def laplace_targets(emulator: RunEmulator, target: float) -> np.ndarray:
     """Per-month Laplace-scale image of a raw target level under the
     emulator's own mixed distribution (margins are run- and month-specific)."""
-    p = np.array([mixed_cdf(emulator.mixed, target, m) for m in range(1, 13)])
+    p = mixed_cdf(emulator.mixed, target, np.arange(1, 13))
     return laplace_quantile(np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP))
 
 

@@ -280,36 +280,36 @@ def build_mixed(series: SummarySeries, gp: GPModel, pi: float,
     return MixedDistribution(bulk_sorted=series.values, pi=pi, gp=gp, bulk_by_month=bulk_by_month)
 
 
-def _bulk_cdf(md: MixedDistribution, y: np.ndarray, month: int) -> np.ndarray:
-    sample = md.bulk_sorted if md.bulk_by_month is None else md.bulk_by_month[month - 1]
-    return np.searchsorted(sample, y, side="right") / sample.size
-
-
-def mixed_cdf(md: MixedDistribution, y, month: int):
-    """Distribution function of the mixed bulk/tail model for one month."""
-    if not 1 <= int(month) <= 12:
-        raise ValueError(f"month must lie in 1..12, got {month}")
-    month = int(month)
-    scalar = np.ndim(y) == 0
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    u = md.gp.threshold_model.u_by_month[month - 1]
-    sigma = md.gp.sigma_by_month[month - 1]
-    xi = md.gp.xi_by_month[month - 1]
-    tail = y >= u
+def _bulk_cdf(md: MixedDistribution, y: np.ndarray, month_index: np.ndarray) -> np.ndarray:
+    """Empirical bulk distribution function at y, under 0-based months month_index."""
+    if md.bulk_by_month is None:
+        return np.searchsorted(md.bulk_sorted, y, side="right") / md.bulk_sorted.size
     out = np.empty(y.shape)
-    out[tail] = 1.0 - md.pi * (1.0 - gp_cdf(y[tail] - u, sigma, xi))
-    out[~tail] = np.minimum(_bulk_cdf(md, y[~tail], month), 1.0 - md.pi)
-    return float(out[0]) if scalar else out
-
-
-def mixed_cdf_by_day(md: MixedDistribution, values: np.ndarray, months: np.ndarray) -> np.ndarray:
-    """Vectorised mixed_cdf over a series with per-day months."""
-    out = np.empty(values.shape, dtype=np.float64)
-    for month in range(1, 13):
-        mask = months == month
-        if mask.any():
-            out[mask] = mixed_cdf(md, values[mask], month)
+    for m, sample in enumerate(md.bulk_by_month):
+        sel = month_index == m
+        out[sel] = np.searchsorted(sample, y[sel], side="right") / sample.size
     return out
+
+
+def mixed_cdf(md: MixedDistribution, y, month):
+    """Distribution function of the mixed bulk/tail model.
+
+    month (1..12) is a scalar or an array that broadcasts with y; each y is
+    evaluated under its own month's threshold, tail and bulk.
+    """
+    month_index = np.asarray(month).astype(np.int64) - 1
+    if np.any((month_index < 0) | (month_index > 11)):
+        raise ValueError(f"month must lie in 1..12, got {month}")
+    scalar = np.ndim(y) == 0 and month_index.ndim == 0
+    y, month_index = np.broadcast_arrays(np.atleast_1d(np.asarray(y, dtype=np.float64)), month_index)
+    u = md.gp.threshold_model.u_by_month[month_index]
+    tail = y >= u
+    tail_month = month_index[tail]
+    out = np.empty(y.shape)
+    out[tail] = 1.0 - md.pi * (1.0 - gp_cdf(y[tail] - u[tail], md.gp.sigma_by_month[tail_month],
+                                            md.gp.xi_by_month[tail_month]))
+    out[~tail] = np.minimum(_bulk_cdf(md, y[~tail], month_index[~tail]), 1.0 - md.pi)
+    return float(out[0]) if scalar else out
 
 
 def mixed_quantile(md: MixedDistribution, p: float, month: int) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import evtlite as ev
+from evtlite import cli
 from evtlite.cli import emulator_from_dict, emulator_to_dict, main
 from evtlite.ensemble import ARTIFACT_SCHEMA
 from evtlite.ingest import pack_floats
@@ -160,19 +161,36 @@ class TestFitCommand:
     def test_config_file_with_flag_override(self, tmp_path, workspace):
         _, data, _ = workspace
         conf = tmp_path / "pipeline.conf"
-        conf.write_text("question = q1\ntau = 0.90\nrun_length = 2\n")
+        conf.write_text(f"question = q1\ntau = 0.90\nrun_length = 2\nbulk = monthly\n"
+                        f"runs = {tmp_path / 'nope.csv'}\n")
         out = tmp_path / "fits"
-        rc = run_cli("fit", "--config", conf, "--tau", 0.95, "--out", out, data / "run_1.csv")
+        rc = run_cli("fit", "--config", conf, "--tau", 0.95, "--bulk", "pooled", "--out", out,
+                     data / "run_1.csv")
         assert rc == 0
         d = json.loads((out / "run_1.json").read_text())
         assert d["threshold"]["tau"] == 0.95  # flag wins over config file
+        assert d["month_conditional_bulk"] is False  # so do choices and positional lists
         assert d["run_length_l"] == 2  # config key applies
 
-    def test_unknown_config_key_exit_2(self, tmp_path, workspace):
-        _, data, _ = workspace
+    @pytest.mark.parametrize("command, line", [
+        ("fit", "no_such_key = 1"),
+        ("fit", "tau 0.9"),
+        ("fit", "bulk = Monthly"),
+        ("fit", "shape = foo"),
+        ("fit", "question = q9"),
+        ("fit", "tau = abc"),
+        ("fit", "header = maybe"),
+        ("fit", "config = other.conf"),
+        ("diagnose", "emulator = run_1.json"),
+    ])
+    def test_unknown_config_key_exit_2(self, tmp_path, workspace, capsys, command, line):
+        _, data, fits = workspace
         conf = tmp_path / "bad.conf"
-        conf.write_text("no_such_key = 1\n")
-        assert run_cli("fit", "--config", conf, "--out", tmp_path, data / "run_1.csv") == 2
+        conf.write_text(line + "\n")
+        given = data / "run_1.csv" if command == "fit" else fits / "run_1.json"
+        assert run_cli(command, "--config", conf, "--out", tmp_path / "out", given) == 2
+        assert f"{conf}:1: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_fit_idempotent(self, tmp_path, workspace):
         _, data, _ = workspace
@@ -290,6 +308,73 @@ class TestEstimateCommand:
     def test_no_artifacts_exit_2(self, tmp_path):
         assert run_cli("estimate", "--out", tmp_path, "--question", "q1") == 2
 
+    def test_one_config_file_serves_fit_and_estimate(self, workspace, tmp_path):
+        # out, runs and emulators come from the file too; each command skips the
+        # other's keys
+        _, data, _ = workspace
+        out = tmp_path / "conf"
+        conf = tmp_path / "pipeline.conf"
+        conf.write_text(f"out = {out}\nruns = {data / 'run_1.csv'}, {data / 'run_2.csv'}\n"
+                        f"emulators = {out / 'run_1.json'}, {out / 'run_2.json'}\n"
+                        "question = q1  # both commands\nshape = constant\nrun_length = 2\n"
+                        "target = 5.0\nn_sim = 40\nn_srun = 5\nseed = 8\nsim_days = 1000\n"
+                        "c_samples = yes\n")
+        assert run_cli("fit", "--config", conf) == 0
+        assert run_cli("estimate", "--config", conf) == 0
+        flags = tmp_path / "flags"
+        assert run_cli("fit", "--out", flags, "--question", "q1", "--shape", "constant",
+                       "--run-length", 2, data / "run_1.csv", data / "run_2.csv") == 0
+        assert run_cli("estimate", "--out", flags, "--question", "q1", "--target", 5.0,
+                       "--n-sim", 40, "--n-srun", 5, "--seed", 8, "--sim-days", 1000,
+                       "--c-samples", flags / "run_1.json", flags / "run_2.json") == 0
+        for name in ("run_1.json", "run_2.json", "c_samples_q1.csv"):
+            assert (out / name).read_bytes() == (flags / name).read_bytes(), name
+        from_conf, from_flags = (json.loads((d / "estimate_q1.json").read_text()) for d in (out, flags))
+        assert from_conf.pop("c_samples_path") != from_flags.pop("c_samples_path")
+        assert from_conf == from_flags and from_conf["n_sim"] == 40
+
+
+CONFIG_SAMPLES = {
+    "out": "o", "runs": "a.csv, b.csv", "emulators": "a.json, b.json", "question": "q2",
+    "calendar": "30,30,30,30,30,30,30,30,30,30,30,31", "seed": "7", "tau": "0.9",
+    "run_length": "2", "q_prob": "0.8", "shape": "by_month", "bulk": "monthly", "order_k": "2",
+    "header": "true", "min_month_obs": "9", "min_month_maxima": "4", "target": "6.5",
+    "n_sim": "12", "n_srun": "3", "alpha": "0.1", "rate_mode": "on",
+    "correction": "multiplicative", "sim_days": "100", "workers": "2", "c_samples": "1",
+    "n_runs": "2", "n_days": "400", "n_sites": "3", "pi": "0.1", "xi": "0.2",
+    "sigma": "0.7", "u0": "1,1,1,1,1,1.5,1.5,1.5,1,1,1,1", "rho": "0.3", "targets": "4,5",
+    "n_boot": "20",
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "estimate", "synth", "diagnose"])
+def test_every_config_key_takes_effect(tmp_path, monkeypatch, command):
+    # no accepted key is a silent no-op: each lands in the command's arguments as
+    # its flag would, and differs from the default; the one required positional
+    # (diagnose's emulator) is refused in a config file instead
+    actions = cli.build_parser()[1][command][1]
+    keys = [dest for dest, action in actions.items() if not action.required]
+    assert set(keys) <= set(CONFIG_SAMPLES)
+    assert [dest for dest in actions if dest not in keys] == (["emulator"] if command == "diagnose" else [])
+    parsed = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: parsed.append(vars(args)) or 0)
+    conf = tmp_path / "all.conf"
+    conf.write_text("".join(f"{dest} = {CONFIG_SAMPLES[dest]}\n" for dest in keys))
+    required = ["e.json"] if command == "diagnose" else []
+    options, positionals = [], []
+    for dest in keys:
+        action, text = actions[dest], CONFIG_SAMPLES[dest]
+        if not action.option_strings:
+            positionals += [tok.strip() for tok in text.split(",")]
+        else:
+            options += [action.option_strings[0]] + ([] if action.nargs == 0 else [text])
+    assert main([command, "--out", "d", *required]) == 0
+    assert main([command, "--config", str(conf), *required]) == 0
+    assert main([command, *options, *positionals, *required]) == 0
+    defaults, from_config, from_flags = parsed
+    for dest in keys:
+        assert from_config[dest] == from_flags[dest] != defaults[dest], dest
+
 
 class TestDiagnoseCommand:
     def test_outputs(self, workspace, tmp_path):
@@ -341,14 +426,15 @@ class TestDiagnoseCommand:
             "threshold": tm.to_dict(), "gp": gp.to_dict(), "cev": None,
         }
 
-    def test_empty_cluster_artifact_warns(self, tmp_path, capsys):
-        # a series that never exceeds its thresholds rebuilds an empty cluster set
+    def test_empty_cluster_artifact_refused(self, tmp_path, capsys):
+        # a series that never exceeds its thresholds rebuilds an empty cluster set;
+        # fit never writes one, since fit_gp refuses it
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(self.artifact(np.linspace(0.0, 1.0, 400), 9.0)))
-        assert run_cli("diagnose", "--out", tmp_path / "d", path) == 0
-        assert "empty cluster set" in capsys.readouterr().err
-        assert not (tmp_path / "d" / "qq.csv").exists()
-        assert (tmp_path / "d" / "thresholds.csv").exists()
+        assert run_cli("estimate", "--out", tmp_path / "e", "--question", "q1", path) == 2
+        assert run_cli("diagnose", "--out", tmp_path / "d", path) == 2
+        assert capsys.readouterr().err.count(f"{path}: the series never exceeds its thresholds") == 2
+        assert not (tmp_path / "e").exists() and not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("schema", ["evtlite-emulator-v1", None])
     def test_other_schema_refused(self, tmp_path, capsys, schema):

@@ -258,6 +258,34 @@ class TestMixedDistribution:
             assert np.all(np.diff(vals) >= 0.0)
             assert ev.mixed_cdf(mixed, tm.threshold_at(m), m) == 1.0 - mixed.pi
 
+    @pytest.mark.parametrize("monthly_bulk", [False, True])
+    def test_month_array_equals_scalar_months_bit_for_bit(self, fitted, monthly_bulk):
+        series, tm, cs, _, _ = fitted
+        # a scale and a shape per month, with the exponential branch (xi = 0) and a
+        # negative shape whose support ends below some of the points
+        xi = np.linspace(-0.3, 0.4, 12)
+        xi[5] = 0.0
+        gp = ev.GPModel(np.log(np.linspace(0.3, 0.9, 12)), "by_month", xi, tm, 0.0)
+        mixed = ev.build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=monthly_bulk)
+        u = tm.u_by_month
+        offsets = np.array([-1.0, -0.2, -1e-12, 0.0, 1e-12, 0.1, 0.8, 3.0])
+        rng = np.random.default_rng(8)
+        order = rng.permutation(12 * offsets.size)
+        months = np.repeat(np.arange(1, 13), offsets.size)[order]
+        y = (np.repeat(u, offsets.size) + np.tile(offsets, 12))[order]
+        days = rng.choice(series.n_days, 3000, replace=False)
+        for values, month in ((y, months), (series.values[days], series.months[days])):
+            expected = np.array([ev.mixed_cdf(mixed, v, m) for v, m in zip(values, month)])
+            assert ev.mixed_cdf(mixed, values, month).tobytes() == expected.tobytes()
+        tail = y >= u[months - 1]
+        expected = np.array([1.0 - mixed.pi * (1.0 - ev.gp_cdf(v - u[m - 1], gp.sigma_by_month[m - 1], xi[m - 1]))
+                             for v, m in zip(y[tail], months[tail])])
+        assert ev.mixed_cdf(mixed, y, months)[tail].tobytes() == expected.tobytes()
+        expected = np.array([ev.mixed_cdf(mixed, 3.0, m) for m in range(1, 13)])
+        assert ev.mixed_cdf(mixed, 3.0, np.arange(1, 13)).tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="1..12"):
+            ev.mixed_cdf(mixed, y, np.where(months == 7, 13, months))
+
 
 class TestQqDiagnostics:
     def test_single_point(self):
