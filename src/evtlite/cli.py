@@ -145,6 +145,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             )
         except (ValueError, RuntimeError) as exc:
             raise RuntimeError(f"run {i} ({path}): {exc}") from exc
+        del run  # the emulator keeps only the series: free the run's values before the next load
         artifact = out / f"run_{i}.json"
         _write_json(artifact, emulator_to_dict(emulator, args.question, args.calendar))
         models = (("gp", emulator.gp_model), ("cev", emulator.cev_model))

@@ -14,9 +14,9 @@ hence per-day probabilities) untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtr
 
 from .gpd import gp_cdf, gp_quantile
@@ -63,16 +63,23 @@ class SynthSpec:
         }
 
 
+def _ar1(eps: np.ndarray, rho: float) -> np.ndarray:
+    """Stationary Gaussian AR(1) g_t = rho g_{t-1} + sqrt(1 - rho^2) eps_t with
+    g_0 = eps_0, from iid standard normal eps.
+
+    On Python floats each step rounds the product and the sum once, as
+    scipy.signal.lfilter does, so the series equals the filter's bit for bit
+    without importing scipy.signal (and with it scipy.stats).
+    """
+    rho = float(rho)
+    steps = (np.sqrt(1.0 - rho ** 2) * eps[1:]).tolist()
+    return np.fromiter(accumulate(steps, lambda prev, step: rho * prev + step, initial=float(eps[0])),
+                       dtype=np.float64, count=eps.size)
+
+
 def _driving_uniforms(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     eps = rng.standard_normal(spec.n_days)
-    if spec.rho == 0.0 or spec.n_days == 1:
-        g = eps
-    else:
-        # stationary AR(1): g_t = rho g_{t-1} + sqrt(1 - rho^2) eps_t, g_0 ~ N(0, 1)
-        scale = np.sqrt(1.0 - spec.rho ** 2)
-        g = np.empty(spec.n_days)
-        g[0] = eps[0]
-        g[1:] = lfilter([scale], [1.0, -spec.rho], eps[1:], zi=np.array([spec.rho * g[0]]))[0]
+    g = eps if spec.rho == 0.0 else _ar1(eps, spec.rho)
     u = ndtr(g)
     return np.clip(u, 1e-12, 1.0 - 1e-12)
 

@@ -1,5 +1,12 @@
+import glob
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +208,22 @@ class TestFitCommand:
                            data / "run_1.csv") == 0
             outs.append((out / "run_1.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_fit_holds_one_run_at_a_time(self, tmp_path, workspace, monkeypatch):
+        # each run's values are released before the next CSV is parsed
+        _, data, _ = workspace
+        loaded, alive_at_load = [], []
+
+        def load_run(*args, **kwargs):
+            alive_at_load.append([ref() is not None for ref in loaded])
+            run = ev.load_run(*args, **kwargs)
+            loaded.append(weakref.ref(run))
+            return run
+
+        monkeypatch.setattr(cli, "load_run", load_run)
+        paths = [data / "run_1.csv", data / "run_2.csv", data / "run_1.csv"]
+        assert run_cli("fit", "--out", tmp_path, "--question", "q1", "--shape", "constant", *paths) == 0
+        assert alive_at_load == [[], [False], [False, False]]
 
     def test_custom_calendar(self, tmp_path):
         data = tmp_path / "data"
@@ -477,3 +500,33 @@ class TestQ3Pipeline:
         assert np.all(band[:, 1] <= band[:, 2])
         assert (diag / "cev_scatter_raw.csv").exists()
         assert (diag / "cev_fit.csv").exists()
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # the package needs numpy, scipy.special and scipy.optimize only; scipy.signal
+    # and scipy.stats add tens of MB and about half a second to every command
+    src = str(Path(ev.__file__).resolve().parents[1])
+    code = ("import sys, evtlite, evtlite.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def readme_commands():
+    """The shell lines of the README's "Command line" example, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
+
+
+def test_readme_command_line_example_runs(tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert [argv[:2] for argv in commands] == [["evtlite", c] for c in ("synth", "fit", "estimate", "diagnose")]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if "--n-days" in argv:  # a shorter ensemble, long enough for by-month shapes
+            argv[argv.index("--n-days") + 1] = "14600"
+        args = [path for arg in argv[1:] for path in (sorted(glob.glob(arg)) if "*" in arg else [arg])]
+        assert main(args) == 0, argv

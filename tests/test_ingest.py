@@ -104,3 +104,18 @@ class TestValidateEnsemble:
     def test_shape_mismatch_names_run(self):
         with pytest.raises(ValueError, match="run 2"):
             ev.validate_ensemble([self._run(1, n_days=100), self._run(2, n_days=101)])
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros((5, 3)),
+    np.array([[5e-324, 2.2250738585072014e-308, 1e-310, 1e300], [0.0, 1e-300, 7.5, 1.7976931348623157e308]]),
+    np.array([[0.1]]),
+    np.random.default_rng(1).gamma(0.5, 2.0, size=(4095, 2)),
+    np.random.default_rng(2).gamma(0.5, 2.0, size=(4096, 1)),
+    np.random.default_rng(3).gamma(0.5, 2.0, size=(4097, 3)),
+], ids=["zeros", "subnormal-and-huge", "one-site-one-row", "4095-rows", "4096-rows", "4097-rows"])
+def test_save_run_bytes_equal_savetxt(tmp_path, values):
+    run = ev.EnsembleRun(1, values, ev.Calendar().months_for(values.shape[0]))
+    ev.save_run(run, tmp_path / "run.csv")
+    np.savetxt(tmp_path / "ref.csv", values, delimiter=",", fmt="%.17g")
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import evtlite as ev
+from evtlite.synth import _ar1
 
 
 def test_same_seed_identical_runs():
@@ -90,3 +91,16 @@ def test_spec_validation():
         ev.SynthSpec(rho=1.0)
     with pytest.raises(ValueError):
         ev.SynthSpec(sigma_by_month=np.zeros(12))
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.5, 0.7, 0.99])
+def test_ar1_recursion_equals_lfilter_bitwise(rho):
+    from scipy.signal import lfilter  # the reference only; the package does not import it
+
+    for seed in range(6):
+        eps = np.random.default_rng(seed).standard_normal(20_000)
+        ref = np.empty_like(eps)
+        ref[0] = eps[0]
+        ref[1:] = lfilter([np.sqrt(1.0 - rho ** 2)], [1.0, -rho], eps[1:], zi=[rho * eps[0]])[0]
+        assert _ar1(eps, rho).tobytes() == ref.tobytes()
+    assert _ar1(eps[:1], rho).tobytes() == eps[:1].tobytes()
