@@ -235,6 +235,6 @@ def count_chains(models: StackedCEV, j: np.ndarray, y0: np.ndarray, target: np.n
         cur = y > t  # NaN compares False
         hit = prev & cur
         counted[live[hit]] = True
-        keep = ~hit & (y > 0.0) & np.isfinite(y)
+        keep = np.flatnonzero(~hit & (y > 0.0) & np.isfinite(y))  # indexing five arrays beats masking each
         live, y, j, t, prev = live[keep], y[keep], j[keep], t[keep], cur[keep]
     return counted

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .decluster import ClusterSet
-from .optimise import minimise_1d
+from .optimise import minimise_1d, root_1d
 from .summarise import SummarySeries
 from .threshold import ThresholdModel
 
@@ -167,7 +166,7 @@ def _scale_mle(z: np.ndarray, xi: float) -> float:
     if lo == hi:
         return lo
     xz = xi * z
-    return brentq(lambda s: ((s - z) / (s + xz)).sum(), max(lo, -xi * hi * (1.0 + 1e-12)), hi)
+    return root_1d(lambda s: ((s - z) / (s + xz)).sum(), max(lo, -xi * hi * (1.0 + 1e-12)), hi)
 
 
 def _fit_shared_shape(groups: list[np.ndarray]) -> tuple[np.ndarray, float, float]:

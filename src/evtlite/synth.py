@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import ndtr
 
 from .gpd import gp_cdf, gp_quantile
 from .ingest import Calendar, EnsembleRun
@@ -78,6 +77,8 @@ def _ar1(eps: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _driving_uniforms(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
+    from scipy.special import ndtr  # imported here so that only synth loads scipy
+
     eps = rng.standard_normal(spec.n_days)
     g = eps if spec.rho == 0.0 else _ar1(eps, spec.rho)
     u = ndtr(g)

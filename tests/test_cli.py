@@ -502,15 +502,38 @@ class TestQ3Pipeline:
         assert (diag / "cev_fit.csv").exists()
 
 
-def test_import_leaves_out_scipy_signal_and_stats():
-    # the package needs numpy, scipy.special and scipy.optimize only; scipy.signal
-    # and scipy.stats add tens of MB and about half a second to every command
+def test_import_leaves_out_scipy_signal_and_stats(tmp_path):
+    # importing the package and running fit, estimate and diagnose loads numpy
+    # only; synth alone imports scipy.special, when it draws. scipy's modules add
+    # tens of MB and about half a second to every command that loads them
     src = str(Path(ev.__file__).resolve().parents[1])
-    code = ("import sys, evtlite, evtlite.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+
+    def fresh(code):
+        """The last line that code prints in a new interpreter."""
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src}).stdout.strip().rsplit("\n", 1)[-1]
+
+    def run_main(*commands):
+        return ("import sys; from evtlite.cli import main\n"
+                + "".join(f"assert main({[str(a) for a in argv]!r}) == 0\n" for argv in commands))
+
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert fresh("import sys, evtlite, evtlite.cli; " + loaded) == "[]"
+    data, fits, out = tmp_path / "data", tmp_path / "fits", tmp_path / "out"
+    fresh(run_main(("synth", "--out", data, "--n-runs", 1, "--n-days", 14600, "--n-sites", 4, "--pi", 0.05,
+                    "--sigma", 0.6, "--u0", 1.2, "--rho", 0.5, "--seed", 19)))
+    commands = [
+        ("fit", "--out", fits / "q1", "--question", "q1", "--shape", "constant", data / "run_1.csv"),
+        ("fit", "--out", fits / "q3", "--question", "q3", "--order-k", 1, data / "run_1.csv"),
+        ("estimate", "--out", out / "q1", "--question", "q1", "--target", 4.0, "--sim-days", 365,
+         "--n-sim", 30, "--n-srun", 5, fits / "q1" / "run_1.json"),
+        ("estimate", "--out", out / "q3", "--question", "q3", "--target", 4.0, "--n-sim", 10, "--n-srun", 5,
+         fits / "q3" / "run_1.json"),
+        ("diagnose", "--out", out / "diag1", "--n-boot", 10, fits / "q1" / "run_1.json"),
+        ("diagnose", "--out", out / "diag3", "--n-boot", 10, fits / "q3" / "run_1.json"),
+    ]
+    assert fresh("import sys, evtlite\n" + run_main(*commands) + loaded) == "[]"
+    assert (out / "q3" / "estimate_q3.json").exists() and (out / "diag3" / "cev_band.csv").exists()
 
 
 def readme_commands():
