@@ -9,7 +9,6 @@ simulation into point and interval estimates.
 
 from .cev import (
     CEVModel,
-    LaplaceSeries,
     count_chains,
     fit_cev,
     fit_conditional_pairs,
@@ -17,7 +16,7 @@ from .cev import (
     laplace_quantile,
     to_laplace,
 )
-from .decluster import ClusterSet, decluster_correction, extremal_index, run_decluster
+from .decluster import ClusterSet, decluster_correction, run_decluster
 from .ensemble import (
     QUESTIONS,
     CombinedEstimates,
@@ -46,7 +45,7 @@ from .gpd import (
     qq_exponential,
 )
 from .ingest import Calendar, EnsembleRun, load_run, save_run, validate_ensemble
-from .summarise import SummarySeries, event_indicator, spatial_order_statistic
+from .summarise import SummarySeries, spatial_order_statistic
 from .synth import SynthSpec, event_truth, generate_ensemble, generate_run, per_day_probability
 from .threshold import ThresholdModel, ald_negloglik, fit_threshold
 

@@ -22,7 +22,6 @@ import numpy as np
 from .gpd import MixedDistribution, mixed_cdf
 from .ingest import pack_floats, unpack_floats
 from .optimise import minimise_1d
-from .summarise import SummarySeries
 
 PROB_CLIP = 1e-10
 BETA1_MIN = -5.0
@@ -47,20 +46,11 @@ def laplace_cdf(y):
     return float(out) if scalar else out
 
 
-@dataclass(frozen=True)
-class LaplaceSeries:
-    """Summary series transformed to standard Laplace margins."""
-
-    values: np.ndarray
-    months: np.ndarray
-
-
-def to_laplace(series: SummarySeries, md: MixedDistribution) -> LaplaceSeries:
-    """Probability integral transform through the mixed distribution,
-    clipped to [1e-10, 1 - 1e-10], then the standard Laplace quantile."""
-    p = mixed_cdf(md, series.values, series.months)
-    p = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-    return LaplaceSeries(values=laplace_quantile(p), months=series.months.copy())
+def to_laplace(md: MixedDistribution, y, month) -> np.ndarray:
+    """Standard Laplace image of values y in months 1..12 (broadcast together):
+    the mixed distribution's CDF, clipped to [1e-10, 1 - 1e-10], then the
+    standard Laplace quantile."""
+    return laplace_quantile(np.clip(mixed_cdf(md, y, month), PROB_CLIP, 1.0 - PROB_CLIP))
 
 
 @dataclass(frozen=True)
@@ -160,8 +150,9 @@ def fit_conditional_pairs(x: np.ndarray, y: np.ndarray, q: float) -> CEVModel:
     )
 
 
-def fit_cev(ls: LaplaceSeries, q_prob: float = 0.90, min_pairs: int = 100) -> CEVModel:
-    """Fit the conditional tail model to consecutive-day pairs of a series.
+def fit_cev(laplace: np.ndarray, q_prob: float = 0.90, min_pairs: int = 100) -> CEVModel:
+    """Fit the conditional tail model to consecutive-day pairs of a series on
+    standard Laplace margins.
 
     The conditioning threshold is the q_prob quantile of the standard
     Laplace distribution; q_prob must exceed 0.5 so the threshold is
@@ -170,8 +161,8 @@ def fit_cev(ls: LaplaceSeries, q_prob: float = 0.90, min_pairs: int = 100) -> CE
     if not 0.5 < q_prob < 1.0:
         raise ValueError(f"q_prob must lie in (0.5, 1), got {q_prob}")
     q = float(laplace_quantile(q_prob))
-    x_all = ls.values[:-1]
-    y_all = ls.values[1:]
+    x_all = laplace[:-1]
+    y_all = laplace[1:]
     keep = x_all > q
     if int(keep.sum()) < min_pairs:
         raise ValueError(f"only {int(keep.sum())} pairs exceed the threshold; need {min_pairs}")

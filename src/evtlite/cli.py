@@ -26,6 +26,7 @@ import numpy as np
 
 from .cev import to_laplace
 from .ensemble import (
+    CORRECTIONS,
     QUESTIONS,
     RunEmulator,
     SimulationConfig,
@@ -35,9 +36,8 @@ from .ensemble import (
     emulator_to_dict,
     monte_carlo_estimate,
 )
-from .gpd import qq_envelope, qq_exponential
+from .gpd import SHAPE_MODES, qq_envelope, qq_exponential
 from .ingest import Calendar, load_run, save_run
-from .summarise import SummarySeries
 from .synth import SynthSpec, event_truth, generate_ensemble
 
 _BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -176,9 +176,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             raise ValueError(f"{path}: fitted for question {question}, requested {args.question}")
         emulators.append(emulator)
     combined = combine_rates(emulators)
-    target = QUESTIONS[args.question].target if args.target is None else args.target
     config = SimulationConfig(
-        question=args.question, target_level=float(target), n_sim=args.n_sim,
+        question=args.question, target_level=args.target, n_sim=args.n_sim,
         n_srun=args.n_srun, seed=args.seed, alpha=args.alpha,
         rate_mode=args.rate_mode, correction=args.correction,
         n_days=args.sim_days, workers=args.workers,
@@ -200,7 +199,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "n_srun": config.n_srun,
         "seed": config.seed,
         "alpha": config.alpha,
-        "target_level": config.target_level,
+        "target_level": config.target,
         "theta_hat": combined.theta_hat,
         "pi_hat": combined.pi_hat,
         "correction": config.correction,
@@ -254,12 +253,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         raw_x = emulator.series_values[:-1]
         raw_y = emulator.series_values[1:]
         _write_csv(out / "cev_scatter_raw.csv", ["x", "y"], zip(raw_x, raw_y))
-        lap = to_laplace(SummarySeries(emulator.run_id, emulator.order_k,
-                                       emulator.series_values, emulator.months),
-                         emulator.mixed)
-        _write_csv(out / "cev_scatter_laplace.csv", ["x", "y"],
-                   zip(lap.values[:-1], lap.values[1:]))
-        grid = np.linspace(cev.q_threshold, max(lap.values.max(), cev.q_threshold + 1.0), 101)
+        lap = to_laplace(emulator.mixed, emulator.series_values, emulator.months)
+        _write_csv(out / "cev_scatter_laplace.csv", ["x", "y"], zip(lap[:-1], lap[1:]))
+        grid = np.linspace(cev.q_threshold, max(lap.max(), cev.q_threshold + 1.0), 101)
         mean_z = float(np.mean(cev.residuals))
         lo_z, hi_z = np.quantile(cev.residuals, [0.025, 0.975])
         line = cev.beta0 * grid + grid ** cev.beta1 * mean_z
@@ -308,7 +304,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     fit("--tau", type=float, default=0.95)
     fit("--run-length", type=int, default=3)
     fit("--q-prob", type=float, default=0.90)
-    fit("--shape", choices=["constant", "by_month"], help="default: the question's")
+    fit("--shape", choices=SHAPE_MODES, help="default: the question's")
     fit("--bulk", choices=["pooled", "monthly"], default="pooled")
     fit("--order-k", type=int, help="default: the question's")
     fit("--header", action="store_true", help="skip one header line in each CSV")
@@ -321,7 +317,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     estimate("--n-srun", type=int, default=50)
     estimate("--alpha", type=float, default=0.05)
     estimate("--rate-mode", action="store_true", help="count at most one event per simulated run")
-    estimate("--correction", choices=["power", "multiplicative"], default="power")
+    estimate("--correction", choices=CORRECTIONS, default="power")
     estimate("--sim-days", type=int, help="simulate runs of this many days (default: fitted length)")
     estimate("--workers", type=int, default=1)
     estimate("--c-samples", action="store_true", help="also dump per-simulation statistics to CSV")

@@ -8,7 +8,7 @@ exceedance probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class ClusterSet:
     maxima: np.ndarray
     maxima_days: np.ndarray
     maxima_months: np.ndarray
-    theta_hat: float | None  # None when there are no exceedances
+    theta_hat: float | None  # extremal index n_clusters / n_exceedances; None without exceedances
     pi_star_hat: float
 
     @property
@@ -70,19 +70,12 @@ def run_decluster(series: SummarySeries, thresholds: ThresholdModel, l: int = 3)
     at_max = values == np.repeat(maxima, np.diff(starts, append=exceed.size))
     first = np.minimum.reduceat(np.where(at_max, np.arange(exceed.size), exceed.size), starts)
     maxima_days = exceed[first] + 1
-    cs = ClusterSet(
+    return ClusterSet(
         run_length_l=l, exceedance_days=exceed + 1, cluster_starts=starts,
         maxima=maxima, maxima_days=maxima_days, maxima_months=series.months[maxima_days - 1],
-        theta_hat=None, pi_star_hat=maxima.size / series.n_days,
+        theta_hat=maxima.size / exceed.size if exceed.size else None,
+        pi_star_hat=maxima.size / series.n_days,
     )
-    return replace(cs, theta_hat=extremal_index(cs)) if exceed.size else cs
-
-
-def extremal_index(cs: ClusterSet) -> float:
-    """Inverse of the mean cluster size, n_clusters / n_exceedances."""
-    if cs.n_exceedances < 1:
-        raise ValueError("extremal index is undefined for an empty cluster set")
-    return cs.n_clusters / cs.n_exceedances
 
 
 def decluster_correction(p_star, theta: float):

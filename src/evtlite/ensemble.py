@@ -30,12 +30,12 @@ from . import decluster
 from .cev import (PROB_CLIP, CEVModel, StackedCEV, count_chains, fit_cev, laplace_quantile,
                   stack_cev, to_laplace)
 from .decluster import ClusterSet, decluster_correction, run_decluster
-from .gpd import GPModel, MixedDistribution, build_mixed, fit_gp, gp_cdf, mixed_cdf
+from .gpd import GPModel, MixedDistribution, build_mixed, fit_gp, gp_cdf
 from .ingest import Calendar, EnsembleRun, pack_floats, unpack_floats, validate_ensemble
 from .summarise import SummarySeries, spatial_order_statistic
 from .threshold import ThresholdModel, fit_threshold
 
-_CORRECTIONS = ("power", "multiplicative")
+CORRECTIONS = ("power", "multiplicative")
 ARTIFACT_SCHEMA = "evtlite-emulator-v2"
 
 
@@ -151,12 +151,17 @@ class SimulationConfig:
             raise ValueError("n_sim and n_srun must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.correction not in _CORRECTIONS:
-            raise ValueError(f"correction must be one of {_CORRECTIONS}")
+        if self.correction not in CORRECTIONS:
+            raise ValueError(f"correction must be one of {CORRECTIONS}")
         if self.n_days is not None and self.n_days < 1:
             raise ValueError("n_days must be >= 1 when given")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+    @property
+    def target(self) -> float:
+        """The raw target level: target_level, or else the question's own."""
+        return QUESTIONS[self.question].target if self.target_level is None else self.target_level
 
 
 @dataclass(frozen=True)
@@ -179,9 +184,15 @@ class EstimateResult:
 def combine_rates(emulators: list[RunEmulator]) -> CombinedEstimates:
     """Arithmetic means of the per-run declustered rates and extremal indices.
 
+    The emulators must share their per-day months (day count and calendar).
     Runs whose extremal index is undefined (no exceedances) are excluded;
     at least one defined run is required.
     """
+    for i, e in enumerate(emulators[1:], start=2):
+        ref = emulators[0]
+        if not np.array_equal(e.months, ref.months):
+            raise ValueError(f"emulator {i} (run {e.run_id}, {e.months.size} days) does not match emulator 1 "
+                             f"(run {ref.run_id}, {ref.months.size} days) in length or calendar")
     defined = [e for e in emulators if e.cluster_set.theta_hat is not None]
     if not defined:
         raise ValueError("extremal index is undefined for every run")
@@ -233,8 +244,7 @@ def marginal_sampler(emulators: list[RunEmulator], pi_hat: float, target: float,
 def laplace_targets(emulator: RunEmulator, target: float) -> np.ndarray:
     """Per-month Laplace-scale image of a raw target level under the
     emulator's own mixed distribution (margins are run- and month-specific)."""
-    p = mixed_cdf(emulator.mixed, target, np.arange(1, 13))
-    return laplace_quantile(np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP))
+    return to_laplace(emulator.mixed, target, np.arange(1, 13))
 
 
 def chain_starts(v, pi):
@@ -305,13 +315,11 @@ def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
     """
     if not emulators:
         raise ValueError("at least one emulator is required")
-    if config.target_level is None:
-        raise ValueError("config.target_level must be set")
     spec = QUESTIONS[config.question]
     if spec.uses_chain:
-        sampler = chain_sampler(emulators, config.target_level)
+        sampler = chain_sampler(emulators, config.target)
     else:
-        sampler = marginal_sampler(emulators, combined.pi_hat, config.target_level, config.n_days)
+        sampler = marginal_sampler(emulators, combined.pi_hat, config.target, config.n_days)
 
     all_t_sims = list(range(1, config.n_sim + 1))
     if config.workers == 1:
@@ -358,7 +366,7 @@ def build_emulator(run: EnsembleRun, question: str, order_k: int | None = None,
     cs = run_decluster(series, tm, l=run_length)
     gp = fit_gp(cs, tm, shape_mode=mode, min_month_maxima=min_month_maxima)
     mixed = build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=month_conditional_bulk)
-    cev = fit_cev(to_laplace(series, mixed), q_prob=q_prob) if spec.uses_chain else None
+    cev = fit_cev(to_laplace(mixed, series.values, series.months), q_prob=q_prob) if spec.uses_chain else None
     return RunEmulator(
         run_id=run.run_id, order_k=k, months=series.months, series_values=series.values,
         threshold_model=tm, gp_model=gp, mixed=mixed, cluster_set=cs, cev_model=cev,
@@ -373,6 +381,4 @@ def run_question(question: str, runs: list[EnsembleRun], config: SimulationConfi
         config = replace(config, question=question)
     emulators = [build_emulator(run, question, **fit_kwargs) for run in runs]
     combined = combine_rates(emulators)
-    if config.target_level is None:
-        config = replace(config, target_level=QUESTIONS[question].target)
     return monte_carlo_estimate(emulators, config, combined)

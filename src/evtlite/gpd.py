@@ -26,7 +26,7 @@ XI_ZERO_EPS = 1e-10
 XI_MIN = -0.9
 XI_MAX = 2.0
 
-_SHAPE_MODES = ("constant", "by_month")
+SHAPE_MODES = ("constant", "by_month")
 
 
 def _all_scalar(*args) -> bool:
@@ -90,8 +90,8 @@ class GPModel:
         xi = np.atleast_1d(np.asarray(self.xi, dtype=np.float64))
         if ls.shape != (12,):
             raise ValueError("log_sigma_by_month must have 12 entries")
-        if self.shape_mode not in _SHAPE_MODES:
-            raise ValueError(f"shape_mode must be one of {_SHAPE_MODES}")
+        if self.shape_mode not in SHAPE_MODES:
+            raise ValueError(f"shape_mode must be one of {SHAPE_MODES}")
         expected = (12,) if self.shape_mode == "by_month" else (1,)
         if xi.shape != expected:
             raise ValueError(f"xi must have shape {expected} for shape_mode={self.shape_mode}")
@@ -209,8 +209,8 @@ def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "consta
     xi across months and needs at least one maximum per month. The shape is
     box-constrained to [-0.9, 2.0] to avoid the irregular-MLE region.
     """
-    if shape_mode not in _SHAPE_MODES:
-        raise ValueError(f"shape_mode must be one of {_SHAPE_MODES}")
+    if shape_mode not in SHAPE_MODES:
+        raise ValueError(f"shape_mode must be one of {SHAPE_MODES}")
     if cs.n_clusters == 0:
         raise RuntimeError("cannot fit a GP model: the cluster set is empty")
     z = cs.maxima - thresholds.u_by_month[cs.maxima_months - 1]

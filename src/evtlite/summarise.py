@@ -42,10 +42,3 @@ def spatial_order_statistic(run: EnsembleRun, k: int) -> SummarySeries:
         raise ValueError(f"k must lie in 1..{run.n_sites}, got {k}")
     values = np.partition(run.values, k - 1, axis=1)[:, k - 1]
     return SummarySeries(run_id=run.run_id, order_k=k, values=values, months=run.months)
-
-
-def event_indicator(series: SummarySeries, level: float) -> np.ndarray:
-    """Boolean per-day indicator of strict exceedance of the level."""
-    if not np.isfinite(level):
-        raise ValueError("level must be finite")
-    return series.values > level

@@ -37,12 +37,6 @@ class ThresholdModel:
         object.__setattr__(self, "u_by_month", u)
         object.__setattr__(self, "log_zeta_by_month", lz)
 
-    def threshold_at(self, month: int) -> float:
-        """Threshold u(month) for month in 1..12."""
-        if not 1 <= int(month) <= 12:
-            raise ValueError(f"month must lie in 1..12, got {month}")
-        return float(self.u_by_month[int(month) - 1])
-
     def to_dict(self) -> dict:
         return {
             "tau": float(self.tau),

@@ -102,7 +102,7 @@ def test_criterion_4_mixed_distribution_contract(seasonal_ensemble):
     for m in range(1, 13):
         if np.any(np.diff(ev.mixed_cdf(mixed, grid, m)) < 0.0):
             monotone = False
-    exact_at_u = all(ev.mixed_cdf(mixed, tm.threshold_at(m), m) == 1.0 - mixed.pi
+    exact_at_u = all(ev.mixed_cdf(mixed, tm.u_by_month[m - 1], m) == 1.0 - mixed.pi
                      for m in range(1, 13))
     worst_rt = 0.0
     for m in range(1, 13):

@@ -1,4 +1,6 @@
+import dataclasses
 import glob
+import inspect
 import json
 import math
 import os
@@ -331,6 +333,21 @@ class TestEstimateCommand:
     def test_no_artifacts_exit_2(self, tmp_path):
         assert run_cli("estimate", "--out", tmp_path, "--question", "q1") == 2
 
+    def test_emulators_of_other_length_exit_2(self, workspace, tmp_path, capsys):
+        # the library's run_question refuses such an ensemble, so the command does too
+        _, _, fits = workspace
+        assert run_cli("synth", "--out", tmp_path / "long", "--n-runs", 1, "--n-days", 10950,
+                       "--n-sites", 4, "--xi", 0.1, "--seed", 6) == 0
+        assert run_cli("fit", "--out", tmp_path / "long_fits", "--question", "q1", "--shape", "constant",
+                       tmp_path / "long" / "run_1.csv") == 0
+        capsys.readouterr()
+        out = tmp_path / "est"
+        assert run_cli("estimate", "--out", out, "--question", "q1", "--target", 6.0, "--n-sim", 10,
+                       fits / "run_1.json", tmp_path / "long_fits" / "run_1.json") == 2
+        err = capsys.readouterr().err
+        assert "emulator 2 (run 1, 10950 days) does not match emulator 1 (run 1, 7300 days)" in err
+        assert not out.exists()
+
     def test_one_config_file_serves_fit_and_estimate(self, workspace, tmp_path):
         # out, runs and emulators come from the file too; each command skips the
         # other's keys
@@ -397,6 +414,43 @@ def test_every_config_key_takes_effect(tmp_path, monkeypatch, command):
     defaults, from_config, from_flags = parsed
     for dest in keys:
         assert from_config[dest] == from_flags[dest] != defaults[dest], dest
+
+
+def test_cli_defaults_equal_the_library_defaults():
+    # each default is declared in argparse and in a library signature; they must agree
+    def parsed(command, *extra):
+        return vars(cli.build_parser()[0].parse_args([command, "--out", "o", *extra]))
+
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    fit = parsed("fit")
+    for name, stage, param in (("tau", ev.fit_threshold, "tau"), ("run_length", ev.run_decluster, "l"),
+                               ("q_prob", ev.fit_cev, "q_prob"),
+                               ("min_month_obs", ev.fit_threshold, "min_month_obs"),
+                               ("min_month_maxima", ev.fit_gp, "min_month_maxima")):
+        assert fit[name] == default(ev.build_emulator, name) == default(stage, param), name
+    assert (fit["shape"], fit["order_k"]) == (default(ev.build_emulator, "shape_mode"),
+                                              default(ev.build_emulator, "order_k"))
+    for func in (ev.build_emulator, ev.build_mixed):
+        assert (fit["bulk"] == "monthly") == default(func, "month_conditional_bulk")
+
+    estimate = parsed("estimate")
+    fields = {f.name: f.default for f in dataclasses.fields(ev.SimulationConfig)}
+    for name, field in (("target", "target_level"), ("n_sim", "n_sim"), ("n_srun", "n_srun"),
+                        ("seed", "seed"), ("alpha", "alpha"), ("rate_mode", "rate_mode"),
+                        ("correction", "correction"), ("sim_days", "n_days"), ("workers", "workers")):
+        assert estimate[name] == fields[field], name
+
+    synth, spec = parsed("synth"), ev.SynthSpec()
+    for name in ("n_runs", "n_days", "n_sites", "order_k", "pi", "xi", "rho", "calendar"):
+        assert synth[name] == getattr(spec, name), name
+    for name, field in (("sigma", "sigma_by_month"), ("u0", "u0_by_month")):
+        assert np.array_equal(np.broadcast_to(synth[name], (12,)), getattr(spec, field)), name
+
+    diagnose = parsed("diagnose", "e.json")
+    for name in ("n_boot", "seed"):
+        assert diagnose[name] == default(ev.qq_envelope, name), name
 
 
 class TestDiagnoseCommand:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtlite as ev
-from conftest import constant_threshold_model, make_cluster_set, oracle_decluster
+from conftest import constant_threshold_model, oracle_decluster
 
 
 def series_of(values):
@@ -74,27 +74,6 @@ class TestRunDecluster:
             if prev is not None:
                 assert cs.n_clusters <= prev
             prev = cs.n_clusters
-
-
-class TestExtremalIndex:
-    def test_manual_sizes(self):
-        cs = make_cluster_set([5.0, 6.0], [1, 1], n_exceedances=4)
-        assert ev.extremal_index(cs) == pytest.approx(0.5)
-
-    def test_all_singletons(self):
-        cs = make_cluster_set([5.0, 6.0, 7.0], [1, 2, 3])
-        assert ev.extremal_index(cs) == pytest.approx(1.0)
-
-    def test_mean_cluster_size_1686(self):
-        # mean cluster size 1.686 corresponds to theta ~= 0.593
-        cs = make_cluster_set(np.full(500, 5.0), np.ones(500, dtype=int), n_exceedances=843)
-        assert ev.extremal_index(cs) == pytest.approx(1.0 / 1.686, abs=1e-4)
-        assert ev.extremal_index(cs) == pytest.approx(0.593, abs=1e-3)
-
-    def test_empty_errors(self):
-        cs = ev.run_decluster(series_of([0.0]), constant_threshold_model(1.0), l=1)
-        with pytest.raises(ValueError):
-            ev.extremal_index(cs)
 
 
 class TestDeclusterCorrection:

@@ -50,6 +50,16 @@ class TestCombineRates:
         with pytest.raises(ValueError):
             ev.combine_rates([undefined])
 
+    def test_emulators_of_other_length_or_calendar_refused(self):
+        ref = make_marginal_emulator(n_days=1000)
+        longer = make_marginal_emulator(n_days=1200, run_id=2)
+        with pytest.raises(ValueError, match=r"emulator 2 \(run 2, 1200 days\).*emulator 1 \(run 1, 1000"):
+            ev.combine_rates([ref, longer])
+        calendar = ev.Calendar((30,) * 11 + (31,))
+        shifted = dataclasses.replace(ref, run_id=3, months=calendar.months_for(1000))
+        with pytest.raises(ValueError, match="length or calendar"):
+            ev.combine_rates([ref, ref, shifted])
+
 
 def month_varying_emulator(u, sigma, xi, n_days):
     """Hand-set emulator whose threshold and GP parameters differ by month."""
@@ -396,6 +406,21 @@ class TestRunQuestion:
         assert result.ci_low <= result.point <= result.ci_high
         again = ev.run_question("q3", runs, config, order_k=3)
         assert np.array_equal(result.c_samples, again.c_samples)
+
+    def test_default_target_is_the_asked_questions(self):
+        # a config made for q1 and passed to q3 takes q3's level, not q1's
+        spec = ev.SynthSpec(n_runs=2, n_days=7300, n_sites=5, order_k=3, pi=0.05,
+                            u0_by_month=np.full(12, 1.2), sigma_by_month=np.full(12, 0.6),
+                            xi=0.0, rho=0.6)
+        runs = ev.generate_ensemble(spec, seed=88)
+        settings = dict(n_sim=20, n_srun=5, seed=13)
+        config = ev.SimulationConfig(question="q1", **settings)
+        assert config.target_level is None and config.target == ev.QUESTIONS["q1"].target
+        result = ev.run_question("q3", runs, config, order_k=3)
+        for level, same in ((ev.QUESTIONS["q3"].target, True), (ev.QUESTIONS["q1"].target, False)):
+            explicit = ev.run_question("q3", runs, ev.SimulationConfig(question="q3", target_level=level,
+                                                                        **settings), order_k=3)
+            assert np.array_equal(result.c_samples, explicit.c_samples) == same, level
 
     def test_unknown_question_rejected(self):
         with pytest.raises(ValueError):

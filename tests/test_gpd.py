@@ -210,7 +210,7 @@ class TestMixedDistribution:
     def test_value_at_threshold_is_one_minus_pi(self, fitted):
         _, tm, _, _, mixed = fitted
         for m in range(1, 13):
-            assert ev.mixed_cdf(mixed, tm.threshold_at(m), m) == 1.0 - mixed.pi
+            assert ev.mixed_cdf(mixed, tm.u_by_month[m - 1], m) == 1.0 - mixed.pi
 
     def test_tends_to_one(self, fitted):
         _, _, _, _, mixed = fitted
@@ -219,7 +219,7 @@ class TestMixedDistribution:
     def test_median_tail_plug_in(self, fitted):
         _, tm, _, gp, mixed = fitted
         m = 4
-        y = tm.threshold_at(m) + ev.gp_quantile(0.5, gp.sigma_by_month[m - 1], gp.xi_by_month[m - 1])
+        y = tm.u_by_month[m - 1] + ev.gp_quantile(0.5, gp.sigma_by_month[m - 1], gp.xi_by_month[m - 1])
         assert ev.mixed_cdf(mixed, y, m) == pytest.approx(1.0 - mixed.pi / 2.0, abs=1e-12)
 
     def test_monotone_on_grid(self, fitted):
@@ -233,7 +233,7 @@ class TestMixedDistribution:
     def test_quantile_at_one_minus_pi(self, fitted):
         _, tm, _, _, mixed = fitted
         for m in (1, 7, 12):
-            assert ev.mixed_quantile(mixed, 1.0 - mixed.pi, m) == pytest.approx(tm.threshold_at(m))
+            assert ev.mixed_quantile(mixed, 1.0 - mixed.pi, m) == pytest.approx(tm.u_by_month[m - 1])
 
     def test_round_trip_above_threshold(self, fitted):
         _, _, _, _, mixed = fitted
@@ -256,7 +256,7 @@ class TestMixedDistribution:
         for m in (1, 12):
             vals = ev.mixed_cdf(mixed, grid, m)
             assert np.all(np.diff(vals) >= 0.0)
-            assert ev.mixed_cdf(mixed, tm.threshold_at(m), m) == 1.0 - mixed.pi
+            assert ev.mixed_cdf(mixed, tm.u_by_month[m - 1], m) == 1.0 - mixed.pi
 
     @pytest.mark.parametrize("monthly_bulk", [False, True])
     def test_month_array_equals_scalar_months_bit_for_bit(self, fitted, monthly_bulk):

@@ -31,28 +31,16 @@ def test_k_out_of_range():
         ev.spatial_order_statistic(run, 3)
 
 
-def test_event_indicator_strict():
-    series = ev.SummarySeries(1, 1, np.array([1.5, 1.7, 1.8]), np.ones(3, dtype=np.int64))
-    assert ev.event_indicator(series, 1.7).tolist() == [False, False, True]
-
-
-def test_event_indicator_all_zero():
-    series = ev.SummarySeries(1, 1, np.zeros(5), np.ones(5, dtype=np.int64))
-    assert not ev.event_indicator(series, 0.0).any()
-    with pytest.raises(ValueError):
-        ev.event_indicator(series, float("inf"))
-
-
 def test_q2_semantics_six_sites_exceeding():
     # exactly 6 of 25 sites above 5.7 means the 20th smallest is above 5.7
     row = np.concatenate([np.full(19, 1.0), np.full(6, 6.0)])
     run = run_from_matrix([np.random.default_rng(0).permutation(row)])
     series = ev.spatial_order_statistic(run, 20)
-    assert ev.event_indicator(series, 5.7).tolist() == [True]
+    assert (series.values > 5.7).tolist() == [True]
     # with only 5 sites above, the 20th smallest stays below
     row5 = np.concatenate([np.full(20, 1.0), np.full(5, 6.0)])
     run5 = run_from_matrix([row5])
-    assert not ev.event_indicator(ev.spatial_order_statistic(run5, 20), 5.7).any()
+    assert not (ev.spatial_order_statistic(run5, 20).values > 5.7).any()
 
 
 @settings(max_examples=200, deadline=None)

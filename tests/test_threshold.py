@@ -140,15 +140,6 @@ class TestFitThreshold:
 
 
 class TestThresholdAt:
-    def test_lookup_and_range(self):
-        model = ev.ThresholdModel(0.95, np.arange(12.0), np.zeros(12), 0.0)
-        assert model.threshold_at(1) == 0.0
-        assert model.threshold_at(12) == 11.0
-        with pytest.raises(ValueError):
-            model.threshold_at(13)
-        with pytest.raises(ValueError):
-            model.threshold_at(0)
-
     def test_serialisation_roundtrip(self):
         model = ev.ThresholdModel(0.95, np.linspace(0, 2, 12), np.linspace(-3, 0, 12), -12.5)
         again = ev.ThresholdModel.from_dict(model.to_dict())
