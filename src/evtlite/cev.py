@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gpd import MixedDistribution, mixed_cdf
-from .ingest import pack_floats, unpack_floats
 from .optimise import minimise_1d
 
 PROB_CLIP = 1e-10
@@ -70,28 +69,6 @@ class CEVModel:
         return tuple(name for name, v, edges in (("beta0", self.beta0, (0.0, 1.0)),
                                                  ("beta1", self.beta1, (BETA1_MIN, BETA1_MAX)))
                      if v in edges)
-
-    def to_dict(self) -> dict:
-        return {
-            "beta0": float(self.beta0),
-            "beta1": float(self.beta1),
-            "q_threshold": float(self.q_threshold),
-            "kde_bandwidth": float(self.kde_bandwidth),
-            "residuals": pack_floats(self.residuals),
-            "loglik": float(self.loglik),
-            "at_bound": list(self.at_bound),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CEVModel":
-        return cls(
-            beta0=float(d["beta0"]),
-            beta1=float(d["beta1"]),
-            q_threshold=float(d["q_threshold"]),
-            residuals=unpack_floats(d["residuals"]),
-            kde_bandwidth=float(d["kde_bandwidth"]),
-            loglik=float(d["loglik"]),
-        )
 
 
 def silverman_bandwidth(x: np.ndarray) -> float:

@@ -20,6 +20,7 @@ execution over t_sim reproduces the serial output bit for bit.
 
 from __future__ import annotations
 
+import base64
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -31,7 +32,7 @@ from .cev import (PROB_CLIP, CEVModel, StackedCEV, count_chains, fit_cev, laplac
                   stack_cev, to_laplace)
 from .decluster import ClusterSet, decluster_correction, run_decluster
 from .gpd import GPModel, MixedDistribution, build_mixed, fit_gp, gp_cdf
-from .ingest import Calendar, EnsembleRun, pack_floats, unpack_floats, validate_ensemble
+from .ingest import Calendar, EnsembleRun, validate_ensemble
 from .summarise import SummarySeries, spatial_order_statistic
 from .threshold import ThresholdModel, fit_threshold
 
@@ -69,12 +70,23 @@ class RunEmulator:
     cev_model: CEVModel | None = None
 
 
+def pack_floats(a: np.ndarray) -> str:
+    """Base64 text of an array's little-endian float64 bytes; unpack_floats inverts it exactly."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unpack_floats(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
+
+
 def emulator_to_dict(emulator: RunEmulator, question: str, calendar: Calendar) -> dict:
-    """The artifact of one fitted run. Months are stored as the calendar and clusters
-    as the run length, and emulator_from_dict rebuilds both with the fit's own code."""
+    """The artifact of one fitted run; this and emulator_from_dict alone know its schema.
+    Months are stored as the calendar and clusters as the run length, and
+    emulator_from_dict rebuilds both with the fit's own code."""
     n_days = emulator.months.size
     if not np.array_equal(calendar.months_for(n_days), emulator.months):
         raise ValueError("the calendar does not give the emulator's months")
+    tm, gp, cev = emulator.threshold_model, emulator.gp_model, emulator.cev_model
     return {
         "schema": ARTIFACT_SCHEMA,
         "run_id": emulator.run_id,
@@ -85,33 +97,65 @@ def emulator_to_dict(emulator: RunEmulator, question: str, calendar: Calendar) -
         "values": pack_floats(emulator.series_values),
         "month_conditional_bulk": emulator.mixed.bulk_by_month is not None,
         "run_length_l": emulator.cluster_set.run_length_l,
-        "threshold": emulator.threshold_model.to_dict(),
-        "gp": emulator.gp_model.to_dict(),
-        "cev": None if emulator.cev_model is None else emulator.cev_model.to_dict(),
+        "threshold": {
+            "tau": float(tm.tau),
+            "u_by_month": tm.u_by_month.tolist(),
+            "log_zeta_by_month": tm.log_zeta_by_month.tolist(),
+            "loglik": float(tm.loglik),
+        },
+        "gp": {
+            "log_sigma_by_month": gp.log_sigma_by_month.tolist(),
+            "shape_mode": gp.shape_mode,
+            "xi": float(gp.xi[0]) if gp.xi.size == 1 else gp.xi.tolist(),
+            "loglik": float(gp.loglik),
+            "at_bound": list(gp.at_bound),
+        },
+        "cev": None if cev is None else {
+            "beta0": float(cev.beta0),
+            "beta1": float(cev.beta1),
+            "q_threshold": float(cev.q_threshold),
+            "kde_bandwidth": float(cev.kde_bandwidth),
+            "residuals": pack_floats(cev.residuals),
+            "loglik": float(cev.loglik),
+            "at_bound": list(cev.at_bound),
+        },
     }
 
 
 def emulator_from_dict(d: dict) -> tuple[RunEmulator, str]:
-    """Inverse of emulator_to_dict: (emulator, question)."""
+    """Inverse of emulator_to_dict: (emulator, question). The models' own checks
+    convert and validate the stored arrays."""
+    if not isinstance(d, dict):
+        raise ValueError(f"malformed artifact: a JSON {type(d).__name__}, not an object")
     if d.get("schema") != ARTIFACT_SCHEMA:
         raise ValueError(f"artifact schema {d.get('schema')!r} is not {ARTIFACT_SCHEMA!r}; "
                          "refit the runs with this version")
-    series = SummarySeries(run_id=int(d["run_id"]), order_k=int(d["order_k"]),
-                           values=unpack_floats(d["values"]),
-                           months=Calendar(tuple(d["month_lengths"])).months_for(int(d["n_days"])))
-    tm = ThresholdModel.from_dict(d["threshold"])
-    gp = GPModel.from_dict(d["gp"], tm)
+    try:
+        series = SummarySeries(run_id=int(d["run_id"]), order_k=int(d["order_k"]),
+                               values=unpack_floats(d["values"]),
+                               months=Calendar(tuple(d["month_lengths"])).months_for(int(d["n_days"])))
+        t, g, c = d["threshold"], d["gp"], d["cev"]
+        tm = ThresholdModel(tau=float(t["tau"]), u_by_month=t["u_by_month"],
+                            log_zeta_by_month=t["log_zeta_by_month"], loglik=float(t["loglik"]))
+        gp = GPModel(log_sigma_by_month=g["log_sigma_by_month"], shape_mode=g["shape_mode"],
+                     xi=g["xi"], threshold_model=tm, loglik=float(g["loglik"]))
+        cev = None if c is None else CEVModel(
+            beta0=float(c["beta0"]), beta1=float(c["beta1"]), q_threshold=float(c["q_threshold"]),
+            residuals=unpack_floats(c["residuals"]), kde_bandwidth=float(c["kde_bandwidth"]),
+            loglik=float(c["loglik"]))
+        run_length, bulk = int(d["run_length_l"]), bool(d["month_conditional_bulk"])
+        question = str(d["question"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed artifact: {exc!r}") from None
     # through the module: perfbench traces this module's run_decluster as the fit's stage
-    cs = decluster.run_decluster(series, tm, l=int(d["run_length_l"]))
+    cs = decluster.run_decluster(series, tm, l=run_length)
     if cs.n_clusters == 0:
         raise ValueError("the series never exceeds its thresholds, so the run has no clusters; "
                          "fit does not write such a run")
-    mixed = build_mixed(series, gp, pi=cs.pi_star_hat,
-                        month_conditional_bulk=bool(d["month_conditional_bulk"]))
-    cev = None if d["cev"] is None else CEVModel.from_dict(d["cev"])
+    mixed = build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=bulk)
     return RunEmulator(run_id=series.run_id, order_k=series.order_k, months=series.months,
                        series_values=series.values, threshold_model=tm, gp_model=gp,
-                       mixed=mixed, cluster_set=cs, cev_model=cev), str(d["question"])
+                       mixed=mixed, cluster_set=cs, cev_model=cev), question
 
 
 @dataclass(frozen=True)

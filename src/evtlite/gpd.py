@@ -95,6 +95,8 @@ class GPModel:
         expected = (12,) if self.shape_mode == "by_month" else (1,)
         if xi.shape != expected:
             raise ValueError(f"xi must have shape {expected} for shape_mode={self.shape_mode}")
+        if not (np.all(np.isfinite(ls)) and np.all(np.isfinite(xi))):
+            raise ValueError("GP parameters must be finite")
         object.__setattr__(self, "log_sigma_by_month", ls)
         object.__setattr__(self, "xi", xi)
 
@@ -113,27 +115,6 @@ class GPModel:
         if self.shape_mode == "constant":
             return ("xi",) if edge[0] else ()
         return tuple(f"xi[{m}]" for m in np.flatnonzero(edge) + 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "log_sigma_by_month": [float(v) for v in self.log_sigma_by_month],
-            "shape_mode": self.shape_mode,
-            "xi": float(self.xi[0]) if self.xi.size == 1 else [float(v) for v in self.xi],
-            "loglik": float(self.loglik),
-            "at_bound": list(self.at_bound),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, threshold_model: ThresholdModel) -> "GPModel":
-        xi = d["xi"]
-        xi = np.asarray([xi] if np.ndim(xi) == 0 else xi, dtype=np.float64)
-        return cls(
-            log_sigma_by_month=np.asarray(d["log_sigma_by_month"], dtype=np.float64),
-            shape_mode=str(d["shape_mode"]),
-            xi=xi,
-            threshold_model=threshold_model,
-            loglik=float(d["loglik"]),
-        )
 
 
 def _gp_negloglik(z: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> float:

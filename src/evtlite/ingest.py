@@ -7,7 +7,6 @@ repeating yearly calendar over the 1-based day index.
 
 from __future__ import annotations
 
-import base64
 import csv
 from dataclasses import dataclass
 
@@ -158,15 +157,6 @@ def load_run(path, run_id: int, calendar: Calendar = Calendar(), skip_header: bo
         raise ValueError(f"{path}: row {row + 1}: negative value {values[row, col]} in column {col + 1}")
     months = calendar.months_for(values.shape[0])
     return EnsembleRun(run_id=run_id, values=values, months=months)
-
-
-def pack_floats(a: np.ndarray) -> str:
-    """Base64 text of an array's little-endian float64 bytes; unpack_floats inverts it exactly."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
-def unpack_floats(text: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
 
 
 def save_run(run: EnsembleRun, path) -> None:

@@ -37,23 +37,6 @@ class ThresholdModel:
         object.__setattr__(self, "u_by_month", u)
         object.__setattr__(self, "log_zeta_by_month", lz)
 
-    def to_dict(self) -> dict:
-        return {
-            "tau": float(self.tau),
-            "u_by_month": [float(v) for v in self.u_by_month],
-            "log_zeta_by_month": [float(v) for v in self.log_zeta_by_month],
-            "loglik": float(self.loglik),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ThresholdModel":
-        return cls(
-            tau=float(d["tau"]),
-            u_by_month=np.asarray(d["u_by_month"], dtype=np.float64),
-            log_zeta_by_month=np.asarray(d["log_zeta_by_month"], dtype=np.float64),
-            loglik=float(d["loglik"]),
-        )
-
 
 def pinball(t, tau: float):
     """Quantile check function t * (tau - 1{t < 0})."""

@@ -116,7 +116,6 @@ class TestFitCev:
         x, y, q = conditional_pairs(4000, beta0=-0.5, beta1=0.2, seed=9)
         model = ev.fit_conditional_pairs(x, y, q)
         assert model.beta0 == 0.0 and model.at_bound == ("beta0",)
-        assert model.to_dict()["at_bound"] == ["beta0"]
 
     def test_fit_cev_pair_floor(self, homogeneous_fit):
         series, mixed = homogeneous_fit
@@ -136,22 +135,6 @@ class TestFitCev:
 
         ratio = spread(500) / spread(2000)
         assert 1.3 <= ratio <= 3.2  # 4x the sample, expect roughly half the spread
-
-    def test_serialisation_roundtrip(self):
-        x, y, q = conditional_pairs(500, beta0=0.5, beta1=0.0, seed=3)
-        model = ev.fit_conditional_pairs(x, y, q)
-        again = CEVModel.from_dict(model.to_dict())
-        assert again.beta0 == model.beta0 and again.beta1 == model.beta1
-        assert np.array_equal(again.residuals, model.residuals)
-        assert again.kde_bandwidth == model.kde_bandwidth
-
-    def test_old_artifact_with_nuisance_loads(self):
-        x, y, q = conditional_pairs(500, beta0=0.5, beta1=0.0, seed=3)
-        d = ev.fit_conditional_pairs(x, y, q).to_dict()
-        d["fit_nuisance"] = [0.1, 1.2]
-        del d["at_bound"]
-        again = CEVModel.from_dict(d)
-        assert again.beta0 == d["beta0"] and again.loglik == d["loglik"]
 
 
 @pytest.mark.parametrize("seed, beta0, beta1", [

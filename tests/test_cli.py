@@ -16,8 +16,9 @@ import pytest
 import evtlite as ev
 from evtlite import cli
 from evtlite.cli import emulator_from_dict, emulator_to_dict, main
-from evtlite.ensemble import ARTIFACT_SCHEMA
-from evtlite.ingest import pack_floats
+from evtlite.ensemble import ARTIFACT_SCHEMA, pack_floats
+
+GOLDEN_ARTIFACT = Path(__file__).parent / "data" / "emulator_v2_q3.json"
 
 
 def run_cli(*argv):
@@ -146,6 +147,17 @@ class TestFitCommand:
         assert_same_estimate([loaded], [fitted], config)
         with pytest.raises(ValueError, match="calendar"):
             emulator_to_dict(fitted, "q3", ev.Calendar())
+
+    def test_golden_artifact_pins_the_format(self):
+        # a 400-day q3 artifact from hand-built models: by-month GP shapes with July's on
+        # XI_MAX, a CEV model with beta0 clamped to 0 and 7 residuals, month-conditional bulk
+        text = GOLDEN_ARTIFACT.read_text()
+        loaded, question = emulator_from_dict(json.loads(text))
+        assert question == "q3" and loaded.months.size == 400
+        assert loaded.gp_model.at_bound == ("xi[7]",) and loaded.cev_model.at_bound == ("beta0",)
+        assert loaded.cev_model.residuals.size == 7 and loaded.mixed.bulk_by_month is not None
+        again = json.dumps(emulator_to_dict(loaded, question, ev.Calendar()), indent=2, sort_keys=True)
+        assert again + "\n" == text
 
     def test_shape_on_the_box_edge_warns(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -494,13 +506,15 @@ class TestDiagnoseCommand:
 
     @staticmethod
     def artifact(values, u):
-        tm = ev.ThresholdModel(0.95, np.full(12, u), np.zeros(12), 0.0)
-        gp = ev.GPModel(np.zeros(12), "constant", np.array([0.0]), tm, 0.0)
         return {
             "schema": ARTIFACT_SCHEMA, "run_id": 1, "question": "q1", "order_k": 1,
             "n_days": values.size, "month_lengths": list(ev.Calendar().month_lengths),
             "values": pack_floats(values), "month_conditional_bulk": False, "run_length_l": 3,
-            "threshold": tm.to_dict(), "gp": gp.to_dict(), "cev": None,
+            "threshold": {"tau": 0.95, "u_by_month": [u] * 12, "log_zeta_by_month": [0.0] * 12,
+                          "loglik": 0.0},
+            "gp": {"log_sigma_by_month": [0.0] * 12, "shape_mode": "constant", "xi": 0.0,
+                   "loglik": 0.0, "at_bound": []},
+            "cev": None,
         }
 
     def test_empty_cluster_artifact_refused(self, tmp_path, capsys):
@@ -526,6 +540,35 @@ class TestDiagnoseCommand:
         assert run_cli("diagnose", "--out", tmp_path / "d", path) == 2
         err = capsys.readouterr().err
         assert err.count(f"{path}: artifact schema {schema!r}") == 2 and "refit" in err
+
+    @pytest.mark.parametrize("breakage, message", [
+        ("threshold null", "malformed artifact: TypeError"),
+        ("gp list", "malformed artifact: TypeError"),
+        ("values number", "malformed artifact: TypeError"),
+        ("top-level list", "malformed artifact: a JSON list"),
+        ("no cev key", "malformed artifact: KeyError('cev')"),
+        ("xi null", "GP parameters must be finite"),
+    ])
+    def test_malformed_artifact_exit_2(self, tmp_path, capsys, breakage, message):
+        d = self.artifact(np.linspace(0.0, 2.0, 400), 1.0)
+        if breakage == "threshold null":
+            d["threshold"] = None
+        elif breakage == "gp list":
+            d["gp"] = [1, 2]
+        elif breakage == "values number":
+            d["values"] = 5
+        elif breakage == "top-level list":
+            d = [d]
+        elif breakage == "no cev key":
+            del d["cev"]
+        else:
+            d["gp"]["xi"] = None
+        path = tmp_path / "run_1.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("estimate", "--out", tmp_path / "e", "--question", "q1", path) == 2
+        assert run_cli("diagnose", "--out", tmp_path / "d", path) == 2
+        assert capsys.readouterr().err.count(f"error: {path}: {message}") == 2
+        assert not (tmp_path / "e").exists() and not (tmp_path / "d").exists()
 
 
 class TestQ3Pipeline:

@@ -139,15 +139,6 @@ class TestFitThreshold:
             assert abs(model.u_by_month[m] - np.quantile(x, 0.95)) <= gap + 1e-9
 
 
-class TestThresholdAt:
-    def test_serialisation_roundtrip(self):
-        model = ev.ThresholdModel(0.95, np.linspace(0, 2, 12), np.linspace(-3, 0, 12), -12.5)
-        again = ev.ThresholdModel.from_dict(model.to_dict())
-        assert np.array_equal(model.u_by_month, again.u_by_month)
-        assert np.array_equal(model.log_zeta_by_month, again.log_zeta_by_month)
-        assert model.tau == again.tau and model.loglik == again.loglik
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.05, 0.95), st.lists(st.floats(-50, 50), min_size=1, max_size=30))
 def test_pinball_nonnegative_and_zero_at_origin(tau, values):
