@@ -142,7 +142,7 @@ def fit_cev(laplace: np.ndarray, q_prob: float = 0.90, min_pairs: int = 100) -> 
     y_all = laplace[1:]
     keep = x_all > q
     if int(keep.sum()) < min_pairs:
-        raise ValueError(f"only {int(keep.sum())} pairs exceed the threshold; need {min_pairs}")
+        raise RuntimeError(f"only {int(keep.sum())} pairs exceed the threshold; need {min_pairs}")
     return fit_conditional_pairs(x_all[keep], y_all[keep], q)
 
 

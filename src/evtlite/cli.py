@@ -144,7 +144,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 month_conditional_bulk=args.bulk == "monthly",
             )
         except (ValueError, RuntimeError) as exc:
-            raise RuntimeError(f"run {i} ({path}): {exc}") from exc
+            raise type(exc)(f"run {i} ({path}): {exc}") from exc
         del run  # the emulator keeps only the series: free the run's values before the next load
         artifact = out / f"run_{i}.json"
         _write_json(artifact, emulator_to_dict(emulator, args.question, args.calendar))
@@ -174,6 +174,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         emulator, question = _read_emulator(path)
         if question != args.question:
             raise ValueError(f"{path}: fitted for question {question}, requested {args.question}")
+        if emulators and not np.array_equal(emulator.months, emulators[0].months):
+            raise ValueError(f"{path} ({emulator.months.size} days) does not match {args.emulators[0]} "
+                             f"({emulators[0].months.size} days) in length or calendar")
         emulators.append(emulator)
     combined = combine_rates(emulators)
     config = SimulationConfig(

@@ -106,7 +106,7 @@ def emulator_to_dict(emulator: RunEmulator, question: str, calendar: Calendar) -
         "gp": {
             "log_sigma_by_month": gp.log_sigma_by_month.tolist(),
             "shape_mode": gp.shape_mode,
-            "xi": float(gp.xi[0]) if gp.xi.size == 1 else gp.xi.tolist(),
+            "xi": float(gp.xi_by_month[0]) if gp.shape_mode == "constant" else gp.xi_by_month.tolist(),
             "loglik": float(gp.loglik),
             "at_bound": list(gp.at_bound),
         },
@@ -137,8 +137,9 @@ def emulator_from_dict(d: dict) -> tuple[RunEmulator, str]:
         t, g, c = d["threshold"], d["gp"], d["cev"]
         tm = ThresholdModel(tau=float(t["tau"]), u_by_month=t["u_by_month"],
                             log_zeta_by_month=t["log_zeta_by_month"], loglik=float(t["loglik"]))
+        xi = np.full(12, g["xi"], dtype=np.float64) if g["shape_mode"] == "constant" else g["xi"]
         gp = GPModel(log_sigma_by_month=g["log_sigma_by_month"], shape_mode=g["shape_mode"],
-                     xi=g["xi"], threshold_model=tm, loglik=float(g["loglik"]))
+                     xi_by_month=xi, threshold_model=tm, loglik=float(g["loglik"]))
         cev = None if c is None else CEVModel(
             beta0=float(c["beta0"]), beta1=float(c["beta1"]), q_threshold=float(c["q_threshold"]),
             residuals=unpack_floats(c["residuals"]), kde_bandwidth=float(c["kde_bandwidth"]),
@@ -174,7 +175,9 @@ class SimulationConfig:
     to that window); None uses the full fitted run length. rate_mode turns
     the per-run count into an occurred/not indicator. correction selects
     how the extremal index re-enters: "power" applies
-    1 - (1 - e_bar)**theta, "multiplicative" applies theta * e_bar.
+    1 - (1 - e_bar)**theta, "multiplicative" applies theta * e_bar. The
+    persistence question simulates whole runs and applies no correction,
+    so it takes neither n_days nor "multiplicative".
     """
 
     question: str
@@ -201,6 +204,9 @@ class SimulationConfig:
             raise ValueError("n_days must be >= 1 when given")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if QUESTIONS[self.question].uses_chain and (self.n_days is not None or self.correction != "power"):
+            raise ValueError(f"question {self.question} simulates whole runs with no extremal-index "
+                             "correction, so it takes no n_days and no correction but 'power'")
 
     @property
     def target(self) -> float:

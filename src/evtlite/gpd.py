@@ -77,41 +77,36 @@ def gp_quantile(p, sigma, xi):
 
 @dataclass(frozen=True)
 class GPModel:
-    """Fitted GP tail: per-month log-scales plus shared or per-month shape."""
+    """Fitted GP tail: per-month log-scales and shapes; a constant shape is twelve equal ones."""
 
     log_sigma_by_month: np.ndarray  # (12,)
     shape_mode: str                 # "constant" or "by_month"
-    xi: np.ndarray                  # (1,) when constant, (12,) when by_month
+    xi_by_month: np.ndarray         # (12,)
     threshold_model: ThresholdModel
     loglik: float
 
     def __post_init__(self) -> None:
         ls = np.ascontiguousarray(self.log_sigma_by_month, dtype=np.float64)
-        xi = np.atleast_1d(np.asarray(self.xi, dtype=np.float64))
-        if ls.shape != (12,):
-            raise ValueError("log_sigma_by_month must have 12 entries")
+        xi = np.ascontiguousarray(self.xi_by_month, dtype=np.float64)
+        if ls.shape != (12,) or xi.shape != (12,):
+            raise ValueError("log_sigma_by_month and xi_by_month must have 12 entries")
         if self.shape_mode not in SHAPE_MODES:
             raise ValueError(f"shape_mode must be one of {SHAPE_MODES}")
-        expected = (12,) if self.shape_mode == "by_month" else (1,)
-        if xi.shape != expected:
-            raise ValueError(f"xi must have shape {expected} for shape_mode={self.shape_mode}")
         if not (np.all(np.isfinite(ls)) and np.all(np.isfinite(xi))):
             raise ValueError("GP parameters must be finite")
+        if self.shape_mode == "constant" and np.any(xi != xi[0]):
+            raise ValueError("shape_mode constant needs twelve equal month shapes")
         object.__setattr__(self, "log_sigma_by_month", ls)
-        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "xi_by_month", xi)
 
     @property
     def sigma_by_month(self) -> np.ndarray:
         return np.exp(self.log_sigma_by_month)
 
     @property
-    def xi_by_month(self) -> np.ndarray:
-        return self.xi if self.xi.size == 12 else np.full(12, self.xi[0])
-
-    @property
     def at_bound(self) -> tuple:
         """Shapes on the edge of [XI_MIN, XI_MAX]: ("xi",), or "xi[m]" for each such month."""
-        edge = (self.xi == XI_MIN) | (self.xi == XI_MAX)
+        edge = (self.xi_by_month == XI_MIN) | (self.xi_by_month == XI_MAX)
         if self.shape_mode == "constant":
             return ("xi",) if edge[0] else ()
         return tuple(f"xi[{m}]" for m in np.flatnonzero(edge) + 1)
@@ -164,19 +159,23 @@ def _fit_shared_shape(groups: list[np.ndarray]) -> tuple[np.ndarray, float, floa
     return np.array([_scale_mle(z, xi) for z in groups]), xi, nll
 
 
-def fit_gp_excesses(z: np.ndarray) -> tuple[float, float, float]:
-    """Two-parameter GP maximum likelihood fit to a plain excess sample.
-
-    Returns (sigma, xi, loglik) with xi box-constrained to [-0.9, 2.0].
-    This is the primitive behind the by-month fits.
-    """
-    z = np.asarray(z, dtype=np.float64)
+def _check_excesses(z: np.ndarray) -> None:
+    """Refuse an excess sample that has no GP fit: empty, not positive, or all (numerically) equal."""
     if z.size == 0:
         raise RuntimeError("cannot fit a GP model to an empty sample")
     if np.any(z <= 0.0):
         raise ValueError("excesses must be positive")
     if float(np.ptp(z)) <= 1e-12 * max(1.0, float(np.max(z))):
         raise RuntimeError("degenerate excesses: all values are (numerically) equal")
+
+
+def fit_gp_excesses(z: np.ndarray) -> tuple[float, float, float]:
+    """Two-parameter GP maximum likelihood fit to a plain excess sample.
+
+    Returns (sigma, xi, loglik) with xi box-constrained to [-0.9, 2.0].
+    """
+    z = np.asarray(z, dtype=np.float64)
+    _check_excesses(z)
     sigma, xi, nll = _fit_shared_shape([z])
     return float(sigma[0]), xi, -nll
 
@@ -185,20 +184,17 @@ def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "consta
            min_month_maxima: int = 10) -> GPModel:
     """Maximum-likelihood GP fit to cluster-maximum excesses.
 
-    shape_mode "by_month" fits independent (sigma, xi) per month and needs
-    at least min_month_maxima maxima in every month; "constant" shares one
-    xi across months and needs at least one maximum per month. The shape is
-    box-constrained to [-0.9, 2.0] to avoid the irregular-MLE region.
+    Each month has its own scale. "constant" shares one xi across the twelve
+    months and needs at least one maximum per month; "by_month" fits each
+    month alone and needs at least min_month_maxima maxima in every month.
+    Either way each block of months that shares a shape is one profiled fit.
+    The shape is box-constrained to [-0.9, 2.0] to avoid the irregular-MLE
+    region.
     """
     if shape_mode not in SHAPE_MODES:
         raise ValueError(f"shape_mode must be one of {SHAPE_MODES}")
     if cs.n_clusters == 0:
         raise RuntimeError("cannot fit a GP model: the cluster set is empty")
-    z = cs.maxima - thresholds.u_by_month[cs.maxima_months - 1]
-    if np.any(z <= 0.0):
-        raise ValueError("cluster maxima at or below their monthly threshold; inputs inconsistent")
-    if float(np.ptp(z)) <= 1e-12 * max(1.0, float(np.max(z))):
-        raise RuntimeError("degenerate exceedances: all excesses are (numerically) equal")
     months = cs.maxima_months
     counts = np.bincount(months, minlength=13)[1:]
     floor = min_month_maxima if shape_mode == "by_month" else 1
@@ -206,26 +202,21 @@ def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "consta
     if short:
         raise RuntimeError(f"months {short} have fewer than {floor} cluster maxima for shape_mode={shape_mode}")
 
+    z = cs.maxima - thresholds.u_by_month[months - 1]
     groups = [z[months == m] for m in range(1, 13)]
-    if shape_mode == "constant":
-        sigma, xi, total_nll = _fit_shared_shape(groups)
-        log_sigma = np.log(sigma)
-        xi = np.array([xi])
-    else:
-        log_sigma = np.empty(12)
-        xi = np.empty(12)
-        total_nll = 0.0
-        for m in range(12):
-            try:
-                sigma_m, xi_m, ll_m = fit_gp_excesses(groups[m])
-            except RuntimeError as exc:
-                raise RuntimeError(f"month {m + 1}: {exc}") from exc
-            log_sigma[m] = np.log(sigma_m)
-            xi[m] = xi_m
-            total_nll -= ll_m
-
-    return GPModel(log_sigma_by_month=log_sigma, shape_mode=shape_mode, xi=xi,
-                   threshold_model=thresholds, loglik=-total_nll)
+    blocks = {"": groups} if shape_mode == "constant" else {f"month {m}: ": [g] for m, g in enumerate(groups, 1)}
+    sigma, xi, nll = [], [], 0.0
+    for where, block in blocks.items():
+        try:
+            _check_excesses(np.concatenate(block))
+        except RuntimeError as exc:
+            raise RuntimeError(f"{where}{exc}") from exc
+        block_sigma, block_xi, block_nll = _fit_shared_shape(block)
+        sigma.extend(block_sigma)
+        xi.extend([block_xi] * len(block))
+        nll += block_nll
+    return GPModel(log_sigma_by_month=np.log(sigma), shape_mode=shape_mode, xi_by_month=xi,
+                   threshold_model=thresholds, loglik=-nll)
 
 
 @dataclass(frozen=True)

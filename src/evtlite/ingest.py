@@ -66,10 +66,11 @@ class EnsembleRun:
         months = np.ascontiguousarray(self.months, dtype=np.int64)
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError(f"values must be 2-D with >= 1 site, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values contain non-finite entries")
-        if np.any(values < 0):
-            raise ValueError("values contain negative entries")
+        ok = np.isfinite(values) & (values >= 0)
+        if not ok.all():
+            row, col = np.argwhere(~ok)[0]
+            kind = "negative" if np.isfinite(values[row, col]) else "non-finite"
+            raise ValueError(f"row {row + 1}: {kind} value {values[row, col]} in column {col + 1}")
         if months.shape != (values.shape[0],):
             raise ValueError("months length must equal the number of days")
         if months.size and (months.min() < 1 or months.max() > 12):
@@ -124,8 +125,8 @@ def load_run(path, run_id: int, calendar: Calendar = Calendar(), skip_header: bo
     """Load one run from CSV and attach month labels from the calendar.
 
     Rejects malformed rows (empty and "#" lines included, since months fold
-    over the row index), non-finite and negative values, naming the
-    offending 1-based data row (header excluded when skip_header is set).
+    over the row index), naming the 1-based data row (header excluded when
+    skip_header is set); the path also prefixes EnsembleRun's value checks.
     """
     try:
         values = np.loadtxt(
@@ -147,16 +148,10 @@ def load_run(path, run_id: int, calendar: Calendar = Calendar(), skip_header: bo
         raise ValueError(f"{path}: could not parse CSV: {exc}") from exc
     if values.size == 0:
         raise ValueError(f"{path}: file contains no data rows")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ValueError(f"{path}: row {row + 1}: non-finite value in column {col + 1}")
-    neg = values < 0
-    if neg.any():
-        row, col = np.argwhere(neg)[0]
-        raise ValueError(f"{path}: row {row + 1}: negative value {values[row, col]} in column {col + 1}")
-    months = calendar.months_for(values.shape[0])
-    return EnsembleRun(run_id=run_id, values=values, months=months)
+    try:
+        return EnsembleRun(run_id=run_id, values=values, months=calendar.months_for(values.shape[0]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_run(run: EnsembleRun, path) -> None:

@@ -83,7 +83,7 @@ def fit_threshold(series: SummarySeries, tau: float = 0.95, min_month_obs: int =
     counts = np.bincount(series.months, minlength=13)[1:]
     short = [m + 1 for m in range(12) if counts[m] < min_month_obs]
     if short:
-        raise ValueError(f"months {short} have fewer than {min_month_obs} observations")
+        raise RuntimeError(f"months {short} have fewer than {min_month_obs} observations")
     u = np.empty(12)
     log_zeta = np.empty(12)
     for m in range(12):

@@ -68,7 +68,7 @@ def make_marginal_emulator(n_days=1000, u=1.0, sigma=1.0, xi=0.0, n_clusters=50,
     tm = constant_threshold_model(u)
     gp = ev.GPModel(
         log_sigma_by_month=np.full(12, np.log(sigma)), shape_mode="constant",
-        xi=np.array([float(xi)]), threshold_model=tm, loglik=0.0,
+        xi_by_month=np.full(12, float(xi)), threshold_model=tm, loglik=0.0,
     )
     n_cl = min(n_clusters, n_days)
     cs = make_cluster_set(

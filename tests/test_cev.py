@@ -120,7 +120,7 @@ class TestFitCev:
     def test_fit_cev_pair_floor(self, homogeneous_fit):
         series, mixed = homogeneous_fit
         ls = ev.to_laplace(mixed, series.values, series.months)
-        with pytest.raises(ValueError, match="pairs"):
+        with pytest.raises(RuntimeError, match="pairs"):
             ev.fit_cev(ls, q_prob=0.90, min_pairs=10 ** 9)
         with pytest.raises(ValueError):
             ev.fit_cev(ls, q_prob=0.4)

@@ -42,7 +42,7 @@ def assert_same_emulator(loaded, fitted):
     for name in ("u_by_month", "log_zeta_by_month"):
         assert same_bits(getattr(loaded.threshold_model, name), getattr(fitted.threshold_model, name))
     assert same_bits(loaded.gp_model.log_sigma_by_month, fitted.gp_model.log_sigma_by_month)
-    assert same_bits(loaded.gp_model.xi, fitted.gp_model.xi)
+    assert same_bits(loaded.gp_model.xi_by_month, fitted.gp_model.xi_by_month)
     assert loaded.mixed.pi == fitted.mixed.pi
     assert same_bits(loaded.mixed.bulk_sorted, fitted.mixed.bulk_sorted)
     assert (loaded.mixed.bulk_by_month is None) == (fitted.mixed.bulk_by_month is None)
@@ -79,6 +79,15 @@ def workspace(tmp_path_factory):
                  data / "run_1.csv", data / "run_2.csv")
     assert rc == 0
     return root, data, fits
+
+
+@pytest.fixture(scope="module")
+def three_site_run(tmp_path_factory):
+    """The CSV of a synthetic 7,300-day run of 3 sites."""
+    data = tmp_path_factory.mktemp("three_sites")
+    assert run_cli("synth", "--out", data, "--n-runs", 1, "--n-days", 7300, "--n-sites", 3,
+                   "--xi", 0.1, "--seed", 12) == 0
+    return data / "run_1.csv"
 
 
 class TestSynthCommand:
@@ -178,6 +187,22 @@ class TestFitCommand:
         path = tmp_path / "flat.csv"
         np.savetxt(path, np.full((7300, 3), 2.0), delimiter=",", fmt="%.3f")
         assert run_cli("fit", "--out", tmp_path / "out", "--question", "q1", path) == 1
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--order-k", 9], 2),
+        (["--tau", 1.5], 2),
+        (["--run-length", 0], 2),
+        (["--question", "q3"], 2),  # its default k = 23 exceeds the 3 sites
+        (["--question", "q3", "--order-k", 1, "--q-prob", 0.3], 2),
+        (["--min-month-obs", 1000], 1),
+        (["--min-month-maxima", 1000], 1),
+    ])
+    def test_configuration_errors_exit_2_and_data_errors_exit_1(self, three_site_run, tmp_path, capsys,
+                                                                flags, code):
+        # flat data exits 1 too: test_degenerate_data_exit_1
+        assert run_cli("fit", "--out", tmp_path / "out", *flags, three_site_run) == code
+        assert f"error: run 1 ({three_site_run}): " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, workspace):
         _, data, _ = workspace
@@ -354,10 +379,20 @@ class TestEstimateCommand:
                        tmp_path / "long" / "run_1.csv") == 0
         capsys.readouterr()
         out = tmp_path / "est"
+        long_path = tmp_path / "long_fits" / "run_1.json"
         assert run_cli("estimate", "--out", out, "--question", "q1", "--target", 6.0, "--n-sim", 10,
-                       fits / "run_1.json", tmp_path / "long_fits" / "run_1.json") == 2
+                       fits / "run_1.json", long_path) == 2
         err = capsys.readouterr().err
-        assert "emulator 2 (run 1, 10950 days) does not match emulator 1 (run 1, 7300 days)" in err
+        assert f"{long_path} (10950 days) does not match {fits / 'run_1.json'} (7300 days)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--sim-days", 100], ["--correction", "multiplicative"]])
+    def test_q3_refuses_a_window_and_a_correction(self, tmp_path, capsys, flags):
+        # q3 would record these settings without applying them
+        out = tmp_path / "est"
+        assert run_cli("estimate", "--out", out, "--question", "q3", "--n-sim", 5, *flags,
+                       GOLDEN_ARTIFACT) == 2
+        assert "question q3 simulates whole runs" in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_config_file_serves_fit_and_estimate(self, workspace, tmp_path):
@@ -488,7 +523,7 @@ class TestDiagnoseCommand:
         values[::33][:600] = u + ev.gp_quantile(rng.random(600), sigma, xi)
         series = ev.SummarySeries(1, 1, values, ev.Calendar().months_for(n_days))
         tm = ev.ThresholdModel(0.95, np.full(12, u), np.zeros(12), 0.0)
-        gp = ev.GPModel(np.full(12, np.log(sigma)), "constant", np.array([xi]), tm, 0.0)
+        gp = ev.GPModel(np.full(12, np.log(sigma)), "constant", np.full(12, xi), tm, 0.0)
         cs = ev.run_decluster(series, tm, l=3)
         assert cs.n_clusters == 600
         em = ev.RunEmulator(run_id=1, order_k=1, months=series.months, series_values=values,

@@ -66,7 +66,7 @@ def month_varying_emulator(u, sigma, xi, n_days):
     em = make_marginal_emulator(n_days=n_days)
     tm = dataclasses.replace(em.threshold_model, u_by_month=np.asarray(u, dtype=float))
     gp = ev.GPModel(log_sigma_by_month=np.log(sigma), shape_mode="by_month",
-                    xi=np.asarray(xi, dtype=float), threshold_model=tm, loglik=0.0)
+                    xi_by_month=np.asarray(xi, dtype=float), threshold_model=tm, loglik=0.0)
     return dataclasses.replace(em, threshold_model=tm, gp_model=gp,
                                mixed=dataclasses.replace(em.mixed, gp=gp))
 
@@ -259,6 +259,13 @@ def test_any_split_of_t_sims_concatenates_to_the_serial_output(question, n_sim, 
 
 
 class TestMonteCarloEstimate:
+    @pytest.mark.parametrize("setting", [{"n_days": 365}, {"correction": "multiplicative"}])
+    def test_persistence_question_refuses_a_window_and_a_correction(self, setting):
+        # its chains run over whole runs and its counts take no extremal-index correction
+        with pytest.raises(ValueError, match="q3 simulates whole runs"):
+            ev.SimulationConfig(question="q3", **setting)
+        ev.SimulationConfig(question="q1", **setting)
+
     def test_degenerate_zero_rate(self):
         em = make_marginal_emulator()
         cfg = ev.SimulationConfig(question="q1", target_level=5.0, n_sim=50, n_srun=5, seed=1)

@@ -72,7 +72,7 @@ class TestFitGp:
         cs = make_cluster_set(z, months, n_days=400000)
         gp = ev.fit_gp(cs, constant_threshold_model(0.0), "constant")
         assert float(np.mean(gp.sigma_by_month)) == pytest.approx(2.0, abs=0.07)
-        assert 0.07 <= gp.xi[0] <= 0.13
+        assert 0.07 <= gp.xi_by_month[0] <= 0.13
 
     def test_by_month_scale_ratio(self):
         rng = np.random.default_rng(13)
@@ -108,6 +108,26 @@ class TestFitGp:
         with pytest.raises(RuntimeError, match="degenerate"):
             ev.fit_gp(cs, constant_threshold_model(0.0), "constant")
 
+    def test_by_month_names_a_degenerate_month(self):
+        rng = np.random.default_rng(4)
+        months = np.repeat(np.arange(1, 13), 20)
+        z = ev.gp_quantile(rng.random(months.size), 1.0, 0.1)
+        z[months == 5] = 1.5
+        cs = make_cluster_set(z, months)
+        with pytest.raises(RuntimeError, match="month 5: degenerate"):
+            ev.fit_gp(cs, constant_threshold_model(0.0), "by_month")
+        ev.fit_gp(cs, constant_threshold_model(0.0), "constant")  # a shared shape pools the months
+
+    def test_constant_shape_needs_twelve_equal_month_shapes(self):
+        tm = constant_threshold_model(0.0)
+        xi = np.full(12, 0.1)
+        xi[4] = 0.2
+        with pytest.raises(ValueError, match="twelve equal month shapes"):
+            ev.GPModel(np.zeros(12), "constant", xi, tm, 0.0)
+        assert ev.GPModel(np.zeros(12), "by_month", xi, tm, 0.0).xi_by_month[4] == 0.2
+        with pytest.raises(ValueError, match="must be finite"):  # NaN is refused as non-finite first
+            ev.GPModel(np.zeros(12), "constant", np.full(12, np.nan), tm, 0.0)
+
     def test_by_month_floor(self):
         cs = make_cluster_set(np.linspace(1, 2, 24), np.tile(np.arange(1, 13), 2))
         with pytest.raises(RuntimeError, match="fewer than"):
@@ -127,10 +147,10 @@ class TestFitGp:
         def nll(log_sigma, xi):
             return _gp_negloglik(z, np.exp(log_sigma)[idx], np.full(z.size, xi))
 
-        best = nll(gp.log_sigma_by_month, gp.xi[0])
+        best = nll(gp.log_sigma_by_month, gp.xi_by_month[0])
         for _ in range(50):
             perturbed = gp.log_sigma_by_month + 0.05 * rng.standard_normal(12)
-            xi_p = float(np.clip(gp.xi[0] + 0.05 * rng.standard_normal(), -0.9, 2.0))
+            xi_p = float(np.clip(gp.xi_by_month[0] + 0.05 * rng.standard_normal(), -0.9, 2.0))
             assert nll(perturbed, xi_p) >= best - 1e-9
 
     def test_shape_beyond_the_box_is_reported(self):
@@ -140,11 +160,11 @@ class TestFitGp:
         cs = make_cluster_set(ev.gp_quantile(rng.random(600), 1.0, 3.0), months, n_days=10 ** 5)
         tm = constant_threshold_model(0.0)
         gp = ev.fit_gp(cs, tm, "constant")
-        assert gp.xi[0] == 2.0 and gp.at_bound == ("xi",)
+        assert gp.xi_by_month[0] == 2.0 and gp.at_bound == ("xi",)
         by_month = ev.fit_gp(cs, tm, "by_month")
-        edge = np.flatnonzero(by_month.xi == 2.0) + 1
+        edge = np.flatnonzero(by_month.xi_by_month == 2.0) + 1
         assert edge.size > 0 and by_month.at_bound == tuple(f"xi[{m}]" for m in edge)
-        interior = ev.GPModel(np.zeros(12), "constant", np.array([0.15]), tm, 0.0)
+        interior = ev.GPModel(np.zeros(12), "constant", np.full(12, 0.15), tm, 0.0)
         assert interior.at_bound == ()
 
 
@@ -168,7 +188,7 @@ class TestProfiledFitAgainstOracle:
     def test_constant_shape(self, seed, xi):
         groups, cs = gp_month_groups(seed, xi)
         gp = ev.fit_gp(cs, constant_threshold_model(0.0), "constant")
-        nll = gp_group_negloglik(groups, gp.log_sigma_by_month, gp.xi[0])
+        nll = gp_group_negloglik(groups, gp.log_sigma_by_month, gp.xi_by_month[0])
         assert nll == pytest.approx(-gp.loglik, rel=1e-12)
         assert nll <= oracle_gp_negloglik(groups) + 1e-6
 
@@ -177,7 +197,7 @@ class TestProfiledFitAgainstOracle:
         groups, cs = gp_month_groups(seed, xi)
         gp = ev.fit_gp(cs, constant_threshold_model(0.0), "by_month")
         nll = [gp_group_negloglik([z], [ls], x)
-               for z, ls, x in zip(groups, gp.log_sigma_by_month, gp.xi)]
+               for z, ls, x in zip(groups, gp.log_sigma_by_month, gp.xi_by_month)]
         assert sum(nll) == pytest.approx(-gp.loglik, rel=1e-12)
         for z, month_nll in zip(groups, nll):
             assert month_nll <= oracle_gp_negloglik([z]) + 1e-6
@@ -282,7 +302,7 @@ class TestQqDiagnostics:
     def test_single_point(self):
         cs = make_cluster_set([1.5], [3])
         tm = constant_threshold_model(0.0)
-        gp = ev.GPModel(np.zeros(12), "constant", np.array([0.0]), tm, 0.0)
+        gp = ev.GPModel(np.zeros(12), "constant", np.full(12, 0.0), tm, 0.0)
         qq = ev.qq_exponential(gp, cs)
         assert qq.shape == (1, 2)
         assert qq[0, 0] == pytest.approx(-np.log(1.0 - 0.5))
@@ -293,7 +313,7 @@ class TestQqDiagnostics:
         z = ev.gp_quantile(rng.random(400), 1.2, 0.15)
         cs = make_cluster_set(z, months)
         tm = constant_threshold_model(0.0)
-        gp = ev.GPModel(np.full(12, np.log(1.2)), "constant", np.array([0.15]), tm, 0.0)
+        gp = ev.GPModel(np.full(12, np.log(1.2)), "constant", np.full(12, 0.15), tm, 0.0)
         qq = ev.qq_exponential(gp, cs)
         env = ev.qq_envelope(gp, cs, n_boot=200, seed=5)
         outside = np.mean((qq[:, 1] < env[:, 1]) | (qq[:, 1] > env[:, 2]))
@@ -307,7 +327,7 @@ class TestQqDiagnostics:
         cs = make_cluster_set(z, months)
         tm = constant_threshold_model(0.0)
         # force an exponential fit: scale at the exponential MLE, shape zero
-        gp = ev.GPModel(np.full(12, np.log(z.mean())), "constant", np.array([0.0]), tm, 0.0)
+        gp = ev.GPModel(np.full(12, np.log(z.mean())), "constant", np.full(12, 0.0), tm, 0.0)
         qq = ev.qq_exponential(gp, cs)
         top = qq[-5:]
         assert np.all(top[:, 1] > top[:, 0])

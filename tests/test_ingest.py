@@ -89,6 +89,26 @@ class TestLoadRun:
         assert np.array_equal(run.months, again.months)
 
 
+class TestEnsembleRun:
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "row 3: non-finite value nan in column 2"),
+        (-np.inf, "row 3: non-finite value -inf in column 2"),
+        (-0.5, "row 3: negative value -0.5 in column 2"),
+    ])
+    def test_first_bad_value_named_by_row_column_and_value(self, bad, message):
+        values = np.ones((5, 3))
+        values[2, 1] = bad
+        values[4, 0] = -1.0
+        with pytest.raises(ValueError, match=message):
+            ev.EnsembleRun(1, values, ev.Calendar().months_for(5))
+
+    def test_load_run_prefixes_its_path(self, tmp_path):
+        path = write_csv(tmp_path, [[0.1, 0.2], [0.3, -0.4]])
+        with pytest.raises(ValueError) as info:
+            ev.load_run(path, run_id=1)
+        assert str(info.value) == f"{path}: row 2: negative value -0.4 in column 2"
+
+
 class TestValidateEnsemble:
     def _run(self, run_id, n_days=30, n_sites=2):
         months = ev.Calendar().months_for(n_days)

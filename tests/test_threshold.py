@@ -100,7 +100,7 @@ class TestFitThreshold:
 
     def test_month_floor_enforced(self):
         series = series_by_month([np.random.default_rng(0).random(30) for _ in range(12)])
-        with pytest.raises(ValueError, match="fewer than 50"):
+        with pytest.raises(RuntimeError, match="fewer than 50"):
             ev.fit_threshold(series)
 
     def test_joint_optimum_matches_closed_form(self):
