@@ -2,8 +2,8 @@
 """End-to-end demo on synthetic data: synth -> fit -> estimate -> diagnose.
 
 Generates an ensemble with a known per-day event probability, fits per-run
-emulators, produces the Monte Carlo estimate and compares it against the
-generator's closed-form truth.
+emulators, estimates q1 from the exact law of the ensemble count and
+compares the estimate against the generator's closed-form truth.
 
     python scripts/synthetic_demo.py --out demo_out
 """

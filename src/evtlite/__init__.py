@@ -3,8 +3,9 @@
 Pipeline: reduce each daily spatial field to an order statistic, fit a
 month-varying threshold by asymmetric-Laplace likelihood, decluster the
 exceedances, fit generalized Pareto tails, optionally model day-to-day
-extremal persistence, and combine the per-run fitted models by Monte Carlo
-simulation into point and interval estimates.
+extremal persistence, and combine the per-run fitted models into point and
+interval estimates: exactly for the marginal questions, by Monte Carlo
+simulation for the persistence question.
 """
 
 from .cev import (
@@ -26,6 +27,7 @@ from .ensemble import (
     build_emulator,
     chain_sampler,
     combine_rates,
+    count_law,
     laplace_targets,
     marginal_sampler,
     monte_carlo_estimate,

@@ -210,6 +210,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "sim_days": config.n_days,
         "c_samples_path": samples_path,
     }
+    if result.prob_ebar_above_1 is not None:  # q1 and q2: the exact law reports its tails
+        payload.update(prob_ebar_above_1=result.prob_ebar_above_1, law_tail_mass=result.law_tail_mass)
     estimate_path = out / f"estimate_{config.question}.json"
     _write_json(estimate_path, payload)
     print(f"{config.question}  point={result.point:.4f}  "
@@ -322,8 +324,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     estimate("--rate-mode", action="store_true", help="count at most one event per simulated run")
     estimate("--correction", choices=CORRECTIONS, default="power")
     estimate("--sim-days", type=int, help="simulate runs of this many days (default: fitted length)")
-    estimate("--workers", type=int, default=1)
-    estimate("--c-samples", action="store_true", help="also dump per-simulation statistics to CSV")
+    estimate("--workers", type=int, default=1, help="processes for q3's simulation")
+    estimate("--c-samples", action="store_true",
+             help="also write n_sim draws of the statistic and of e_bar to CSV")
 
     synth("--n-runs", type=int, default=4)
     synth("--n-days", type=int, default=60225)

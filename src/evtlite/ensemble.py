@@ -1,26 +1,30 @@
-"""Per-run emulators and the Monte Carlo combination of fitted models.
+"""Per-run emulators and the combination of fitted models into estimates.
 
 Each run contributes a generative emulator (threshold + GP tail + mixed
 distribution, plus the conditional tail model for the persistence
-question). Ensembles of synthetic runs are simulated by picking an
-emulator uniformly for each synthetic run, counting target exceedances,
-averaging counts within a synthetic ensemble and applying the extremal
-index correction. Point and interval estimates are the mean and central
-quantiles of the per-ensemble statistics.
+question). A synthetic ensemble has n_srun synthetic runs, each on an
+emulator picked uniformly; its statistic is the mean count per run, e_bar,
+after the extremal index correction. Point and interval estimates are the
+mean and central quantiles of that statistic.
 
-Sampling is exact and needs no daily draws. For the marginal questions a
-run's count is, by thinning, sum_m Binomial(n_days_m, pi_hat * S_m(target -
-u_m)), with S_m the month-m GP survivor function. For the persistence
-question all chains of one synthetic ensemble advance as one batch.
+For the marginal questions the law of e_bar is exact and nothing is
+sampled. By thinning, a run's count on emulator r is sum_m Binomial(n_days_m,
+pi_hat * S_m(target - u_m)), with S_m the month-m GP survivor function, so
+one run's pmf is the mean over emulators of a convolution of binomials and
+an ensemble's total is its n_srun-th convolution power, one FFT power.
+For the persistence question all chains of one synthetic ensemble advance
+as one batch, and n_sim ensembles are simulated.
 
-Randomness: every synthetic ensemble t_sim owns the stream
+Randomness: every simulated ensemble t_sim >= 1 owns the stream
 default_rng(SeedSequence(seed, spawn_key=(t_sim,))), so chunked or parallel
-execution over t_sim reproduces the serial output bit for bit.
+execution over t_sim reproduces the serial output bit for bit. The draws
+from an exact law use spawn_key=(0,).
 """
 
 from __future__ import annotations
 
 import base64
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -38,6 +42,8 @@ from .threshold import ThresholdModel, fit_threshold
 
 CORRECTIONS = ("power", "multiplicative")
 ARTIFACT_SCHEMA = "evtlite-emulator-v2"
+# the power correction is defined for e_bar <= 1; above this P(e_bar > 1) it is refused
+EBAR_ABOVE_ONE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,9 @@ class SimulationConfig:
     how the extremal index re-enters: "power" applies
     1 - (1 - e_bar)**theta, "multiplicative" applies theta * e_bar. The
     persistence question simulates whole runs and applies no correction,
-    so it takes neither n_days nor "multiplicative".
+    so it takes neither n_days nor "multiplicative". workers splits the
+    persistence question's simulation over processes; the marginal
+    questions sample nothing and ignore it.
     """
 
     question: str
@@ -216,19 +224,22 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Monte Carlo point and interval estimate with the raw per-sim draws."""
+    """Point and interval estimate with n_sim draws of the statistic c and of e_bar.
+
+    mc_se is the Monte Carlo standard error of the point: 0.0 when it comes
+    from an exact law, else std(c, ddof=1) / sqrt(n_sim), None for n_sim = 1.
+    An exact law also reports P(e_bar > 1) and the probability its table
+    leaves out (truncation and rounding); a simulation reports None for both.
+    """
 
     point: float
     ci_low: float
     ci_high: float
     c_samples: np.ndarray
     mean_e_samples: np.ndarray
-
-    @property
-    def mc_se(self) -> float | None:
-        """Monte Carlo standard error of the point, std(c, ddof=1) / sqrt(n_sim); None for n_sim = 1."""
-        n = self.c_samples.size
-        return float(np.std(self.c_samples, ddof=1) / np.sqrt(n)) if n > 1 else None
+    mc_se: float | None
+    prob_ebar_above_1: float | None = None
+    law_tail_mass: float | None = None
 
 
 def combine_rates(emulators: list[RunEmulator]) -> CombinedEstimates:
@@ -263,11 +274,6 @@ class MarginalSampler:
     days: np.ndarray  # (n_emulators, 12) simulated days per month
     p: np.ndarray     # (n_emulators, 12) per-day probability of a target exceedance
 
-    def counts(self, rng: np.random.Generator, n_srun: int) -> np.ndarray:
-        """Exceedance counts of n_srun synthetic runs, each on a uniformly picked emulator."""
-        r = rng.integers(self.days.shape[0], size=n_srun)
-        return rng.binomial(self.days[r], self.p[r]).sum(axis=1)
-
 
 def marginal_sampler(emulators: list[RunEmulator], pi_hat: float, target: float,
                      n_days: int | None = None) -> MarginalSampler:
@@ -289,6 +295,88 @@ def marginal_sampler(emulators: list[RunEmulator], pi_hat: float, target: float,
         days.append(np.bincount(e.months[:n_days] - 1, minlength=12))
         p.append(pi_hat * (1.0 - gp_cdf(target - u, e.gp_model.sigma_by_month, e.gp_model.xi_by_month)))
     return MarginalSampler(days=np.array(days), p=np.array(p))
+
+
+def _times_log(n, log_x):
+    """n * log_x, 0 where n is 0 (also where log_x is -inf)."""
+    return n * np.where(n == 0, 0.0, log_x)
+
+
+def _log_factorial(n: np.ndarray) -> np.ndarray:
+    """log(n!) of a non-negative integer array, math.lgamma once per distinct value."""
+    values, index = np.unique(n, return_inverse=True)
+    return np.array([math.lgamma(v + 1.0) for v in values.tolist()])[index].reshape(np.shape(n))
+
+
+def _binomial_pmfs(n: np.ndarray, p: np.ndarray, k_max: int) -> np.ndarray:
+    """P(Binomial(n, p) = k) for k = 0..k_max on a new last axis, from log space."""
+    n, k = n[..., None], np.arange(k_max + 1)
+    rest = np.maximum(n - k, 0)
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(p)[..., None], np.log1p(-p)[..., None]
+    log_pmf = (_log_factorial(n) - _log_factorial(k) - _log_factorial(rest)
+               + _times_log(k, log_p) + _times_log(rest, log_q))
+    return np.where(k <= n, np.exp(log_pmf), 0.0)
+
+
+def count_law(sampler: MarginalSampler, n_srun: int, rate_mode: bool = False) -> np.ndarray:
+    """P(S = s), s = 0..len - 1, of the total count S of n_srun synthetic runs.
+
+    A run on emulator r counts sum_m Binomial(days[r, m], p[r, m]), or in
+    rate mode whether that sum is positive, and picks r uniformly, so one
+    run's pmf is the mean over emulators and S's is its n_srun-th power
+    under convolution. The binomials are cut at K = max_r (mean_r + 12 sd_r)
+    + 30, beyond which a run's count has negligible mass; the table holds
+    s <= n_srun K, and rounding noise is clipped at 0.
+    """
+    days, p = sampler.days, sampler.p
+    if rate_mode:
+        with np.errstate(divide="ignore"):
+            log_none = np.sum(_times_log(days, np.log1p(-p)), axis=1)
+        hit = float(np.mean(-np.expm1(log_none)))
+        run, k_max = np.array([1.0 - hit, hit]), 1
+    else:
+        mean, var = np.sum(days * p, axis=1), np.sum(days * p * (1.0 - p), axis=1)
+        k_max = int(min(np.ceil(np.max(mean + 12.0 * np.sqrt(var))) + 30, np.max(days.sum(axis=1))))
+        # a circular convolution longer than K folds back only a run's mass above K
+        size = 1 << k_max.bit_length()
+        per_month = np.fft.rfft(_binomial_pmfs(days, p, k_max), n=size)
+        run = np.fft.irfft(per_month.prod(axis=1), n=size)[:, :k_max + 1].mean(axis=0)
+    size = 1 << (n_srun * k_max).bit_length()
+    law = np.fft.irfft(np.fft.rfft(run, n=size) ** n_srun, n=size)[:n_srun * k_max + 1]
+    return np.maximum(law, 0.0)
+
+
+def law_estimate(sampler: MarginalSampler, config: SimulationConfig, theta: float) -> EstimateResult:
+    """Point and interval of c = g(S / n_srun) from the exact law of S (count_law).
+
+    g, the extremal-index correction, is monotone, so the point is
+    sum_s g(s / n_srun) P(S = s) and the interval ends are g at the smallest
+    s whose CDF reaches alpha/2 and 1 - alpha/2. The power correction needs
+    e_bar <= 1: it is refused when P(e_bar > 1) > EBAR_ABOVE_ONE_TOL and
+    otherwise applied to min(e_bar, 1). The samples are n_sim inverse-CDF
+    draws of S from the stream of spawn key 0.
+    """
+    law = count_law(sampler, config.n_srun, config.rate_mode)
+    ebar = np.arange(law.size) / config.n_srun
+    above = float(np.sum(law[config.n_srun + 1:]))
+    if config.correction == "multiplicative":
+        c = theta * ebar
+    elif above > EBAR_ABOVE_ONE_TOL:
+        raise RuntimeError(
+            f"P(mean exceedance count > 1) = {above:.4g} exceeds {EBAR_ABOVE_ONE_TOL:g}: the power "
+            "correction needs a rate; rerun with rate_mode or shorter simulated runs"
+        )
+    else:
+        c = decluster_correction(np.minimum(ebar, 1.0), theta)
+    cdf = np.cumsum(law)
+    last = law.size - 1
+    lo, hi = np.minimum(np.searchsorted(cdf, [config.alpha / 2.0, 1.0 - config.alpha / 2.0]), last)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
+    s = np.minimum(np.searchsorted(cdf, rng.random(config.n_sim), side="right"), last)
+    return EstimateResult(point=float(c @ law), ci_low=float(c[lo]), ci_high=float(c[hi]),
+                          c_samples=c[s], mean_e_samples=ebar[s], mc_se=0.0,
+                          prob_ebar_above_1=above, law_tail_mass=max(0.0, 1.0 - float(cdf[-1])))
 
 
 def laplace_targets(emulator: RunEmulator, target: float) -> np.ndarray:
@@ -344,8 +432,7 @@ def chain_sampler(emulators: list[RunEmulator], target: float) -> ChainSampler:
     )
 
 
-def _simulate_cells(sampler: MarginalSampler | ChainSampler, config: SimulationConfig,
-                    t_sims) -> np.ndarray:
+def _simulate_cells(sampler: ChainSampler, config: SimulationConfig, t_sims) -> np.ndarray:
     """Mean count per synthetic run, e_bar, for each synthetic ensemble in t_sims."""
     e_bar = np.empty(len(t_sims))
     for k, t_sim in enumerate(t_sims):
@@ -355,22 +442,10 @@ def _simulate_cells(sampler: MarginalSampler | ChainSampler, config: SimulationC
     return e_bar
 
 
-def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
-                         combined: CombinedEstimates) -> EstimateResult:
-    """Simulate n_sim synthetic ensembles of n_srun runs each and summarise.
-
-    For each synthetic run an emulator is picked uniformly at random; the
-    per-ensemble statistic is the corrected mean exceedance count. Returns
-    the sample mean and the central (alpha/2, 1 - alpha/2) quantiles.
-    """
-    if not emulators:
-        raise ValueError("at least one emulator is required")
-    spec = QUESTIONS[config.question]
-    if spec.uses_chain:
-        sampler = chain_sampler(emulators, config.target)
-    else:
-        sampler = marginal_sampler(emulators, combined.pi_hat, config.target, config.n_days)
-
+def chain_estimate(sampler: ChainSampler, config: SimulationConfig) -> EstimateResult:
+    """Simulate n_sim synthetic ensembles of the persistence question and summarise:
+    the sample mean and central (alpha/2, 1 - alpha/2) quantiles of e_bar, which
+    takes no extremal-index correction."""
     all_t_sims = list(range(1, config.n_sim + 1))
     if config.workers == 1:
         ebar = _simulate_cells(sampler, config, all_t_sims)
@@ -381,24 +456,24 @@ def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             ebar = np.concatenate(list(pool.map(_simulate_cells, repeat(sampler), repeat(config),
                                                 chunks)))
+    ci_low, ci_high = np.quantile(ebar, [config.alpha / 2.0, 1.0 - config.alpha / 2.0])
+    mc_se = float(np.std(ebar, ddof=1) / np.sqrt(ebar.size)) if ebar.size > 1 else None
+    return EstimateResult(point=float(np.mean(ebar)), ci_low=float(ci_low), ci_high=float(ci_high),
+                          c_samples=ebar.copy(), mean_e_samples=ebar, mc_se=mc_se)
 
-    theta = combined.theta_hat
-    if spec.uses_chain:
-        c = ebar.copy()  # no extremal-index correction for the persistence question
-    elif config.correction == "multiplicative":
-        c = theta * ebar
-    else:
-        if np.any(ebar > 1.0):
-            raise RuntimeError(
-                f"mean exceedance count {ebar[ebar > 1.0][0]:.4f} > 1: the power correction needs "
-                "a rate; rerun with rate_mode or shorter simulated runs"
-            )
-        c = decluster_correction(ebar, theta)
 
-    point = float(np.mean(c))
-    ci_low, ci_high = np.quantile(c, [config.alpha / 2.0, 1.0 - config.alpha / 2.0])
-    return EstimateResult(point=point, ci_low=float(ci_low), ci_high=float(ci_high),
-                          c_samples=c, mean_e_samples=ebar)
+def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
+                         combined: CombinedEstimates) -> EstimateResult:
+    """The estimate of config.question over synthetic ensembles of n_srun runs, each
+    run on a uniformly picked emulator: from the exact law of the ensemble's count
+    for the marginal questions (law_estimate), by simulating n_sim ensembles for the
+    persistence question (chain_estimate)."""
+    if not emulators:
+        raise ValueError("at least one emulator is required")
+    if QUESTIONS[config.question].uses_chain:
+        return chain_estimate(chain_sampler(emulators, config.target), config)
+    sampler = marginal_sampler(emulators, combined.pi_hat, config.target, config.n_days)
+    return law_estimate(sampler, config, combined.theta_hat)
 
 
 def build_emulator(run: EnsembleRun, question: str, order_k: int | None = None,
@@ -409,6 +484,9 @@ def build_emulator(run: EnsembleRun, question: str, order_k: int | None = None,
     spec = QUESTIONS.get(question)
     if spec is None:
         raise ValueError(f"question must be one of {sorted(QUESTIONS)}, got {question!r}")
+    if not spec.uses_chain and (q_prob != 0.90 or month_conditional_bulk):
+        raise ValueError(f"question {question} fits no conditional tail model, so it takes no "
+                         "q_prob but 0.90 and no month-conditional bulk")
     k = spec.order_k if order_k is None else order_k
     mode = spec.shape_mode if shape_mode is None else shape_mode
     series = spatial_order_statistic(run, k)

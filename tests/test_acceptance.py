@@ -172,25 +172,29 @@ def test_criterion_7_estimate_determinism(tmp_path):
     assert cli_main(["synth", "--out", str(data), "--n-runs", "2", "--n-days", "7300",
                      "--n-sites", "3", "--pi", "0.05", "--sigma", "0.5", "--u0", "1.0",
                      "--seed", "77"]) == 0
-    fits = tmp_path / "fits"
-    assert cli_main(["fit", "--out", str(fits), "--question", "q1", "--shape", "constant",
-                     str(data / "run_1.csv"), str(data / "run_2.csv")]) == 0
+    runs = [str(data / "run_1.csv"), str(data / "run_2.csv")]
+    fits, fits_q3 = tmp_path / "fits", tmp_path / "fits_q3"
+    assert cli_main(["fit", "--out", str(fits), "--question", "q1", "--shape", "constant", *runs]) == 0
+    assert cli_main(["fit", "--out", str(fits_q3), "--question", "q3", "--order-k", "1", *runs]) == 0
 
-    def estimate(out, workers):
-        rc = cli_main(["estimate", "--out", str(out), "--question", "q1",
-                       "--target", "5.0", "--n-sim", "120", "--n-srun", "10",
-                       "--seed", "404", "--sim-days", "1000", "--c-samples",
+    def estimate(out, question, workers, fitted, *flags):
+        rc = cli_main(["estimate", "--out", str(out), "--question", question,
+                       *flags, "--n-sim", "120", "--n-srun", "10",
+                       "--seed", "404", "--c-samples",
                        "--workers", str(workers),
-                       str(fits / "run_1.json"), str(fits / "run_2.json")])
+                       str(fitted / "run_1.json"), str(fitted / "run_2.json")])
         assert rc == 0
-        return ((out / "estimate_q1.json").read_bytes(),
-                (out / "c_samples_q1.csv").read_bytes())
+        return ((out / f"estimate_{question}.json").read_bytes(),
+                (out / f"c_samples_{question}.csv").read_bytes())
 
-    j1, c1 = estimate(tmp_path / "est1", 1)
-    j2, c2 = estimate(tmp_path / "est1", 1)  # same directory, rerun
-    j3, c3 = estimate(tmp_path / "est3", 2)  # parallel
+    q1 = ("--target", "5.0", "--sim-days", "1000")
+    j1, c1 = estimate(tmp_path / "est1", "q1", 1, fits, *q1)
+    j2, c2 = estimate(tmp_path / "est1", "q1", 1, fits, *q1)  # same directory, rerun
+    # q1 reads its estimate off an exact law; q3 simulates, so the worker pool serves q3
+    k1, d1 = estimate(tmp_path / "est_q3", "q3", 1, fits_q3, "--target", "2.0")
+    k3, d3 = estimate(tmp_path / "est3", "q3", 2, fits_q3, "--target", "2.0")  # parallel
     repeat_ok = j1 == j2 and c1 == c2
-    parallel_ok = c1 == c3 and json.loads(j1)["point"] == json.loads(j3)["point"]
+    parallel_ok = d1 == d3 and json.loads(k1)["point"] == json.loads(k3)["point"]
     ok = repeat_ok and parallel_ok
     report("7 (determinism)", ok,
            f"repeat bitwise identical={repeat_ok}, parallel equals serial={parallel_ok}")

@@ -131,7 +131,7 @@ class TestFitCommand:
             assert emulator_to_dict(emulator, question, ev.Calendar()) == d
             loaded.append(emulator)
             assert_same_emulator(emulator, fitted[-1])
-        config = ev.SimulationConfig(question="q1", target_level=5.0, n_sim=50, n_srun=10,
+        config = ev.SimulationConfig(question="q1", target_level=5.0, n_sim=50, n_srun=50,
                                      seed=4, n_days=1000)
         assert_same_estimate(loaded, fitted, config)
 
@@ -202,6 +202,16 @@ class TestFitCommand:
         # flat data exits 1 too: test_degenerate_data_exit_1
         assert run_cli("fit", "--out", tmp_path / "out", *flags, three_site_run) == code
         assert f"error: run 1 ({three_site_run}): " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("question", ["q1", "q2"])
+    @pytest.mark.parametrize("flags", [["--q-prob", 0.8], ["--bulk", "monthly"]])
+    def test_marginal_questions_refuse_the_conditional_fit_options(self, three_site_run, tmp_path,
+                                                                  capsys, question, flags):
+        # both set up q3's conditional tail model, which q1 and q2 do not fit
+        assert run_cli("fit", "--out", tmp_path / "out", "--question", question, "--order-k", 1,
+                       *flags, three_site_run) == 2
+        assert f"question {question} fits no conditional tail model" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, workspace):
@@ -307,7 +317,7 @@ class TestEstimateCommand:
         _, _, fits = workspace
         out = tmp_path / "est"
         args = ("estimate", "--out", out, "--question", "q1", "--target", 5.0,
-                "--n-sim", 150, "--n-srun", 10, "--seed", 33, "--sim-days", 1000,
+                "--n-sim", 150, "--n-srun", 50, "--seed", 33, "--sim-days", 1000,
                 "--c-samples", fits / "run_1.json", fits / "run_2.json")
         assert run_cli(*args) == 0
         first = (out / "estimate_q1.json").read_bytes()
@@ -319,21 +329,33 @@ class TestEstimateCommand:
         assert payload["question"] == "q1"
         assert payload["ci_low"] <= payload["point"] <= payload["ci_high"]
         assert payload["c_samples_path"].endswith("c_samples_q1.csv")
+        assert 0.0 <= payload["prob_ebar_above_1"] <= 1e-6
+        assert 0.0 <= payload["law_tail_mass"] <= 1e-12
 
     def test_mc_se_reported(self, workspace, tmp_path):
+        # q1's point comes from the exact law of e_bar, so it has no Monte Carlo
+        # error; q3 simulates its ensembles
         _, _, fits = workspace
-        for n_sim in (60, 1):
-            out = tmp_path / f"n{n_sim}"
-            assert run_cli("estimate", "--out", out, "--question", "q1", "--target", 5.0,
-                           "--n-sim", n_sim, "--n-srun", 10, "--seed", 3, "--sim-days", 1000,
-                           "--c-samples", fits / "run_1.json", fits / "run_2.json") == 0
-            d = json.loads((out / "estimate_q1.json").read_text())
-            c = np.loadtxt(out / "c_samples_q1.csv", delimiter=",", skiprows=1, ndmin=2)[:, 0]
-            if n_sim == 1:
-                assert d["mc_se"] is None
-            else:
-                assert math.isfinite(d["mc_se"]) and d["mc_se"] > 0.0
-                assert d["mc_se"] == pytest.approx(np.std(c, ddof=1) / np.sqrt(n_sim), rel=1e-12)
+        runs = {"q1": ["--target", 5.0, "--sim-days", 1000, "--n-srun", 50, fits / "run_1.json",
+                       fits / "run_2.json"],
+                "q3": ["--target", 2.0, "--n-srun", 10, GOLDEN_ARTIFACT]}
+        for question, args in runs.items():
+            for n_sim in (60, 1):
+                out = tmp_path / f"{question}_n{n_sim}"
+                assert run_cli("estimate", "--out", out, "--question", question, "--n-sim", n_sim,
+                               "--seed", 3, "--c-samples", *args) == 0
+                d = json.loads((out / f"estimate_{question}.json").read_text())
+                c = np.loadtxt(out / f"c_samples_{question}.csv", delimiter=",", skiprows=1,
+                               ndmin=2)[:, 0]
+                assert c.size == n_sim
+                assert ("prob_ebar_above_1" in d) == ("law_tail_mass" in d) == (question == "q1")
+                if question == "q1":
+                    assert d["mc_se"] == 0.0
+                elif n_sim == 1:
+                    assert d["mc_se"] is None
+                else:
+                    assert math.isfinite(d["mc_se"]) and d["mc_se"] > 0.0
+                    assert d["mc_se"] == pytest.approx(np.std(c, ddof=1) / np.sqrt(n_sim), rel=1e-12)
 
     def test_alpha_nesting(self, workspace, tmp_path):
         _, _, fits = workspace
@@ -341,7 +363,7 @@ class TestEstimateCommand:
         for alpha in (0.05, 0.5):
             out = tmp_path / f"alpha_{alpha}"
             rc = run_cli("estimate", "--out", out, "--question", "q1", "--target", 5.0,
-                         "--n-sim", 200, "--n-srun", 10, "--seed", 2, "--sim-days", 1000,
+                         "--n-sim", 200, "--n-srun", 50, "--seed", 2, "--sim-days", 1000,
                          "--alpha", alpha, fits / "run_1.json", fits / "run_2.json")
             assert rc == 0
             d = json.loads((out / f"estimate_q1.json").read_text())
@@ -404,7 +426,7 @@ class TestEstimateCommand:
         conf.write_text(f"out = {out}\nruns = {data / 'run_1.csv'}, {data / 'run_2.csv'}\n"
                         f"emulators = {out / 'run_1.json'}, {out / 'run_2.json'}\n"
                         "question = q1  # both commands\nshape = constant\nrun_length = 2\n"
-                        "target = 5.0\nn_sim = 40\nn_srun = 5\nseed = 8\nsim_days = 1000\n"
+                        "target = 5.0\nn_sim = 40\nn_srun = 50\nseed = 8\nsim_days = 1000\n"
                         "c_samples = yes\n")
         assert run_cli("fit", "--config", conf) == 0
         assert run_cli("estimate", "--config", conf) == 0
@@ -412,7 +434,7 @@ class TestEstimateCommand:
         assert run_cli("fit", "--out", flags, "--question", "q1", "--shape", "constant",
                        "--run-length", 2, data / "run_1.csv", data / "run_2.csv") == 0
         assert run_cli("estimate", "--out", flags, "--question", "q1", "--target", 5.0,
-                       "--n-sim", 40, "--n-srun", 5, "--seed", 8, "--sim-days", 1000,
+                       "--n-sim", 40, "--n-srun", 50, "--seed", 8, "--sim-days", 1000,
                        "--c-samples", flags / "run_1.json", flags / "run_2.json") == 0
         for name in ("run_1.json", "run_2.json", "c_samples_q1.csv"):
             assert (out / name).read_bytes() == (flags / name).read_bytes(), name
@@ -658,7 +680,7 @@ def test_import_leaves_out_scipy_signal_and_stats(tmp_path):
         ("fit", "--out", fits / "q1", "--question", "q1", "--shape", "constant", data / "run_1.csv"),
         ("fit", "--out", fits / "q3", "--question", "q3", "--order-k", 1, data / "run_1.csv"),
         ("estimate", "--out", out / "q1", "--question", "q1", "--target", 4.0, "--sim-days", 365,
-         "--n-sim", 30, "--n-srun", 5, fits / "q1" / "run_1.json"),
+         "--n-sim", 30, "--n-srun", 50, fits / "q1" / "run_1.json"),
         ("estimate", "--out", out / "q3", "--question", "q3", "--target", 4.0, "--n-sim", 10, "--n-srun", 5,
          fits / "q3" / "run_1.json"),
         ("diagnose", "--out", out / "diag1", "--n-boot", 10, fits / "q1" / "run_1.json"),

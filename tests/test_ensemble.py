@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.stats import ks_2samp
 import evtlite as ev
 from conftest import daily_marginal_count, make_marginal_emulator
 from evtlite.cev import PROB_CLIP, CEVModel
-from evtlite.ensemble import _simulate_cells, chain_starts
+from evtlite.ensemble import MarginalSampler, _simulate_cells, chain_starts, law_estimate
 
 
 def with_cev(emulator, beta0, beta1, residuals, bandwidth=0.0, q=None):
@@ -72,17 +73,17 @@ def month_varying_emulator(u, sigma, xi, n_days):
 
 
 class TestSimulateMarginalRun:
-    """The binomial-thinning sampler of the marginal questions."""
+    """The exact law of the marginal questions' counts, from the binomial-thinning tables."""
 
     def test_zero_rate(self):
         em = make_marginal_emulator()
-        counts = ev.marginal_sampler([em], 0.0, 10.0).counts(np.random.default_rng(0), 20)
-        assert np.all(counts == 0)
+        law = ev.count_law(ev.marginal_sampler([em], 0.0, 10.0), 20)
+        assert law[0] == pytest.approx(1.0, abs=1e-15) and np.all(law[1:] <= 1e-15)
 
     def test_infinite_target(self):
         em = make_marginal_emulator()
-        counts = ev.marginal_sampler([em], 0.5, np.inf).counts(np.random.default_rng(0), 20)
-        assert np.all(counts == 0)
+        law = ev.count_law(ev.marginal_sampler([em], 0.5, np.inf), 20)
+        assert law[0] == pytest.approx(1.0, abs=1e-15) and np.all(law[1:] <= 1e-15)
 
     def test_target_below_threshold_rejected(self):
         em = make_marginal_emulator(u=1.0)
@@ -98,16 +99,14 @@ class TestSimulateMarginalRun:
         n_days = 60225
         em = make_marginal_emulator(n_days=n_days, u=1.0, sigma=1.0, xi=0.0)
         target = 1.0 + np.log(2.0)
-        counts = ev.marginal_sampler([em], 0.05, target).counts(np.random.default_rng(31), 200)
-        expected = 0.05 * 0.5 * n_days
-        sd_mean = np.sqrt(expected * (1 - 0.025) / 200)
-        assert abs(np.mean(counts) - expected) < 3 * sd_mean
+        law = ev.count_law(ev.marginal_sampler([em], 0.05, target), 1)
+        assert np.arange(law.size) @ law == pytest.approx(0.05 * 0.5 * n_days, rel=1e-9)
 
     def test_n_days_window(self):
         em = make_marginal_emulator(n_days=1000)
         sampler = ev.marginal_sampler([em], 1.0, 1.4, n_days=100)
         assert sampler.days.sum() == 100
-        assert np.all(sampler.counts(np.random.default_rng(1), 50) <= 100)
+        assert ev.count_law(sampler, 50).size <= 50 * 100 + 1
         with pytest.raises(ValueError):
             ev.marginal_sampler([em], 0.5, 3.0, n_days=2000)
 
@@ -133,13 +132,67 @@ def test_thinned_counts_match_the_daily_oracle(u, sigma, xi, pi, above, n_days, 
     k4 = float(n_m @ (p_m * (1.0 - p_m) * (1.0 - 6.0 * p_m * (1.0 - p_m))))
     rng = np.random.default_rng(seed)
     n = 4000
-    thinned = sampler.counts(rng, n)
+    thinned = np.searchsorted(np.cumsum(ev.count_law(sampler, 1)), rng.random(n), side="right")
     daily = np.array([daily_marginal_count(em, pi, target, rng, n_days) for _ in range(n)])
     for counts in (thinned, daily):
         assert abs(counts.mean() - mean) <= 5.0 * np.sqrt(k2 / n)
         # Var(sample variance) ~ (kappa4 + 2 kappa2**2) / n
         assert abs(counts.var(ddof=1) - k2) <= 5.0 * np.sqrt((k4 + 2.0 * k2 ** 2) / n)
     assert abs(thinned.mean() - daily.mean()) <= 5.0 * np.sqrt(2.0 * k2 / n)
+
+
+def binomial_pmf(n, p):
+    return np.array([math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)])
+
+
+def nested_convolution(days, p, n_srun):
+    """P(S = s) by direct convolution: the months of each emulator, the mean over
+    emulators, then n_srun runs."""
+    runs = []
+    for days_r, p_r in zip(days, p):
+        f = np.ones(1)
+        for n, q in zip(days_r.tolist(), p_r.tolist()):
+            f = np.convolve(f, binomial_pmf(n, q))
+        runs.append(f)
+    run = np.mean([np.pad(f, (0, max(map(len, runs)) - len(f))) for f in runs], axis=0)
+    law = np.ones(1)
+    for _ in range(n_srun):
+        law = np.convolve(law, run)
+    return law
+
+
+@st.composite
+def small_tables(draw):
+    n_emulators = draw(st.integers(1, 3))
+    days = draw(st.lists(st.integers(0, 60), min_size=12 * n_emulators, max_size=12 * n_emulators))
+    p = draw(st.lists(st.floats(0.0, 0.3), min_size=12 * n_emulators, max_size=12 * n_emulators))
+    return np.reshape(days, (n_emulators, 12)), np.reshape(p, (n_emulators, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=small_tables(), n_srun=st.integers(1, 8), shrink=st.floats(0.0, 1.0),
+       theta=st.floats(0.1, 1.0), correction=st.sampled_from(["power", "multiplicative"]))
+def test_count_law_is_the_nested_convolution(tables, n_srun, shrink, theta, correction):
+    days, p = tables
+    law = ev.count_law(MarginalSampler(days=days, p=p), n_srun)
+    ref = nested_convolution(days, p, n_srun)
+    common = min(law.size, ref.size)
+    assert np.max(np.abs(law[:common] - ref[:common])) <= 1e-12
+    assert ref[common:].sum() <= 1e-12 and law[common:].sum() <= 1e-12
+    mean = n_srun * np.mean(np.sum(days * p, axis=1))
+    assert np.arange(law.size) @ law == pytest.approx(mean, rel=1e-9, abs=1e-12)
+    # in rate mode a run counts whether it saw an event, so S is binomial
+    hit = float(np.mean(1.0 - np.prod((1.0 - p) ** days, axis=1)))
+    rate_law = ev.count_law(MarginalSampler(days=days, p=p), n_srun, rate_mode=True)
+    assert np.max(np.abs(rate_law - binomial_pmf(n_srun, hit))) <= 1e-12
+    # a higher target scales every p down: the point and both interval ends cannot
+    # rise (rate mode keeps the power correction defined)
+    cfg = ev.SimulationConfig(question="q1", n_sim=5, n_srun=n_srun, correction=correction,
+                              rate_mode=correction == "power")
+    high = law_estimate(MarginalSampler(days=days, p=p), cfg, theta)
+    low = law_estimate(MarginalSampler(days=days, p=p * shrink), cfg, theta)
+    assert low.point <= high.point + 1e-12
+    assert low.ci_low <= high.ci_low and low.ci_high <= high.ci_high
 
 
 def q3_emulators():
@@ -242,16 +295,11 @@ def test_analytic_chain_start_matches_the_mixed_cdf_route(xi, pi):
 
 
 @settings(max_examples=30, deadline=None)
-@given(question=st.sampled_from(["q1", "q3"]), n_sim=st.integers(1, 25),
-       cuts=st.lists(st.integers(1, 24), max_size=6), seed=st.integers(0, 2 ** 32))
-def test_any_split_of_t_sims_concatenates_to_the_serial_output(question, n_sim, cuts, seed):
-    if question == "q3":
-        sampler = ev.chain_sampler(q3_emulators(), 2.0)
-    else:
-        ems = [make_marginal_emulator(n_days=500, run_id=1),
-               make_marginal_emulator(n_days=500, sigma=0.5, run_id=2)]
-        sampler = ev.marginal_sampler(ems, 0.05, 4.0)
-    cfg = ev.SimulationConfig(question=question, n_sim=n_sim, n_srun=7, seed=seed)
+@given(n_sim=st.integers(1, 25), cuts=st.lists(st.integers(1, 24), max_size=6),
+       seed=st.integers(0, 2 ** 32))
+def test_any_split_of_t_sims_concatenates_to_the_serial_output(n_sim, cuts, seed):
+    sampler = ev.chain_sampler(q3_emulators(), 2.0)
+    cfg = ev.SimulationConfig(question="q3", n_sim=n_sim, n_srun=7, seed=seed)
     t_sims = list(range(1, n_sim + 1))
     edges = [0, *sorted({c for c in cuts if c < n_sim}), n_sim]
     parts = [_simulate_cells(sampler, cfg, t_sims[a:b]) for a, b in zip(edges, edges[1:])]
@@ -274,15 +322,16 @@ class TestMonteCarloEstimate:
 
     def test_theta_one_reduces_to_mean_count(self):
         em = make_marginal_emulator(n_days=365)
-        cfg = ev.SimulationConfig(question="q1", target_level=5.0, n_sim=100, n_srun=10, seed=3)
+        cfg = ev.SimulationConfig(question="q1", target_level=5.0, n_sim=100, n_srun=50, seed=3)
         res = ev.monte_carlo_estimate([em], cfg, ev.CombinedEstimates(pi_hat=0.05, theta_hat=1.0))
         assert np.array_equal(res.c_samples, res.mean_e_samples)
 
     def test_closed_form_oracle(self):
-        # sharp oracle: per-day event probability 0.05 * 0.01 over 1000 days
+        # sharp oracle: per-day event probability 0.05 * 0.01 over 1000 days; 100
+        # runs per ensemble keep P(e_bar > 1) below the power correction's tolerance
         em = make_marginal_emulator(n_days=1000, u=1.0, sigma=1.0, xi=0.0)
         target = 1.0 + np.log(1.0 / 0.01)
-        cfg = ev.SimulationConfig(question="q1", target_level=target, n_sim=500, n_srun=50, seed=7)
+        cfg = ev.SimulationConfig(question="q1", target_level=target, n_sim=500, n_srun=100, seed=7)
         res = ev.monte_carlo_estimate([em], cfg, ev.CombinedEstimates(pi_hat=0.05, theta_hat=1.0))
         assert res.point == pytest.approx(0.5, abs=0.05)
         assert res.ci_low <= 0.5 <= res.ci_high
@@ -290,7 +339,7 @@ class TestMonteCarloEstimate:
 
     def test_seed_determinism(self):
         em = make_marginal_emulator(n_days=400)
-        cfg = ev.SimulationConfig(question="q1", target_level=5.5, n_sim=60, n_srun=8, seed=42)
+        cfg = ev.SimulationConfig(question="q1", target_level=5.5, n_sim=60, n_srun=50, seed=42)
         combined = ev.CombinedEstimates(pi_hat=0.05, theta_hat=0.9)
         a = ev.monte_carlo_estimate([em], cfg, combined)
         b = ev.monte_carlo_estimate([em], cfg, combined)
@@ -299,15 +348,12 @@ class TestMonteCarloEstimate:
         assert np.array_equal(a.mean_e_samples, b.mean_e_samples)
 
     def test_parallel_matches_serial(self):
-        em = make_marginal_emulator(n_days=400)
-        combined = ev.CombinedEstimates(pi_hat=0.05, theta_hat=0.9)
-        serial = ev.monte_carlo_estimate(
-            [em], ev.SimulationConfig(question="q1", target_level=5.5, n_sim=40, n_srun=6, seed=8),
-            combined)
-        parallel = ev.monte_carlo_estimate(
-            [em], ev.SimulationConfig(question="q1", target_level=5.5, n_sim=40, n_srun=6, seed=8,
-                                      workers=2),
-            combined)
+        # only the persistence question samples ensembles, so only it uses the pool
+        ems = q3_emulators()
+        combined = ev.combine_rates(ems)
+        cfg = ev.SimulationConfig(question="q3", target_level=2.0, n_sim=40, n_srun=6, seed=8)
+        serial = ev.monte_carlo_estimate(ems, cfg, combined)
+        parallel = ev.monte_carlo_estimate(ems, dataclasses.replace(cfg, workers=2), combined)
         assert np.array_equal(serial.c_samples, parallel.c_samples)
 
     def test_distribution_invariant_to_emulator_copies(self):
@@ -326,7 +372,7 @@ class TestMonteCarloEstimate:
         combined = ev.CombinedEstimates(pi_hat=0.05, theta_hat=0.9)
         points = []
         for target in (4.5, 5.0, 6.0, 8.0):
-            cfg = ev.SimulationConfig(question="q1", target_level=target, n_sim=80, n_srun=10, seed=21)
+            cfg = ev.SimulationConfig(question="q1", target_level=target, n_sim=80, n_srun=50, seed=21)
             points.append(ev.monte_carlo_estimate([em], cfg, combined).point)
         assert all(a >= b for a, b in zip(points, points[1:]))
 
@@ -359,7 +405,7 @@ class TestMonteCarloEstimate:
         # emulators carry the true parameters, so the interval should cover
         # the true expected count in nearly every world
         rng = np.random.default_rng(2025)
-        n_days, n_srun, n_sim = 365, 30, 150
+        n_days, n_srun, n_sim = 365, 50, 150
         hits = 0
         n_worlds = 80
         for w in range(n_worlds):
