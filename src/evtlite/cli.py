@@ -38,7 +38,7 @@ from .ensemble import (
 )
 from .gpd import SHAPE_MODES, qq_envelope, qq_exponential
 from .ingest import Calendar, load_run, save_run
-from .synth import SynthSpec, event_truth, generate_ensemble
+from .synth import SynthSpec, event_truth, iter_ensemble
 
 _BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                   "0": False, "false": False, "no": False, "off": False}
@@ -226,9 +226,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         order_k=args.order_k, pi=args.pi, u0_by_month=args.u0, sigma_by_month=args.sigma,
         xi=args.xi, rho=args.rho, calendar=args.calendar,
     )
-    runs = generate_ensemble(spec, seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
-    for run in runs:
+    for run in iter_ensemble(spec, seed=args.seed):  # each run is written before the next is drawn
         save_run(run, out / f"run_{run.run_id}.csv")
     truth = {"seed": args.seed, "spec": spec.to_dict(),
              "events": [event_truth(spec, target) for target in args.targets or ()]}

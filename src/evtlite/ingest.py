@@ -8,12 +8,13 @@ repeating yearly calendar over the 1-based day index.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 NO_LEAP_MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-SAVE_BLOCK_ROWS = 4096  # rows per %-format in save_run: about 2.5 MB of text at 25 sites
+SAVE_BLOCK_ROWS = 4096  # rows per block in save_run: bounds its temporaries, about 40 MB at 25 sites
 
 
 @dataclass(frozen=True)
@@ -154,18 +155,101 @@ def load_run(path, run_id: int, calendar: Calendar = Calendar(), skip_header: bo
         raise ValueError(f"{path}: {exc}") from None
 
 
+# save_run renders each value into a 48-byte slot: an unused byte, "0.000", 17 (digit, ".")
+# pairs and, at byte 40, the separator. A mask row per (decimal exponent X in -4..16,
+# significant digit count 1..17), and one each for +0 and a fallback, keeps its "%.17g" bytes.
+_POW10 = np.array([float(10 ** s) for s in range(21)])  # exact doubles (up to 10**22)
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_ZERO, _FALLBACK = 21 * 17, 21 * 17 + 1  # mask rows after the 21 x 17 (X, digit count) rows
+
+
+@functools.cache  # built on the first save_run, so commands that write no CSV never pay for it
+def _slot_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Head words by leading digit; (digit, ".") pair words and trailing zeros of 0000..9999; masks."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    pairs = np.insert(digits + ord("0"), [1, 2, 3, 4], ord("."), axis=1).astype(np.uint8).view(np.uint64).ravel()
+    heads = np.frombuffer(b"".join(b" 0.000%d." % d for d in range(10)), dtype=np.uint64)
+    masks = np.zeros((21 * 17 + 2, 48), dtype=bool)
+    masks[:, 40] = True
+    masks[_ZERO, 1] = True
+    for x in range(-4, 17):
+        for nd in range(1, 18):
+            row = masks[(x + 4) * 17 + nd - 1]
+            shown = max(nd, x + 1)  # %g strips trailing zeros only after the point
+            row[6:6 + 2 * shown:2] = True
+            if x < 0:
+                row[1:2 - x] = True  # "0." and the zeros before the first digit
+            elif shown > x + 1:
+                row[7 + 2 * x] = True
+    return heads, pairs, np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1), masks
+
+
+def _nearest_scaled(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The integer nearest x * 10**s, ties to even, for 0 <= s <= 20.
+
+    Dekker's two-product gives x * 10**s exactly as p + err in float64; from
+    2**53, p is an even integer, so p + rint(err) is the nearest integer. Smaller
+    products are truncated, larger ones clipped: both stay out of [1e16, 1e17).
+    """
+    p = x * _POW10[s]
+    c = _SPLIT * x
+    hi = c - (c - x)
+    lo = x - hi
+    err = lo * _POW10_LO[s] - (((p - hi * _POW10_HI[s]) - lo * _POW10_HI[s]) - hi * _POW10_LO[s])
+    return np.minimum(p, 2e17).astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _format_block(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The "%.17g" text of the values x as uint8, each followed by the separator already in slots."""
+    heads, pairs, trailing_zeros, masks = _slot_tables()
+    xs = np.minimum(x, 1e18)  # all larger values print in exponent form; keeps the split finite
+    exp10 = np.floor(np.log10(np.where(x > 0, xs, 1.0))).astype(np.int64).clip(-4, 16)
+    digits = _nearest_scaled(xs, 16 - exp10)
+    # false below 1e-4 and from 1e17 (exp10 was clipped), where log10 is one off next to
+    # a power of ten, and where the 17th digit carries into the next decade
+    ok = (digits >= 10 ** 16) & (digits < 10 ** 17)
+    q, g4 = np.divmod(np.where(ok, digits, 10 ** 16), 10 ** 4)
+    q, g3 = np.divmod(q, 10 ** 4)
+    q, g2 = np.divmod(q, 10 ** 4)
+    g0, g1 = np.divmod(q, 10 ** 4)
+    trailing = trailing_zeros[g4]
+    for k, g in enumerate((g3, g2, g1), start=1):
+        trailing = np.where(trailing == 4 * k, 4 * k + trailing_zeros[g], trailing)
+    codes = np.where(ok, (exp10 + 4) * 17 + 16 - trailing, _FALLBACK)
+    codes[(x == 0) & ~np.signbit(x)] = _ZERO
+    slots[:, 0] = heads[g0]
+    for word, g in enumerate((g1, g2, g3, g4), start=1):
+        slots[:, word] = pairs[g]
+    text = np.compress(masks.take(codes, axis=0).ravel(), slots.view(np.uint8).ravel())
+    fallback = np.flatnonzero(codes == _FALLBACK)
+    if fallback.size:  # exponent form (below 1e-4, from 1e17, subnormals), -0 and the rare carries
+        pieces = ["%.17g" % v for v in x[fallback].tolist()]
+        seps = np.cumsum(masks.sum(axis=1)[codes])[fallback] - 1  # a fallback keeps its separator alone
+        text = np.insert(text, np.repeat(seps, [len(p) for p in pieces]),
+                         np.frombuffer("".join(pieces).encode(), dtype=np.uint8))
+    return text
+
+
 def save_run(run: EnsembleRun, path) -> None:
     """Write a run back to CSV with full float precision (round-trip safe).
 
-    The bytes are those of np.savetxt(path, run.values, delimiter=",",
-    fmt="%.17g"), written with one %-format per block of rows instead of one
-    per row.
+    The bytes are those of np.savetxt(path, run.values, delimiter=",", fmt="%.17g"),
+    rendered in numpy float64 a block of SAVE_BLOCK_ROWS rows at a time. The 17
+    digits of x are the integer nearest x * 10**(16 - X), X its decimal exponent,
+    which _nearest_scaled finds exactly, ties to even as "%.17g" rounds. Values
+    printed in exponent form (below 1e-4, subnormals included, or from 1e17), -0
+    and the rare ones that carry into the next decade or where log10 is one off
+    next to a power of ten are formatted by Python's % and spliced in.
     """
-    row = ",".join(["%.17g"] * run.n_sites) + "\n"
-    with open(path, "w") as fh:
+    rows = min(run.n_days, SAVE_BLOCK_ROWS)
+    slots = np.empty((rows * run.n_sites, 6), dtype=np.uint64)
+    slots.view(np.uint8)[:, 40] = np.tile(np.frombuffer(b"," * (run.n_sites - 1) + b"\n", dtype=np.uint8), rows)
+    with open(path, "wb") as fh:
         for start in range(0, run.n_days, SAVE_BLOCK_ROWS):
-            block = run.values[start:start + SAVE_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            x = run.values[start:start + SAVE_BLOCK_ROWS].ravel()
+            fh.write(_format_block(x, slots[:x.size]))
 
 
 def validate_ensemble(runs: list[EnsembleRun]) -> None:

@@ -13,6 +13,7 @@ hence per-day probabilities) untouched.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -114,9 +115,15 @@ def generate_run(spec: SynthSpec, run_id: int, rng: np.random.Generator) -> Ense
     return EnsembleRun(run_id=run_id, values=values, months=months)
 
 
-def generate_ensemble(spec: SynthSpec, seed: int) -> list[EnsembleRun]:
+def iter_ensemble(spec: SynthSpec, seed: int) -> Iterator[EnsembleRun]:
+    """Runs 1..n_runs, drawn in turn from one default_rng(seed) stream as they are asked for."""
     rng = np.random.default_rng(seed)
-    return [generate_run(spec, run_id, rng) for run_id in range(1, spec.n_runs + 1)]
+    for run_id in range(1, spec.n_runs + 1):
+        yield generate_run(spec, run_id, rng)
+
+
+def generate_ensemble(spec: SynthSpec, seed: int) -> list[EnsembleRun]:
+    return list(iter_ensemble(spec, seed))
 
 
 def per_day_probability(spec: SynthSpec, target: float, month: int) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import glob
+import hashlib
 import inspect
 import json
 import math
@@ -105,6 +106,19 @@ class TestSynthCommand:
                          "--n-sites", 3, "--seed", 11)
             assert rc == 0
         assert (tmp_path / "a" / "run_1.csv").read_bytes() == (tmp_path / "b" / "run_1.csv").read_bytes()
+
+    def test_output_bytes_pinned(self, tmp_path):
+        """synth's bytes for one seed: its %.17g text and the order runs are drawn in are fixed.
+        At pi = 1e-6 this seed draws no GP tail day, so the values pass only through the
+        generator, ndtr and arithmetic, not through numpy's log1p and expm1, whose last bit
+        differs between CPUs with and without AVX-512."""
+        assert run_cli("synth", "--out", tmp_path, "--n-runs", 2, "--n-days", 800, "--n-sites", 6,
+                       "--order-k", 3, "--rho", 0.7, "--xi", 0.1, "--pi", 1e-6, "--seed", 2027) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()} == {
+            "run_1.csv": "ce20845c159c139a9219d331c7f5cc5b59bb6a2b151f3ddf332f2bbd4a984db7",
+            "run_2.csv": "527698f36e504b50168970ce91c9db84cc87d2b3682e5a70ac3748dc37364d9a",
+            "truth.json": "e2826ac0d437ff856bb110687c2e605f49db91dc7b5a1a9e6dddebefb758964f",
+        }
 
 
 class TestFitCommand:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import evtlite as ev
-from evtlite.ingest import NO_LEAP_MONTH_LENGTHS
+from evtlite.ingest import NO_LEAP_MONTH_LENGTHS, SAVE_BLOCK_ROWS
 
 
 def write_csv(tmp_path, rows, name="run.csv"):
@@ -126,6 +129,9 @@ class TestValidateEnsemble:
             ev.validate_ensemble([self._run(1, n_days=100), self._run(2, n_days=101)])
 
 
+_POWERS = np.array([float(f"1e{k}") for k in range(-5, 19)])  # where %g switches form, log10 is close
+
+
 @pytest.mark.parametrize("values", [
     np.zeros((5, 3)),
     np.array([[5e-324, 2.2250738585072014e-308, 1e-310, 1e300], [0.0, 1e-300, 7.5, 1.7976931348623157e308]]),
@@ -133,9 +139,28 @@ class TestValidateEnsemble:
     np.random.default_rng(1).gamma(0.5, 2.0, size=(4095, 2)),
     np.random.default_rng(2).gamma(0.5, 2.0, size=(4096, 1)),
     np.random.default_rng(3).gamma(0.5, 2.0, size=(4097, 3)),
-], ids=["zeros", "subnormal-and-huge", "one-site-one-row", "4095-rows", "4096-rows", "4097-rows"])
+    np.stack([np.nextafter(_POWERS, 0.0), _POWERS, np.nextafter(_POWERS, np.inf)], axis=1),
+    np.array([[9.99999999999999999e-5, 0.000999999999999999999, 0.99999999999999999, 9.99999999999999999,
+               99999.9999999999999, 9.99999999999999999e15, 99999999999999999.0]]),
+    np.array([[2.0 ** 53 + 2, 2.0 ** 55 + 8, 12345678901234567.0, 2.0 ** 56 + 16, 99999999999999984.0]]),
+    np.array([[12345 + 1 / 8192, 12345 + 3 / 8192, -0.0, 1e16, 0.0001, 100.5, 1234.0]]),
+    np.random.default_rng(4).gamma(0.5, 2.0, size=(SAVE_BLOCK_ROWS + 5, 25)),
+], ids=["zeros", "subnormal-and-huge", "one-site-one-row", "4095-rows", "4096-rows", "4097-rows",
+        "powers-of-ten-and-neighbours", "17th-digit-carries", "integers-above-2**53", "ties-and-signed-zero",
+        "25-sites-across-a-block"])
 def test_save_run_bytes_equal_savetxt(tmp_path, values):
     run = ev.EnsembleRun(1, values, ev.Calendar().months_for(values.shape[0]))
     ev.save_run(run, tmp_path / "run.csv")
     np.savetxt(tmp_path / "ref.csv", values, delimiter=",", fmt="%.17g")
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 6)),
+              elements=st.floats(min_value=0, allow_nan=False, allow_infinity=False)))
+def test_save_run_bytes_equal_savetxt_on_any_values(tmp_path_factory, values):
+    out = tmp_path_factory.mktemp("save")
+    run = ev.EnsembleRun(1, values, ev.Calendar().months_for(values.shape[0]))
+    ev.save_run(run, out / "run.csv")
+    np.savetxt(out / "ref.csv", values, delimiter=",", fmt="%.17g")
+    assert (out / "run.csv").read_bytes() == (out / "ref.csv").read_bytes()
