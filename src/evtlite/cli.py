@@ -238,6 +238,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     emulator, _question = _read_emulator(args.emulator)
+    cs = emulator.cluster_set
+    env = qq_envelope(emulator.gp_model, cs, n_boot=args.n_boot, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -247,9 +249,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                  emulator.gp_model.sigma_by_month[m - 1], emulator.gp_model.xi_by_month[m - 1])
                 for m in range(1, 13)])
 
-    cs = emulator.cluster_set
     _write_csv(out / "qq.csv", ["theoretical", "empirical"], qq_exponential(emulator.gp_model, cs))
-    env = qq_envelope(emulator.gp_model, cs, n_boot=args.n_boot, seed=args.seed)
     _write_csv(out / "qq_envelope.csv", ["theoretical", "lower", "upper"], env)
 
     cev = emulator.cev_model

@@ -10,8 +10,9 @@ mean and central quantiles of that statistic.
 For the marginal questions the law of e_bar is exact and nothing is
 sampled. By thinning, a run's count on emulator r is sum_m Binomial(n_days_m,
 pi_hat * S_m(target - u_m)), with S_m the month-m GP survivor function, so
-one run's pmf is the mean over emulators of a convolution of binomials and
-an ensemble's total is its n_srun-th convolution power, one FFT power.
+one run's pmf is the inverse DFT of the mean over emulators of a product of
+binomial characteristic functions, and an ensemble's total is its n_srun-th
+convolution power, one FFT power.
 For the persistence question all chains of one synthetic ensemble advance
 as one batch, and n_sim ensembles are simulated.
 
@@ -24,7 +25,6 @@ from an exact law use spawn_key=(0,).
 from __future__ import annotations
 
 import base64
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -202,6 +202,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.question not in QUESTIONS:
             raise ValueError(f"question must be one of {sorted(QUESTIONS)}, got {self.question!r}")
+        if self.target_level is not None and np.isnan(self.target_level):
+            raise ValueError(f"target_level must be a number, got {self.target_level}")
         if self.n_sim < 1 or self.n_srun < 1:
             raise ValueError("n_sim and n_srun must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -302,31 +304,18 @@ def _times_log(n, log_x):
     return n * np.where(n == 0, 0.0, log_x)
 
 
-def _log_factorial(n: np.ndarray) -> np.ndarray:
-    """log(n!) of a non-negative integer array, math.lgamma once per distinct value."""
-    values, index = np.unique(n, return_inverse=True)
-    return np.array([math.lgamma(v + 1.0) for v in values.tolist()])[index].reshape(np.shape(n))
-
-
-def _binomial_pmfs(n: np.ndarray, p: np.ndarray, k_max: int) -> np.ndarray:
-    """P(Binomial(n, p) = k) for k = 0..k_max on a new last axis, from log space."""
-    n, k = n[..., None], np.arange(k_max + 1)
-    rest = np.maximum(n - k, 0)
-    with np.errstate(divide="ignore"):
-        log_p, log_q = np.log(p)[..., None], np.log1p(-p)[..., None]
-    log_pmf = (_log_factorial(n) - _log_factorial(k) - _log_factorial(rest)
-               + _times_log(k, log_p) + _times_log(rest, log_q))
-    return np.where(k <= n, np.exp(log_pmf), 0.0)
-
-
 def count_law(sampler: MarginalSampler, n_srun: int, rate_mode: bool = False) -> np.ndarray:
     """P(S = s), s = 0..len - 1, of the total count S of n_srun synthetic runs.
 
     A run on emulator r counts sum_m Binomial(days[r, m], p[r, m]), or in
     rate mode whether that sum is positive, and picks r uniformly, so one
     run's pmf is the mean over emulators and S's is its n_srun-th power
-    under convolution. The binomials are cut at K = max_r (mean_r + 12 sd_r)
-    + 30, beyond which a run's count has negligible mass; the table holds
+    under convolution. A run's count is cut at K = max_r (mean_r + 12 sd_r)
+    + 30, beyond which it has negligible mass. Its pmf is the inverse rfft,
+    of length 2**bit_length(K), of the mean over emulators of
+    prod_m (1 - p + p e^-it)^d at t = 2 pi j / length, each factor taken in
+    modulus/argument form: log|phi| = d/2 log1p(-4 p (1 - p) sin^2(t/2)),
+    arg phi = d atan2(-p sin t, 1 - 2 p sin^2(t/2)). The table holds
     s <= n_srun K, and rounding noise is clipped at 0.
     """
     days, p = sampler.days, sampler.p
@@ -338,10 +327,15 @@ def count_law(sampler: MarginalSampler, n_srun: int, rate_mode: bool = False) ->
     else:
         mean, var = np.sum(days * p, axis=1), np.sum(days * p * (1.0 - p), axis=1)
         k_max = int(min(np.ceil(np.max(mean + 12.0 * np.sqrt(var))) + 30, np.max(days.sum(axis=1))))
-        # a circular convolution longer than K folds back only a run's mass above K
+        # an inverse DFT longer than K folds back only a run's mass above K
         size = 1 << k_max.bit_length()
-        per_month = np.fft.rfft(_binomial_pmfs(days, p, k_max), n=size)
-        run = np.fft.irfft(per_month.prod(axis=1), n=size)[:, :k_max + 1].mean(axis=0)
+        t = 2.0 * np.pi * np.arange(size // 2 + 1) / size
+        d, p, sin2 = days[..., None], p[..., None], np.sin(t / 2.0) ** 2
+        with np.errstate(divide="ignore"):  # |phi| is 0 at p = 1/2, t = pi
+            log_mod = _times_log(d / 2.0, np.log1p(-4.0 * p * (1.0 - p) * sin2))
+        arg = d * np.arctan2(-p * np.sin(t), 1.0 - 2.0 * p * sin2)
+        cf = np.exp(log_mod.sum(axis=1) + 1j * arg.sum(axis=1)).mean(axis=0)
+        run = np.fft.irfft(cf, n=size)[:k_max + 1]
     size = 1 << (n_srun * k_max).bit_length()
     law = np.fft.irfft(np.fft.rfft(run, n=size) ** n_srun, n=size)[:n_srun * k_max + 1]
     return np.maximum(law, 0.0)

@@ -333,6 +333,8 @@ def qq_envelope(model: GPModel, cs: ClusterSet, n_boot: int = 200, level: float 
     out estimation error and is narrower than a parametric-bootstrap one.
     Returns (n, 3) columns (theoretical, lower, upper).
     """
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
     n = cs.n_clusters
     rng = np.random.default_rng(seed)
     sims = np.sort(-np.log1p(-rng.random((n_boot, n))), axis=1)

@@ -431,6 +431,16 @@ class TestEstimateCommand:
         assert "question q3 simulates whole runs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("question", ["q1", "q3"])
+    def test_nan_target_exit_2(self, workspace, tmp_path, capsys, question):
+        # NaN fails every comparison, so q3 would read it as the threshold itself
+        artifact = workspace[2] / "run_1.json" if question == "q1" else GOLDEN_ARTIFACT
+        out = tmp_path / "est"
+        assert run_cli("estimate", "--out", out, "--question", question, "--target", "nan",
+                       "--n-sim", 5, artifact) == 2
+        assert "target_level must be a number, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_config_file_serves_fit_and_estimate(self, workspace, tmp_path):
         # out, runs and emulators come from the file too; each command skips the
         # other's keys
@@ -548,6 +558,13 @@ class TestDiagnoseCommand:
         env = np.loadtxt(out / "qq_envelope.csv", delimiter=",", skiprows=1)
         assert env.shape[1] == 3
         assert np.all(env[:, 1] <= env[:, 2])
+
+    @pytest.mark.parametrize("n_boot", [0, -1])
+    def test_no_bootstrap_samples_exit_2(self, workspace, tmp_path, capsys, n_boot):
+        out = tmp_path / "diag"
+        assert run_cli("diagnose", "--out", out, "--n-boot", n_boot, workspace[2] / "run_1.json") == 2
+        assert f"n_boot must be >= 1, got {n_boot}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_envelope_calibration_well_specified(self, tmp_path):
         # cluster maxima drawn exactly from the stored model, on isolated days

@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import binom, ks_2samp
 
 import evtlite as ev
 from conftest import daily_marginal_count, make_marginal_emulator
@@ -165,11 +165,14 @@ def nested_convolution(days, p, n_srun):
 def small_tables(draw):
     n_emulators = draw(st.integers(1, 3))
     days = draw(st.lists(st.integers(0, 60), min_size=12 * n_emulators, max_size=12 * n_emulators))
-    p = draw(st.lists(st.floats(0.0, 0.3), min_size=12 * n_emulators, max_size=12 * n_emulators))
+    p = draw(st.lists(st.floats(0.0, 0.95), min_size=12 * n_emulators, max_size=12 * n_emulators))
     return np.reshape(days, (n_emulators, 12)), np.reshape(p, (n_emulators, 12))
 
 
 @settings(max_examples=60, deadline=None)
+# p = 1/2 puts a zero of the transform at t = pi, and a zero-day month takes 0 log 0
+@example(tables=(np.array([[0, 7, 0, 13, 0, 60, 0, 1, 0, 24, 0, 5]]), np.full((1, 12), 0.5)),
+         n_srun=3, shrink=0.5, theta=0.7, correction="power")
 @given(tables=small_tables(), n_srun=st.integers(1, 8), shrink=st.floats(0.0, 1.0),
        theta=st.floats(0.1, 1.0), correction=st.sampled_from(["power", "multiplicative"]))
 def test_count_law_is_the_nested_convolution(tables, n_srun, shrink, theta, correction):
@@ -193,6 +196,33 @@ def test_count_law_is_the_nested_convolution(tables, n_srun, shrink, theta, corr
     low = law_estimate(MarginalSampler(days=days, p=p * shrink), cfg, theta)
     assert low.point <= high.point + 1e-12
     assert low.ci_low <= high.ci_low and low.ci_high <= high.ci_high
+
+
+def convolved_binomials(days, p, n_srun, length):
+    """The first length values of P(S = s) from scipy's binomial pmfs by direct
+    convolution; a cut after each convolution leaves the first length exact."""
+    runs = []
+    for days_r, p_r in zip(days, p):
+        f = np.ones(1)
+        for n, q in zip(days_r, p_r):
+            f = np.convolve(f, binom.pmf(np.arange(min(n, length) + 1), n, q))[:length]
+        runs.append(np.pad(f, (0, length - f.size)))
+    run = np.mean(runs, axis=0)
+    law = np.ones(1)
+    for _ in range(n_srun):
+        law = np.convolve(law, run)[:length]
+    return law
+
+
+@pytest.mark.parametrize("n_emulators, month_days, p0, n_srun",
+                         [(2, 5000, 1e-3, 5), (3, 5000, 5e-5, 50), (4, 5000, 2e-6, 50), (2, 2000, 0.01, 10)])
+def test_count_law_at_paper_scale(n_emulators, month_days, p0, n_srun):
+    # months of thousands of days at rates down to a few events per ensemble
+    days = np.full((n_emulators, 12), month_days)
+    p = p0 * (0.5 + np.arange(n_emulators)[:, None] / n_emulators) * (0.5 + np.arange(12) / 12.0)
+    law = ev.count_law(MarginalSampler(days=days, p=p), n_srun)
+    assert abs(law.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(law - convolved_binomials(days, p, n_srun, law.size))) <= 1e-13
 
 
 def q3_emulators():
