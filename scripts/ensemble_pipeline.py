@@ -32,8 +32,7 @@ def run(argv=None):
         raise SystemExit(f"no CSV files found in {args.data}")
     out = Path(args.out)
     rows = []
-    for question, spec in QUESTIONS.items():
-        target = spec.target
+    for question in QUESTIONS:
         fits = out / question / "fits"
         fit_args = ["fit", "--out", str(fits), "--question", question]
         if args.header:
@@ -42,21 +41,19 @@ def run(argv=None):
             raise SystemExit(f"{question}: fitting failed")
         artifacts = sorted(str(p) for p in fits.glob("run_*.json"))
         est = out / question
-        rc = cli(["estimate", "--out", str(est), "--question", question,
-                  "--target", str(target), "--n-sim", str(args.n_sim),
+        rc = cli(["estimate", "--out", str(est), "--question", question, "--n-sim", str(args.n_sim),
                   "--n-srun", str(args.n_srun), "--seed", str(args.seed),
                   "--workers", str(args.workers), "--c-samples", *artifacts])
         if rc != 0:
             raise SystemExit(f"{question}: estimation failed")
         cli(["diagnose", "--out", str(out / question / "diagnostics"), artifacts[0]])
-        payload = json.loads((est / f"estimate_{question}.json").read_text())
-        rows.append((question, target, payload))
+        rows.append(json.loads((est / f"estimate_{question}.json").read_text()))
 
     print()
     print(f"{'question':>8} {'target':>8} {'point':>8} {'95% interval':>20}")
-    for question, target, payload in rows:
+    for payload in rows:  # each question's estimate at its built-in target
         interval = f"({payload['ci_low']:.3f}, {payload['ci_high']:.3f})"
-        print(f"{question:>8} {target:>8.1f} {payload['point']:>8.3f} {interval:>20}")
+        print(f"{payload['question']:>8} {payload['target_level']:>8.1f} {payload['point']:>8.3f} {interval:>20}")
 
 
 if __name__ == "__main__":

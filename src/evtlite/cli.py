@@ -120,7 +120,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
 
 
-def _read_emulator(path) -> tuple[RunEmulator, str]:
+def _read_emulator(path) -> RunEmulator:
     with open(path) as fh:
         try:
             return emulator_from_dict(json.load(fh))
@@ -147,7 +147,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             raise type(exc)(f"run {i} ({path}): {exc}") from exc
         del run  # the emulator keeps only the series: free the run's values before the next load
         artifact = out / f"run_{i}.json"
-        _write_json(artifact, emulator_to_dict(emulator, args.question, args.calendar))
+        _write_json(artifact, emulator_to_dict(emulator, args.calendar))
         models = (("gp", emulator.gp_model), ("cev", emulator.cev_model))
         edges = [f"{name} {p}" for name, model in models if model is not None for p in model.at_bound]
         if edges:
@@ -167,18 +167,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    if not args.emulators:
-        raise ValueError("no emulator artifacts given")
-    emulators = []
-    for path in args.emulators:
-        emulator, question = _read_emulator(path)
-        if question != args.question:
-            raise ValueError(f"{path}: fitted for question {question}, requested {args.question}")
-        if emulators and not np.array_equal(emulator.months, emulators[0].months):
-            raise ValueError(f"{path} ({emulator.months.size} days) does not match {args.emulators[0]} "
-                             f"({emulators[0].months.size} days) in length or calendar")
-        emulators.append(emulator)
-    combined = combine_rates(emulators)
+    emulators = [_read_emulator(path) for path in args.emulators]
+    combined = combine_rates(emulators, names=args.emulators)
     config = SimulationConfig(
         question=args.question, target_level=args.target, n_sim=args.n_sim,
         n_srun=args.n_srun, seed=args.seed, alpha=args.alpha,
@@ -237,7 +227,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    emulator, _question = _read_emulator(args.emulator)
+    emulator = _read_emulator(args.emulator)
     cs = emulator.cluster_set
     env = qq_envelope(emulator.gp_model, cs, n_boot=args.n_boot, seed=args.seed)
     out = Path(args.out)

@@ -63,9 +63,10 @@ QUESTIONS = {
 
 @dataclass(frozen=True)
 class RunEmulator:
-    """All fitted components of one run, sharing the same summary series."""
+    """All fitted components of one run for one question, sharing the same summary series."""
 
     run_id: int
+    question: str
     order_k: int
     months: np.ndarray        # per-day month labels of the source run
     series_values: np.ndarray  # summary series the models were fitted on
@@ -85,7 +86,7 @@ def unpack_floats(text: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
 
 
-def emulator_to_dict(emulator: RunEmulator, question: str, calendar: Calendar) -> dict:
+def emulator_to_dict(emulator: RunEmulator, calendar: Calendar) -> dict:
     """The artifact of one fitted run; this and emulator_from_dict alone know its schema.
     Months are stored as the calendar and clusters as the run length, and
     emulator_from_dict rebuilds both with the fit's own code."""
@@ -96,7 +97,7 @@ def emulator_to_dict(emulator: RunEmulator, question: str, calendar: Calendar) -
     return {
         "schema": ARTIFACT_SCHEMA,
         "run_id": emulator.run_id,
-        "question": question,
+        "question": emulator.question,
         "order_k": emulator.order_k,
         "n_days": n_days,
         "month_lengths": list(calendar.month_lengths),
@@ -128,9 +129,8 @@ def emulator_to_dict(emulator: RunEmulator, question: str, calendar: Calendar) -
     }
 
 
-def emulator_from_dict(d: dict) -> tuple[RunEmulator, str]:
-    """Inverse of emulator_to_dict: (emulator, question). The models' own checks
-    convert and validate the stored arrays."""
+def emulator_from_dict(d: dict) -> RunEmulator:
+    """Inverse of emulator_to_dict; the models' own checks convert and validate the stored arrays."""
     if not isinstance(d, dict):
         raise ValueError(f"malformed artifact: a JSON {type(d).__name__}, not an object")
     if d.get("schema") != ARTIFACT_SCHEMA:
@@ -150,8 +150,7 @@ def emulator_from_dict(d: dict) -> tuple[RunEmulator, str]:
             beta0=float(c["beta0"]), beta1=float(c["beta1"]), q_threshold=float(c["q_threshold"]),
             residuals=unpack_floats(c["residuals"]), kde_bandwidth=float(c["kde_bandwidth"]),
             loglik=float(c["loglik"]))
-        run_length, bulk = int(d["run_length_l"]), bool(d["month_conditional_bulk"])
-        question = str(d["question"])
+        run_length, bulk, question = int(d["run_length_l"]), bool(d["month_conditional_bulk"]), str(d["question"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed artifact: {exc!r}") from None
     # through the module: perfbench traces this module's run_decluster as the fit's stage
@@ -160,9 +159,9 @@ def emulator_from_dict(d: dict) -> tuple[RunEmulator, str]:
         raise ValueError("the series never exceeds its thresholds, so the run has no clusters; "
                          "fit does not write such a run")
     mixed = build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=bulk)
-    return RunEmulator(run_id=series.run_id, order_k=series.order_k, months=series.months,
-                       series_values=series.values, threshold_model=tm, gp_model=gp,
-                       mixed=mixed, cluster_set=cs, cev_model=cev), question
+    return RunEmulator(run_id=series.run_id, question=question, order_k=series.order_k,
+                       months=series.months, series_values=series.values, threshold_model=tm,
+                       gp_model=gp, mixed=mixed, cluster_set=cs, cev_model=cev)
 
 
 @dataclass(frozen=True)
@@ -244,18 +243,25 @@ class EstimateResult:
     law_tail_mass: float | None = None
 
 
-def combine_rates(emulators: list[RunEmulator]) -> CombinedEstimates:
+def combine_rates(emulators: list[RunEmulator], names: list[str] | None = None) -> CombinedEstimates:
     """Arithmetic means of the per-run declustered rates and extremal indices.
 
-    The emulators must share their per-day months (day count and calendar).
-    Runs whose extremal index is undefined (no exceedances) are excluded;
-    at least one defined run is required.
+    The one check of which emulators share an estimate: there must be at
+    least one, and all must share their question, order statistic and per-day
+    months (day count and calendar). names labels the emulators in its errors
+    (default: position and run id). Runs whose extremal index is undefined
+    (no exceedances) are excluded; at least one defined run is required.
     """
-    for i, e in enumerate(emulators[1:], start=2):
-        ref = emulators[0]
-        if not np.array_equal(e.months, ref.months):
-            raise ValueError(f"emulator {i} (run {e.run_id}, {e.months.size} days) does not match emulator 1 "
-                             f"(run {ref.run_id}, {ref.months.size} days) in length or calendar")
+    if not emulators:
+        raise ValueError("nothing to combine: no emulators given")
+    if names is None:
+        names = [f"emulator {i}, run {e.run_id}" for i, e in enumerate(emulators, start=1)]
+    ref = emulators[0]
+    for name, e in zip(names[1:], emulators[1:]):
+        if (e.question, e.order_k) != (ref.question, ref.order_k) or not np.array_equal(e.months, ref.months):
+            fitted = [f"question {x.question}, k = {x.order_k}, {x.months.size} days" for x in (e, ref)]
+            raise ValueError(f"{name} ({fitted[0]}) does not match {names[0]} ({fitted[1]}) in question, "
+                             "order statistic k, length or calendar")
     defined = [e for e in emulators if e.cluster_set.theta_hat is not None]
     if not defined:
         raise ValueError("extremal index is undefined for every run")
@@ -447,7 +453,7 @@ def chain_estimate(sampler: ChainSampler, config: SimulationConfig) -> EstimateR
         n_chunks = min(config.workers * 4, config.n_sim)
         # plain ints: spawn keys must not depend on how the chunking was done
         chunks = [[int(t) for t in chunk] for chunk in np.array_split(all_t_sims, n_chunks)]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, n_chunks)) as pool:
             ebar = np.concatenate(list(pool.map(_simulate_cells, repeat(sampler), repeat(config),
                                                 chunks)))
     ci_low, ci_high = np.quantile(ebar, [config.alpha / 2.0, 1.0 - config.alpha / 2.0])
@@ -461,9 +467,11 @@ def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
     """The estimate of config.question over synthetic ensembles of n_srun runs, each
     run on a uniformly picked emulator: from the exact law of the ensemble's count
     for the marginal questions (law_estimate), by simulating n_sim ensembles for the
-    persistence question (chain_estimate)."""
+    persistence question (chain_estimate), from emulators fitted for config.question."""
     if not emulators:
         raise ValueError("at least one emulator is required")
+    if other := sorted({e.question for e in emulators} - {config.question}):
+        raise ValueError(f"emulators fitted for question {', '.join(other)} cannot estimate {config.question}")
     if QUESTIONS[config.question].uses_chain:
         return chain_estimate(chain_sampler(emulators, config.target), config)
     sampler = marginal_sampler(emulators, combined.pi_hat, config.target, config.n_days)
@@ -490,7 +498,7 @@ def build_emulator(run: EnsembleRun, question: str, order_k: int | None = None,
     mixed = build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=month_conditional_bulk)
     cev = fit_cev(to_laplace(mixed, series.values, series.months), q_prob=q_prob) if spec.uses_chain else None
     return RunEmulator(
-        run_id=run.run_id, order_k=k, months=series.months, series_values=series.values,
+        run_id=run.run_id, question=question, order_k=k, months=series.months, series_values=series.values,
         threshold_model=tm, gp_model=gp, mixed=mixed, cluster_set=cs, cev_model=cev,
     )
 

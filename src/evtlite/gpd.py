@@ -193,6 +193,8 @@ def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "consta
     """
     if shape_mode not in SHAPE_MODES:
         raise ValueError(f"shape_mode must be one of {SHAPE_MODES}")
+    if min_month_maxima < 1:
+        raise ValueError(f"min_month_maxima must be >= 1, got {min_month_maxima}")
     if cs.n_clusters == 0:
         raise RuntimeError("cannot fit a GP model: the cluster set is empty")
     months = cs.maxima_months

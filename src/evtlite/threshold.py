@@ -80,6 +80,8 @@ def fit_threshold(series: SummarySeries, tau: float = 0.95, min_month_obs: int =
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    if min_month_obs < 1:
+        raise ValueError(f"min_month_obs must be >= 1, got {min_month_obs}")
     counts = np.bincount(series.months, minlength=13)[1:]
     short = [m + 1 for m in range(12) if counts[m] < min_month_obs]
     if short:

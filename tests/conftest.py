@@ -62,7 +62,7 @@ def make_cluster_set(maxima, maxima_months, n_days=10_000, n_exceedances=None,
 
 
 def make_marginal_emulator(n_days=1000, u=1.0, sigma=1.0, xi=0.0, n_clusters=50,
-                           pi_mixed=0.05, run_id=1):
+                           pi_mixed=0.05, run_id=1, question="q1"):
     """Emulator with hand-set parameters, no fitting involved."""
     months = ev.Calendar().months_for(n_days)
     tm = constant_threshold_model(u)
@@ -79,7 +79,7 @@ def make_marginal_emulator(n_days=1000, u=1.0, sigma=1.0, xi=0.0, n_clusters=50,
     series = ev.SummarySeries(run_id, 1, np.linspace(0.0, u, n_days), months)
     mixed = ev.build_mixed(series, gp, pi=pi_mixed)
     return ev.RunEmulator(
-        run_id=run_id, order_k=1, months=months, series_values=series.values,
+        run_id=run_id, question=question, order_k=1, months=months, series_values=series.values,
         threshold_model=tm, gp_model=gp, mixed=mixed, cluster_set=cs,
     )
 

@@ -136,17 +136,18 @@ def test_criterion_5_cev_recovery():
 
 # ---------------------------------------------------------------- criterion 6
 
-def test_criterion_6_end_to_end_closed_form():
-    # Exponential tails, independent days, mean per-day event probability
-    # 5e-4. The event mass is carried by one month with unit tail scale
-    # (the rest decay fast), keeping the extrapolation shallow enough for
-    # honestly fitted emulators to land within 10%. Runs are simulated over
-    # a 1000-day window so the mean count stays a valid rate.
+def closed_form_case(criterion: str, rho: float, run_length: int) -> None:
+    # Exponential tails, mean per-day event probability 5e-4. The event mass
+    # is carried by one month with unit tail scale (the rest decay fast),
+    # keeping the extrapolation shallow enough for honestly fitted emulators
+    # to land within 10%. Runs are simulated over a 1000-day window so the
+    # mean count stays a valid rate. The AR(1) copula leaves the daily
+    # margins alone, so the truth is exact for any rho.
     sigma = np.full(12, 0.06)
     sigma[11] = 1.0
     spec = ev.SynthSpec(n_runs=8, n_days=60225, n_sites=4, order_k=1, pi=0.01,
                         u0_by_month=np.full(12, 1.0), sigma_by_month=sigma,
-                        xi=0.0, rho=0.0)
+                        xi=0.0, rho=rho)
     target = brentq(lambda t: ev.event_truth(spec, t)["mean_per_day"] - 5e-4, 1.01, 8.0,
                     xtol=1e-12)
     sim_days = 1000
@@ -156,13 +157,18 @@ def test_criterion_6_end_to_end_closed_form():
     config = ev.SimulationConfig(question="q1", target_level=float(target),
                                  n_sim=2000, n_srun=50, seed=909, n_days=sim_days)
     result = ev.run_question("q1", runs, config,
-                             tau=0.99, run_length=1, shape_mode="constant")
+                             tau=0.99, run_length=run_length, shape_mode="constant")
     rel_err = abs(result.point - truth) / truth
     covered = result.ci_low <= truth <= result.ci_high
     ok = rel_err <= 0.10 and covered
-    report("6 (end-to-end closed-form oracle)", ok,
+    report(criterion, ok,
            f"point={result.point:.4f} vs truth={truth:.4f}, rel err={rel_err:.3f} <= 0.10, "
            f"truth in ({result.ci_low:.4f}, {result.ci_high:.4f})={covered}")
+
+
+def test_criterion_6_end_to_end_closed_form():
+    # independent days
+    closed_form_case("6 (end-to-end closed-form oracle)", rho=0.0, run_length=1)
 
 
 # ---------------------------------------------------------------- criterion 7
@@ -198,6 +204,16 @@ def test_criterion_7_estimate_determinism(tmp_path):
     ok = repeat_ok and parallel_ok
     report("7 (determinism)", ok,
            f"repeat bitwise identical={repeat_ok}, parallel equals serial={parallel_ok}")
+
+
+# --------------------------------------------------------------- criterion 10
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: under temporal dependence the point reads "
+                   "theta_hat x the truth or less; item 2's fix removes this marker")
+@pytest.mark.parametrize("rho", [0.5, 0.7])
+def test_criterion_10_dependent_days_closed_form(rho):
+    # criterion 6's oracle and bound on dependent days, declustered at the CLI's run length
+    closed_form_case(f"10 (closed-form oracle, rho={rho})", rho=rho, run_length=3)
 
 
 # ------------------------------------------------- criterion 8 (optional)

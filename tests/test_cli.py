@@ -140,9 +140,9 @@ class TestFitCommand:
             run = ev.load_run(data / f"run_{i}.csv", run_id=i)
             fitted.append(ev.build_emulator(run, "q1", shape_mode="constant"))
             d = json.loads((fits / f"run_{i}.json").read_text())
-            emulator, question = emulator_from_dict(d)
-            assert question == "q1"
-            assert emulator_to_dict(emulator, question, ev.Calendar()) == d
+            emulator = emulator_from_dict(d)
+            assert emulator.question == "q1"
+            assert emulator_to_dict(emulator, ev.Calendar()) == d
             loaded.append(emulator)
             assert_same_emulator(emulator, fitted[-1])
         config = ev.SimulationConfig(question="q1", target_level=5.0, n_sim=50, n_srun=50,
@@ -163,23 +163,23 @@ class TestFitCommand:
         fitted = ev.build_emulator(run, "q3", order_k=3, month_conditional_bulk=True)
         d = json.loads((fits / "run_1.json").read_text())
         assert d["month_lengths"] == list(calendar.month_lengths)
-        loaded, question = emulator_from_dict(d)
-        assert question == "q3" and loaded.months[360] == 12 and loaded.months[361] == 1
+        loaded = emulator_from_dict(d)
+        assert loaded.question == "q3" and loaded.months[360] == 12 and loaded.months[361] == 1
         assert_same_emulator(loaded, fitted)
         config = ev.SimulationConfig(question="q3", target_level=4.0, n_sim=20, n_srun=5, seed=3)
         assert_same_estimate([loaded], [fitted], config)
         with pytest.raises(ValueError, match="calendar"):
-            emulator_to_dict(fitted, "q3", ev.Calendar())
+            emulator_to_dict(fitted, ev.Calendar())
 
     def test_golden_artifact_pins_the_format(self):
         # a 400-day q3 artifact from hand-built models: by-month GP shapes with July's on
         # XI_MAX, a CEV model with beta0 clamped to 0 and 7 residuals, month-conditional bulk
         text = GOLDEN_ARTIFACT.read_text()
-        loaded, question = emulator_from_dict(json.loads(text))
-        assert question == "q3" and loaded.months.size == 400
+        loaded = emulator_from_dict(json.loads(text))
+        assert loaded.question == "q3" and loaded.months.size == 400
         assert loaded.gp_model.at_bound == ("xi[7]",) and loaded.cev_model.at_bound == ("beta0",)
         assert loaded.cev_model.residuals.size == 7 and loaded.mixed.bulk_by_month is not None
-        again = json.dumps(emulator_to_dict(loaded, question, ev.Calendar()), indent=2, sort_keys=True)
+        again = json.dumps(emulator_to_dict(loaded, ev.Calendar()), indent=2, sort_keys=True)
         assert again + "\n" == text
 
     def test_shape_on_the_box_edge_warns(self, tmp_path, capsys):
@@ -216,6 +216,16 @@ class TestFitCommand:
         # flat data exits 1 too: test_degenerate_data_exit_1
         assert run_cli("fit", "--out", tmp_path / "out", *flags, three_site_run) == code
         assert f"error: run 1 ({three_site_run}): " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("flag, n_days", [("--min-month-obs", 100), ("--min-month-maxima", 7300)])
+    def test_month_floors_below_one_exit_2(self, three_site_run, tmp_path, capsys, flag, n_days, value):
+        # a floor of 0 let a 100-day run's empty months reach np.partition, an IndexError
+        path = tmp_path / "run.csv"
+        path.write_text("".join(three_site_run.read_text().splitlines(keepends=True)[:n_days]))
+        assert run_cli("fit", "--out", tmp_path / "out", flag, value, path) == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("question", ["q1", "q2"])
@@ -419,7 +429,22 @@ class TestEstimateCommand:
         assert run_cli("estimate", "--out", out, "--question", "q1", "--target", 6.0, "--n-sim", 10,
                        fits / "run_1.json", long_path) == 2
         err = capsys.readouterr().err
-        assert f"{long_path} (10950 days) does not match {fits / 'run_1.json'} (7300 days)" in err
+        assert (f"{long_path} (question q1, k = 1, 10950 days) does not match {fits / 'run_1.json'} "
+                "(question q1, k = 1, 7300 days)") in err
+        assert not out.exists()
+
+    def test_artifacts_of_other_order_statistics_exit_2(self, workspace, tmp_path, capsys):
+        # the largest and the third largest site value are different events
+        _, data, fits = workspace
+        k3 = tmp_path / "k3"
+        assert run_cli("fit", "--out", k3, "--question", "q1", "--shape", "constant", "--order-k", 3,
+                       data / "run_2.csv") == 0
+        capsys.readouterr()
+        out = tmp_path / "est"
+        assert run_cli("estimate", "--out", out, "--question", "q1", "--target", 5.0, "--n-sim", 10,
+                       "--sim-days", 1000, fits / "run_1.json", k3 / "run_1.json") == 2
+        assert (f"{k3 / 'run_1.json'} (question q1, k = 3, 7300 days) does not match {fits / 'run_1.json'} "
+                "(question q1, k = 1, 7300 days)") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--sim-days", 100], ["--correction", "multiplicative"]])
@@ -579,11 +604,11 @@ class TestDiagnoseCommand:
         gp = ev.GPModel(np.full(12, np.log(sigma)), "constant", np.full(12, xi), tm, 0.0)
         cs = ev.run_decluster(series, tm, l=3)
         assert cs.n_clusters == 600
-        em = ev.RunEmulator(run_id=1, order_k=1, months=series.months, series_values=values,
+        em = ev.RunEmulator(run_id=1, question="q1", order_k=1, months=series.months, series_values=values,
                             threshold_model=tm, gp_model=gp,
                             mixed=ev.build_mixed(series, gp, pi=cs.pi_star_hat), cluster_set=cs)
         path = tmp_path / "well_specified.json"
-        path.write_text(json.dumps(emulator_to_dict(em, "q1", ev.Calendar())))
+        path.write_text(json.dumps(emulator_to_dict(em, ev.Calendar())))
         out = tmp_path / "diag"
         assert run_cli("diagnose", "--out", out, "--n-boot", 200, path) == 0
         qq = np.loadtxt(out / "qq.csv", delimiter=",", skiprows=1)

@@ -18,7 +18,7 @@ def with_cev(emulator, beta0, beta1, residuals, bandwidth=0.0, q=None):
     cev = CEVModel(beta0=beta0, beta1=beta1, q_threshold=q_thr,
                    residuals=np.asarray(residuals, dtype=float),
                    kde_bandwidth=bandwidth, loglik=0.0)
-    return dataclasses.replace(emulator, cev_model=cev)
+    return dataclasses.replace(emulator, question="q3", cev_model=cev)
 
 
 class TestCombineRates:
@@ -51,10 +51,26 @@ class TestCombineRates:
         with pytest.raises(ValueError):
             ev.combine_rates([undefined])
 
+    def test_nothing_to_combine(self):
+        with pytest.raises(ValueError, match="nothing to combine"):
+            ev.combine_rates([])
+
+    def test_emulators_of_other_question_or_order_statistic_refused(self):
+        # each question reduces a run to its own order statistic, so they count different events
+        ref = self._emulator_with(0.05, 0.9)
+        other_question = dataclasses.replace(ref, run_id=2, question="q2")
+        with pytest.raises(ValueError, match=r"emulator 2, run 2 \(question q2, k = 1, 1000 days\)"):
+            ev.combine_rates([ref, other_question])
+        other_k = dataclasses.replace(ref, run_id=2, order_k=3)
+        with pytest.raises(ValueError, match=r"^b\.json \(question q1, k = 3, 1000 days\) does not match "
+                                             r"a\.json \(question q1, k = 1, 1000 days\)"):
+            ev.combine_rates([ref, other_k], names=["a.json", "b.json"])
+
     def test_emulators_of_other_length_or_calendar_refused(self):
         ref = make_marginal_emulator(n_days=1000)
         longer = make_marginal_emulator(n_days=1200, run_id=2)
-        with pytest.raises(ValueError, match=r"emulator 2 \(run 2, 1200 days\).*emulator 1 \(run 1, 1000"):
+        with pytest.raises(ValueError, match=r"emulator 2, run 2 \(question q1, k = 1, 1200 days\) does not "
+                                             r"match emulator 1, run 1 \(question q1, k = 1, 1000 days\)"):
             ev.combine_rates([ref, longer])
         calendar = ev.Calendar((30,) * 11 + (31,))
         shifted = dataclasses.replace(ref, run_id=3, months=calendar.months_for(1000))
@@ -385,6 +401,38 @@ class TestMonteCarloEstimate:
         serial = ev.monte_carlo_estimate(ems, cfg, combined)
         parallel = ev.monte_carlo_estimate(ems, dataclasses.replace(cfg, workers=2), combined)
         assert np.array_equal(serial.c_samples, parallel.c_samples)
+
+    def test_pool_is_sized_by_its_chunks(self, monkeypatch):
+        # 3 ensembles make 3 chunks, so 8 workers would fork 5 processes with nothing to do
+        sizes = []
+
+        class SerialPool:
+            map = staticmethod(map)
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr("evtlite.ensemble.ProcessPoolExecutor", SerialPool)
+        ems = q3_emulators()
+        combined = ev.combine_rates(ems)
+        cfg = ev.SimulationConfig(question="q3", target_level=2.0, n_sim=3, n_srun=6, seed=8)
+        serial = ev.monte_carlo_estimate(ems, cfg, combined)
+        pooled = ev.monte_carlo_estimate(ems, dataclasses.replace(cfg, workers=8), combined)
+        assert sizes == [3]
+        assert np.array_equal(serial.c_samples, pooled.c_samples)
+
+    def test_emulators_of_another_question_refused(self):
+        # the library makes estimate's question check too, with or without combine_rates
+        ems = q3_emulators()
+        cfg = ev.SimulationConfig(question="q1", target_level=5.0, n_sim=5, n_srun=5, n_days=100)
+        with pytest.raises(ValueError, match="emulators fitted for question q3 cannot estimate q1"):
+            ev.monte_carlo_estimate(ems, cfg, ev.combine_rates(ems))
 
     def test_distribution_invariant_to_emulator_copies(self):
         em = make_marginal_emulator(n_days=500)
