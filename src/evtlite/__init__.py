@@ -46,8 +46,8 @@ from .gpd import (
     qq_envelope,
     qq_exponential,
 )
-from .ingest import Calendar, EnsembleRun, load_run, save_run, validate_ensemble
-from .summarise import SummarySeries, spatial_order_statistic
+from .ingest import Calendar, EnsembleRun, load_run, read_blocks, save_run, validate_ensemble
+from .summarise import SummarySeries, read_series, spatial_order_statistic
 from .synth import SynthSpec, event_truth, generate_ensemble, generate_run, per_day_probability
 from .threshold import ThresholdModel, ald_negloglik, fit_threshold
 

@@ -37,7 +37,8 @@ from .ensemble import (
     monte_carlo_estimate,
 )
 from .gpd import SHAPE_MODES, qq_envelope, qq_exponential
-from .ingest import Calendar, load_run, save_run
+from .ingest import Calendar, save_run
+from .summarise import read_series
 from .synth import SynthSpec, event_truth, iter_ensemble
 
 _BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -132,12 +133,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if not args.runs:
         raise ValueError("no run CSV files given")
     out = Path(args.out)
+    k = QUESTIONS[args.question].order_k if args.order_k is None else args.order_k
     print(f"question {args.question}: fitting {len(args.runs)} run(s)")
     for i, path in enumerate(args.runs, start=1):
-        run = load_run(path, run_id=i, calendar=args.calendar, skip_header=args.header)
         try:
+            series = read_series(path, k, run_id=i, calendar=args.calendar, skip_header=args.header)
             emulator = build_emulator(
-                run, args.question, order_k=args.order_k, tau=args.tau,
+                series, args.question, tau=args.tau,
                 run_length=args.run_length, q_prob=args.q_prob,
                 shape_mode=args.shape, min_month_obs=args.min_month_obs,
                 min_month_maxima=args.min_month_maxima,
@@ -145,7 +147,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             )
         except (ValueError, RuntimeError) as exc:
             raise type(exc)(f"run {i} ({path}): {exc}") from exc
-        del run  # the emulator keeps only the series: free the run's values before the next load
         artifact = out / f"run_{i}.json"
         _write_json(artifact, emulator_to_dict(emulator, args.calendar))
         models = (("gp", emulator.gp_model), ("cev", emulator.cev_model))

@@ -153,6 +153,8 @@ def emulator_from_dict(d: dict) -> RunEmulator:
         run_length, bulk, question = int(d["run_length_l"]), bool(d["month_conditional_bulk"]), str(d["question"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed artifact: {exc!r}") from None
+    if question not in QUESTIONS:
+        raise ValueError(f"malformed artifact: question {question!r} is not one of {sorted(QUESTIONS)}")
     # through the module: perfbench traces this module's run_decluster as the fit's stage
     cs = decluster.run_decluster(series, tm, l=run_length)
     if cs.n_clusters == 0:
@@ -478,37 +480,37 @@ def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
     return law_estimate(sampler, config, combined.theta_hat)
 
 
-def build_emulator(run: EnsembleRun, question: str, order_k: int | None = None,
-                   tau: float = 0.95, run_length: int = 3, q_prob: float = 0.90,
-                   shape_mode: str | None = None, min_month_obs: int = 50,
+def build_emulator(series: SummarySeries, question: str, tau: float = 0.95, run_length: int = 3,
+                   q_prob: float = 0.90, shape_mode: str | None = None, min_month_obs: int = 50,
                    min_month_maxima: int = 10, month_conditional_bulk: bool = False) -> RunEmulator:
-    """Fit every model component of one run for the given question."""
+    """Fit every model component of one run's summary series for the given question."""
     spec = QUESTIONS.get(question)
     if spec is None:
         raise ValueError(f"question must be one of {sorted(QUESTIONS)}, got {question!r}")
     if not spec.uses_chain and (q_prob != 0.90 or month_conditional_bulk):
         raise ValueError(f"question {question} fits no conditional tail model, so it takes no "
                          "q_prob but 0.90 and no month-conditional bulk")
-    k = spec.order_k if order_k is None else order_k
     mode = spec.shape_mode if shape_mode is None else shape_mode
-    series = spatial_order_statistic(run, k)
     tm = fit_threshold(series, tau=tau, min_month_obs=min_month_obs)
     cs = run_decluster(series, tm, l=run_length)
     gp = fit_gp(cs, tm, shape_mode=mode, min_month_maxima=min_month_maxima)
     mixed = build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=month_conditional_bulk)
     cev = fit_cev(to_laplace(mixed, series.values, series.months), q_prob=q_prob) if spec.uses_chain else None
     return RunEmulator(
-        run_id=run.run_id, question=question, order_k=k, months=series.months, series_values=series.values,
-        threshold_model=tm, gp_model=gp, mixed=mixed, cluster_set=cs, cev_model=cev,
+        run_id=series.run_id, question=question, order_k=series.order_k, months=series.months,
+        series_values=series.values, threshold_model=tm, gp_model=gp, mixed=mixed, cluster_set=cs,
+        cev_model=cev,
     )
 
 
 def run_question(question: str, runs: list[EnsembleRun], config: SimulationConfig,
-                 **fit_kwargs) -> EstimateResult:
-    """Full pipeline for one question: fit per-run emulators, combine, simulate."""
+                 order_k: int | None = None, **fit_kwargs) -> EstimateResult:
+    """Full pipeline for one question: reduce each run to its order statistic (by
+    default the question's), fit per-run emulators, combine, simulate."""
     validate_ensemble(runs)
     if config.question != question:
         config = replace(config, question=question)
-    emulators = [build_emulator(run, question, **fit_kwargs) for run in runs]
+    k = QUESTIONS[question].order_k if order_k is None else order_k
+    emulators = [build_emulator(spatial_order_statistic(run, k), question, **fit_kwargs) for run in runs]
     combined = combine_rates(emulators)
     return monte_carlo_estimate(emulators, config, combined)

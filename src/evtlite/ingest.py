@@ -7,14 +7,16 @@ repeating yearly calendar over the 1-based day index.
 
 from __future__ import annotations
 
-import csv
 import functools
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 NO_LEAP_MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 SAVE_BLOCK_ROWS = 4096  # rows per block in save_run: bounds its temporaries, about 40 MB at 25 sites
+READ_BLOCK_ROWS = 512  # rows per block in read_blocks: about 0.4 MB of lines and values at 25 sites
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,7 @@ class EnsembleRun:
         months = np.ascontiguousarray(self.months, dtype=np.int64)
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError(f"values must be 2-D with >= 1 site, got shape {values.shape}")
-        ok = np.isfinite(values) & (values >= 0)
-        if not ok.all():
-            row, col = np.argwhere(~ok)[0]
-            kind = "negative" if np.isfinite(values[row, col]) else "non-finite"
-            raise ValueError(f"row {row + 1}: {kind} value {values[row, col]} in column {col + 1}")
+        _check_values(values)
         if months.shape != (values.shape[0],):
             raise ValueError("months length must equal the number of days")
         if months.size and (months.min() < 1 or months.max() > 12):
@@ -88,71 +86,86 @@ class EnsembleRun:
         return self.values.shape[1]
 
 
-def _first_bad_row(path, skip_header: bool):
-    """Scan a CSV for the first malformed row; returns (data_row, message)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        n_cols = None
-        row_num = 0
-        for i, row in enumerate(reader):
-            if skip_header and i == 0:
-                continue
-            row_num += 1
-            if not row:
-                return row_num, "empty row"
-            if n_cols is None:
-                n_cols = len(row)
-            if len(row) != n_cols:
-                return row_num, f"expected {n_cols} columns, found {len(row)}"
-            for j, cell in enumerate(row):
-                try:
-                    float(cell)
-                except ValueError:
-                    return row_num, f"non-numeric value {cell!r} in column {j + 1}"
+def _check_values(values: np.ndarray, first_row: int = 0) -> None:
+    """Refuse the first negative or non-finite value of a (rows, sites) block,
+    naming its 1-based row (counted from first_row + 1) and column."""
+    ok = np.isfinite(values) & (values >= 0)
+    if not ok.all():
+        row, col = np.argwhere(~ok)[0]
+        kind = "negative" if np.isfinite(values[row, col]) else "non-finite"
+        raise ValueError(f"row {first_row + row + 1}: {kind} value {values[row, col]} in column {col + 1}")
+
+
+def _parses(line: str, **kwargs) -> bool:
+    try:
+        np.loadtxt([line], delimiter=",", comments=None, **kwargs)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_bad_row(lines: list[str], n_cols: int | None):
+    """The first malformed line of a block as (index in the block, message), or None.
+
+    Cells are tested by np.loadtxt itself, so exactly what the parser accepts passes.
+    """
+    for i, line in enumerate(lines):
+        if line == "\n":
+            return i, "empty row"
+        cells = line.rstrip("\n").split(",")
+        n_cols = n_cols or len(cells)
+        if len(cells) != n_cols:
+            return i, f"expected {n_cols} columns, found {len(cells)}"
+        if _parses(line):
+            continue
+        for j, cell in enumerate(cells):
+            if not _parses(line, usecols=j):
+                return i, f"non-numeric value {cell!r} in column {j + 1}"
     return None
 
 
-def _line_count(path) -> int:
-    """Lines in a file, counting a last line without a newline; one pass over its bytes."""
-    n, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            n += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
-            last = chunk[-1:]
-    return n + (last != b"\n")
+def read_blocks(path, skip_header: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first_row, values) for each READ_BLOCK_ROWS-row block of a run CSV.
+
+    first_row counts the data rows before the block. Every block is checked
+    before it is yielded: a malformed line (empty and "#" lines included,
+    since months fold over the row index), a column count that differs from
+    the first row's, or a negative or non-finite value is refused, naming its
+    1-based data row (header excluded when skip_header is set); the caller
+    adds the path. A file without data rows is refused after its last line.
+    """
+    first_row, n_cols = 0, None
+    with open(path, encoding="ascii", errors="replace") as fh:  # a byte no number holds is a bad cell
+        if skip_header:
+            next(fh, None)
+        while lines := list(itertools.islice(fh, READ_BLOCK_ROWS)):
+            try:
+                if "\n" in lines:  # loadtxt would skip it, and warn if nothing else is left
+                    raise ValueError("empty line")
+                block = np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64, comments=None)
+                if n_cols is not None and block.shape[1] != n_cols:
+                    raise ValueError("column count changed")
+            except ValueError as exc:
+                located = _first_bad_row(lines, n_cols)
+                if located is None:
+                    raise ValueError(f"could not parse CSV: {exc}") from exc
+                raise ValueError(f"row {first_row + located[0] + 1}: {located[1]}") from exc
+            _check_values(block, first_row)
+            n_rows, n_cols = len(lines), block.shape[1]
+            del lines  # only the values are held while the caller reduces them
+            yield first_row, block
+            first_row += n_rows
+    if first_row == 0:
+        raise ValueError("file contains no data rows")
 
 
 def load_run(path, run_id: int, calendar: Calendar = Calendar(), skip_header: bool = False) -> EnsembleRun:
-    """Load one run from CSV and attach month labels from the calendar.
-
-    Rejects malformed rows (empty and "#" lines included, since months fold
-    over the row index), naming the 1-based data row (header excluded when
-    skip_header is set); the path also prefixes EnsembleRun's value checks.
-    """
+    """Load one run from CSV, the blocks of read_blocks, and attach month labels from the calendar."""
     try:
-        values = np.loadtxt(
-            path,
-            delimiter=",",
-            skiprows=1 if skip_header else 0,
-            ndmin=2,
-            dtype=np.float64,
-            comments=None,
-        )
-        # loadtxt skips empty lines; every other line is a data row or an error
-        if values.shape[0] + int(skip_header) < _line_count(path):
-            raise ValueError("empty line")
+        values = np.concatenate([block for _, block in read_blocks(path, skip_header)])
     except ValueError as exc:
-        located = _first_bad_row(path, skip_header)
-        if located is not None:
-            row, msg = located
-            raise ValueError(f"{path}: row {row}: {msg}") from exc
-        raise ValueError(f"{path}: could not parse CSV: {exc}") from exc
-    if values.size == 0:
-        raise ValueError(f"{path}: file contains no data rows")
-    try:
-        return EnsembleRun(run_id=run_id, values=values, months=calendar.months_for(values.shape[0]))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from exc
+    return EnsembleRun(run_id=run_id, values=values, months=calendar.months_for(values.shape[0]))
 
 
 # save_run renders each value into a 48-byte slot: an unused byte, "0.000", 17 (digit, ".")

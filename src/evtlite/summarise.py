@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import EnsembleRun
+from .ingest import Calendar, EnsembleRun, read_blocks
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,13 @@ class SummarySeries:
         return self.values.size
 
 
+def _kth_smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """Per-row k-th smallest of a (days, sites) array, in an array of its own."""
+    if not 1 <= k <= values.shape[1]:
+        raise ValueError(f"k must lie in 1..{values.shape[1]}, got {k}")
+    return np.partition(values, k - 1, axis=1)[:, k - 1].copy()
+
+
 def spatial_order_statistic(run: EnsembleRun, k: int) -> SummarySeries:
     """Per-day k-th smallest site value (k=1 is the spatial minimum).
 
@@ -38,7 +45,14 @@ def spatial_order_statistic(run: EnsembleRun, k: int) -> SummarySeries:
     n_sites - k + 1 sites exceeding v, which is what makes a single
     order statistic sufficient for joint-exceedance events.
     """
-    if not 1 <= k <= run.n_sites:
-        raise ValueError(f"k must lie in 1..{run.n_sites}, got {k}")
-    values = np.partition(run.values, k - 1, axis=1)[:, k - 1]
+    values = _kth_smallest(run.values, k)
     return SummarySeries(run_id=run.run_id, order_k=k, values=values, months=run.months)
+
+
+def read_series(path, k: int, run_id: int = 1, calendar: Calendar = Calendar(),
+                skip_header: bool = False) -> SummarySeries:
+    """spatial_order_statistic(load_run(path, run_id, calendar, skip_header), k), bit for bit,
+    reduced block by block as read_blocks yields them, so the run's values are never held.
+    Its errors are those of read_blocks and the k check, without the path."""
+    values = np.concatenate([_kth_smallest(block, k) for _, block in read_blocks(path, skip_header)])
+    return SummarySeries(run_id=run_id, order_k=k, values=values, months=calendar.months_for(values.size))

@@ -8,7 +8,6 @@ import os
 import shlex
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +136,8 @@ class TestFitCommand:
         _, data, fits = workspace
         fitted, loaded = [], []
         for i in (1, 2):
-            run = ev.load_run(data / f"run_{i}.csv", run_id=i)
-            fitted.append(ev.build_emulator(run, "q1", shape_mode="constant"))
+            series = ev.spatial_order_statistic(ev.load_run(data / f"run_{i}.csv", run_id=i), 1)
+            fitted.append(ev.build_emulator(series, "q1", shape_mode="constant"))
             d = json.loads((fits / f"run_{i}.json").read_text())
             emulator = emulator_from_dict(d)
             assert emulator.question == "q1"
@@ -159,8 +158,8 @@ class TestFitCommand:
         fits = tmp_path / "fits"
         assert run_cli("fit", "--out", fits, "--question", "q3", "--order-k", 3, "--bulk", "monthly",
                        "--calendar", lengths, data / "run_1.csv") == 0
-        run = ev.load_run(data / "run_1.csv", run_id=1, calendar=calendar)
-        fitted = ev.build_emulator(run, "q3", order_k=3, month_conditional_bulk=True)
+        series = ev.spatial_order_statistic(ev.load_run(data / "run_1.csv", run_id=1, calendar=calendar), 3)
+        fitted = ev.build_emulator(series, "q3", month_conditional_bulk=True)
         d = json.loads((fits / "run_1.json").read_text())
         assert d["month_lengths"] == list(calendar.month_lengths)
         loaded = emulator_from_dict(d)
@@ -282,21 +281,27 @@ class TestFitCommand:
             outs.append((out / "run_1.json").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_fit_holds_one_run_at_a_time(self, tmp_path, workspace, monkeypatch):
-        # each run's values are released before the next CSV is parsed
-        _, data, _ = workspace
-        loaded, alive_at_load = [], []
-
-        def load_run(*args, **kwargs):
-            alive_at_load.append([ref() is not None for ref in loaded])
-            run = ev.load_run(*args, **kwargs)
-            loaded.append(weakref.ref(run))
-            return run
-
-        monkeypatch.setattr(cli, "load_run", load_run)
-        paths = [data / "run_1.csv", data / "run_2.csv", data / "run_1.csv"]
-        assert run_cli("fit", "--out", tmp_path, "--question", "q1", "--shape", "constant", *paths) == 0
-        assert alive_at_load == [[], [False], [False, False]]
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+    def test_fit_memory_does_not_grow_with_sites(self, tmp_path):
+        # fit reduces each block of rows as it is read, so it never holds a run's
+        # (n_days, n_sites) values: at 200 sites these are 16 MB, and a partitioned copy 16 MB more.
+        # VmHWM is the peak of the new interpreter alone; ru_maxrss would keep this process's,
+        # as Linux carries it over fork and exec
+        code = ("import re, sys\nfrom evtlite.cli import main\nassert main(sys.argv[1:]) == 0\n"
+                "print(re.search(r'VmHWM:\\s+(\\d+) kB', open('/proc/self/status').read())[1])")
+        env = {**os.environ, "PYTHONPATH": str(Path(ev.__file__).resolve().parents[1])}
+        peak_mb = {}
+        for n_sites in (200, 2):
+            data = tmp_path / f"data_{n_sites}"
+            assert run_cli("synth", "--out", data, "--n-runs", 1, "--n-days", 10_000,
+                           "--n-sites", n_sites, "--seed", 7) == 0
+            argv = ["fit", "--out", tmp_path / f"fits_{n_sites}", "--question", "q1", "--shape", "constant",
+                    data / "run_1.csv"]
+            proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True,
+                                  text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            peak_mb[n_sites] = int(proc.stdout.split()[-1]) / 1024
+        assert abs(peak_mb[200] - peak_mb[2]) < 8, peak_mb
 
     def test_custom_calendar(self, tmp_path):
         data = tmp_path / "data"
@@ -324,6 +329,9 @@ class TestFitCommand:
         ("", "row 3: empty row"),
         ("# note", "row 3: expected 3 columns, found 1"),
         ("0.1,0.2,0.3 # note", "row 3: non-numeric value '0.3 # note' in column 3"),
+        # float() reads both, np.loadtxt neither, and the row is named as the parser refuses it
+        ("0.1,1_000,0.3", "row 3: non-numeric value '1_000' in column 2"),
+        ('0.1,"1",0.3', """row 3: non-numeric value '"1"' in column 2"""),
     ])
     def test_blank_or_comment_line_exit_2(self, tmp_path, capsys, line, message):
         # months fold over the row index, so a skipped line would shift every later month
@@ -549,7 +557,7 @@ def test_cli_defaults_equal_the_library_defaults():
                                ("min_month_maxima", ev.fit_gp, "min_month_maxima")):
         assert fit[name] == default(ev.build_emulator, name) == default(stage, param), name
     assert (fit["shape"], fit["order_k"]) == (default(ev.build_emulator, "shape_mode"),
-                                              default(ev.build_emulator, "order_k"))
+                                              default(ev.run_question, "order_k"))
     for func in (ev.build_emulator, ev.build_mixed):
         assert (fit["bulk"] == "monthly") == default(func, "month_conditional_bulk")
 
@@ -661,6 +669,8 @@ class TestDiagnoseCommand:
         ("top-level list", "malformed artifact: a JSON list"),
         ("no cev key", "malformed artifact: KeyError('cev')"),
         ("xi null", "GP parameters must be finite"),
+        # diagnose used to write its files, and estimate to exit 2 without the path
+        ("question q9", "malformed artifact: question 'q9' is not one of ['q1', 'q2', 'q3']"),
     ])
     def test_malformed_artifact_exit_2(self, tmp_path, capsys, breakage, message):
         d = self.artifact(np.linspace(0.0, 2.0, 400), 1.0)
@@ -674,6 +684,8 @@ class TestDiagnoseCommand:
             d = [d]
         elif breakage == "no cev key":
             del d["cev"]
+        elif breakage == "question q9":
+            d["question"] = "q9"
         else:
             d["gp"]["xi"] = None
         path = tmp_path / "run_1.json"

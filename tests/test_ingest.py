@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import evtlite as ev
-from evtlite.ingest import NO_LEAP_MONTH_LENGTHS, SAVE_BLOCK_ROWS
+from evtlite.ingest import NO_LEAP_MONTH_LENGTHS, READ_BLOCK_ROWS, SAVE_BLOCK_ROWS
 
 
 def write_csv(tmp_path, rows, name="run.csv"):
@@ -90,6 +92,97 @@ class TestLoadRun:
         again = ev.load_run(out, run_id=2)
         assert np.array_equal(run.values, again.values)
         assert np.array_equal(run.months, again.months)
+
+
+    @pytest.mark.parametrize("cell", ["oops", "1_000", '"1"', "0x10", "", "\udcff"],
+                             ids=["word", "underscore", "quoted", "hex", "empty", "undecodable-byte"])
+    def test_cell_the_parser_refuses_names_row_and_column(self, tmp_path, cell):
+        # float() reads 1_000 and csv.reader unquotes "1", but np.loadtxt takes neither
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"0.1,0.2\n0.3,{cell}\n".encode(errors="surrogateescape"))
+        shown = "\ufffd" if cell == "\udcff" else cell  # as the ASCII reader replaces the byte
+        with pytest.raises(ValueError) as info:
+            ev.load_run(path, run_id=1)
+        assert str(info.value) == f"{path}: row 2: non-numeric value {shown!r} in column 2"
+
+    @pytest.mark.parametrize("text, skip_header, message", [
+        ("", False, "file contains no data rows"),
+        ("site_a,site_b\n", True, "file contains no data rows"),
+        ("\n\n", False, "row 1: empty row"),
+    ], ids=["empty", "header-only", "blank-lines"])
+    def test_no_data_refused_without_a_warning(self, tmp_path, text, skip_header, message):
+        # np.loadtxt warns "input contained no data" on such input: no reader may call it so
+        path = tmp_path / "run.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                ev.load_run(path, run_id=1, skip_header=skip_header)
+            assert str(info.value) == f"{path}: {message}"
+            with pytest.raises(ValueError) as info:
+                ev.read_series(path, 1, skip_header=skip_header)
+            assert str(info.value) == message
+
+    def test_whole_blocks_read_without_a_warning(self, tmp_path):
+        values = np.arange(2 * READ_BLOCK_ROWS * 3, dtype=np.float64).reshape(-1, 3)
+        path = tmp_path / "run.csv"
+        np.savetxt(path, values, delimiter=",", fmt="%.17g")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = ev.load_run(path, run_id=1)
+            series = ev.read_series(path, 2)
+        assert np.array_equal(run.values, values) and np.array_equal(series.values, values[:, 1])
+        assert [first for first, _ in ev.read_blocks(path)] == [0, READ_BLOCK_ROWS]
+
+
+B = READ_BLOCK_ROWS
+FAULTS = ("negative", "nan", "word", "underscore", "empty row", "extra column")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_days=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]),
+       n_sites=st.integers(1, 30), header=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_streamed_series_and_errors_equal_the_loaded_runs(tmp_path_factory, data, n_days, n_sites,
+                                                          header, seed):
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.gamma(0.5, 2.0, size=(n_days, n_sites)), 1)  # rounded: ties and zeros
+    values[rng.random(values.shape) < 0.1] = -0.0
+    path = tmp_path_factory.mktemp("blocks") / "run.csv"
+    np.savetxt(path, values, delimiter=",", fmt="%.17g",
+               header=",".join(f"site_{j}" for j in range(n_sites)) if header else "", comments="")
+    k = data.draw(st.integers(1, n_sites), label="k")
+    series = ev.read_series(path, k, run_id=3, skip_header=header)
+    expected = ev.spatial_order_statistic(ev.load_run(path, run_id=3, skip_header=header), k)
+    assert series.values.tobytes() == expected.values.tobytes()
+    assert np.array_equal(series.months, expected.months) and series.run_id == 3 and series.order_k == k
+
+    # one fault on either side of the first block edge is named by its row and column in the file
+    row = data.draw(st.sampled_from(sorted({min(B, n_days), min(B + 1, n_days)})), label="row")
+    col = data.draw(st.integers(1, n_sites), label="col")
+    fault = data.draw(st.sampled_from(FAULTS), label="fault")
+    assume(fault != "extra column" or row >= 2)  # the first row sets the column count
+    lines = path.read_text().splitlines(keepends=True)
+    at = row - 1 + header
+    cells = lines[at].rstrip("\n").split(",")
+    if fault == "empty row":
+        lines.insert(at, "\n")
+        message = f"row {row}: empty row"
+    elif fault == "extra column":
+        lines[at] = ",".join(cells + ["1"]) + "\n"
+        message = f"row {row}: expected {n_sites} columns, found {n_sites + 1}"
+    else:
+        cells[col - 1] = {"negative": "-2.5", "nan": "nan", "word": "oops", "underscore": "1_000"}[fault]
+        lines[at] = ",".join(cells) + "\n"
+        message = {"negative": f"row {row}: negative value -2.5 in column {col}",
+                   "nan": f"row {row}: non-finite value nan in column {col}"}.get(
+            fault, f"row {row}: non-numeric value {cells[col - 1]!r} in column {col}")
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        ev.read_series(path, k, skip_header=header)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        ev.load_run(path, run_id=1, skip_header=header)
+    assert str(info.value) == f"{path}: {message}"
 
 
 class TestEnsembleRun:
