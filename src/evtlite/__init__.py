@@ -17,7 +17,7 @@ from .cev import (
     laplace_quantile,
     to_laplace,
 )
-from .decluster import ClusterSet, decluster_correction, run_decluster
+from .decluster import ClusterSet, run_decluster
 from .ensemble import (
     QUESTIONS,
     CombinedEstimates,

@@ -63,6 +63,20 @@ class CEVModel:
     kde_bandwidth: float
     loglik: float
 
+    def __post_init__(self) -> None:
+        residuals = np.ascontiguousarray(self.residuals, dtype=np.float64)
+        if residuals.ndim != 1 or residuals.size == 0 or not np.all(np.isfinite(residuals)):
+            raise ValueError("the residual pool must be a non-empty 1-D array of finite values")
+        if not 0.0 <= self.beta0 <= 1.0:  # NaN fails every comparison
+            raise ValueError(f"beta0 must lie in [0, 1], got {self.beta0}")
+        if not BETA1_MIN <= self.beta1 <= BETA1_MAX:
+            raise ValueError(f"beta1 must lie in [{BETA1_MIN}, {BETA1_MAX}], got {self.beta1}")
+        if not 0.0 < self.q_threshold < np.inf:
+            raise ValueError(f"q_threshold must be positive and finite, got {self.q_threshold}")
+        if not 0.0 <= self.kde_bandwidth < np.inf:
+            raise ValueError(f"kde_bandwidth must be non-negative and finite, got {self.kde_bandwidth}")
+        object.__setattr__(self, "residuals", residuals)
+
     @property
     def at_bound(self) -> tuple:
         """Parameters on the edge of their box, beta0 in [0, 1] and beta1 in [-5, 1 - 1e-6]."""
@@ -162,8 +176,6 @@ class StackedCEV:
 
 def stack_cev(models: list[CEVModel]) -> StackedCEV:
     sizes = np.array([m.residuals.size for m in models], dtype=np.int64)
-    if np.any(sizes == 0):
-        raise ValueError("residual pool is empty")
     return StackedCEV(
         *(np.array([getattr(m, f) for m in models], dtype=np.float64)
           for f in ("beta0", "beta1", "q_threshold", "kde_bandwidth")),

@@ -26,7 +26,6 @@ import numpy as np
 
 from .cev import to_laplace
 from .ensemble import (
-    CORRECTIONS,
     QUESTIONS,
     RunEmulator,
     SimulationConfig,
@@ -173,8 +172,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     config = SimulationConfig(
         question=args.question, target_level=args.target, n_sim=args.n_sim,
         n_srun=args.n_srun, seed=args.seed, alpha=args.alpha,
-        rate_mode=args.rate_mode, correction=args.correction,
-        n_days=args.sim_days, workers=args.workers,
+        rate_mode=args.rate_mode, n_days=args.sim_days, workers=args.workers,
     )
     result = monte_carlo_estimate(emulators, config, combined)
     out = Path(args.out)
@@ -182,7 +180,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.c_samples:
         samples_path = str(out / f"c_samples_{config.question}.csv")
         _write_csv(Path(samples_path), ["c", "mean_e"],
-                   zip(result.c_samples, result.mean_e_samples))
+                   zip(result.ebar_samples, result.ebar_samples))
     payload = {
         "question": config.question,
         "point": result.point,
@@ -196,13 +194,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "target_level": config.target,
         "theta_hat": combined.theta_hat,
         "pi_hat": combined.pi_hat,
-        "correction": config.correction,
         "rate_mode": config.rate_mode,
         "sim_days": config.n_days,
         "c_samples_path": samples_path,
     }
-    if result.prob_ebar_above_1 is not None:  # q1 and q2: the exact law reports its tails
-        payload.update(prob_ebar_above_1=result.prob_ebar_above_1, law_tail_mass=result.law_tail_mass)
+    if result.law_tail_mass is not None:  # q1 and q2: the exact law reports what its table leaves out
+        payload["law_tail_mass"] = result.law_tail_mass
     estimate_path = out / f"estimate_{config.question}.json"
     _write_json(estimate_path, payload)
     print(f"{config.question}  point={result.point:.4f}  "
@@ -312,11 +309,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     estimate("--n-srun", type=int, default=50)
     estimate("--alpha", type=float, default=0.05)
     estimate("--rate-mode", action="store_true", help="count at most one event per simulated run")
-    estimate("--correction", choices=CORRECTIONS, default="power")
     estimate("--sim-days", type=int, help="simulate runs of this many days (default: fitted length)")
     estimate("--workers", type=int, default=1, help="processes for q3's simulation")
     estimate("--c-samples", action="store_true",
-             help="also write n_sim draws of the statistic and of e_bar to CSV")
+             help="also write n_sim draws of e_bar to CSV, in both its columns c and mean_e")
 
     synth("--n-runs", type=int, default=4)
     synth("--n-days", type=int, default=60225)

@@ -2,8 +2,7 @@
 
 Two exceedances share a cluster when fewer than l sub-threshold days
 separate them; a gap of exactly l starts a new cluster. The extremal index
-is the inverse of the mean cluster size and links clustered to declustered
-exceedance probabilities.
+is the inverse of the mean cluster size.
 """
 
 from __future__ import annotations
@@ -77,14 +76,3 @@ def run_decluster(series: SummarySeries, thresholds: ThresholdModel, l: int = 3)
         pi_star_hat=maxima.size / series.n_days,
     )
 
-
-def decluster_correction(p_star, theta: float):
-    """Map declustered exceedance probabilities back to the clustered scale,
-    1 - (1 - p_star)**theta elementwise; theta = 1 is the identity, exactly."""
-    p = np.asarray(p_star, dtype=np.float64)
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError(f"p_star must lie in [0, 1], got {p_star}")
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    out = p.copy() if theta == 1.0 else 1.0 - (1.0 - p) ** theta
-    return float(out) if np.ndim(p_star) == 0 else out

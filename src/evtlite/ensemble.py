@@ -3,9 +3,8 @@
 Each run contributes a generative emulator (threshold + GP tail + mixed
 distribution, plus the conditional tail model for the persistence
 question). A synthetic ensemble has n_srun synthetic runs, each on an
-emulator picked uniformly; its statistic is the mean count per run, e_bar,
-after the extremal index correction. Point and interval estimates are the
-mean and central quantiles of that statistic.
+emulator picked uniformly; its statistic is the mean count per run, e_bar.
+Point and interval estimates are the mean and central quantiles of e_bar.
 
 For the marginal questions the law of e_bar is exact and nothing is
 sampled. By thinning, a run's count on emulator r is sum_m Binomial(n_days_m,
@@ -34,16 +33,13 @@ import numpy as np
 from . import decluster
 from .cev import (PROB_CLIP, CEVModel, StackedCEV, count_chains, fit_cev, laplace_quantile,
                   stack_cev, to_laplace)
-from .decluster import ClusterSet, decluster_correction, run_decluster
+from .decluster import ClusterSet, run_decluster
 from .gpd import GPModel, MixedDistribution, build_mixed, fit_gp, gp_cdf
 from .ingest import Calendar, EnsembleRun, validate_ensemble
 from .summarise import SummarySeries, spatial_order_statistic
 from .threshold import ThresholdModel, fit_threshold
 
-CORRECTIONS = ("power", "multiplicative")
 ARTIFACT_SCHEMA = "evtlite-emulator-v2"
-# the power correction is defined for e_bar <= 1; above this P(e_bar > 1) it is refused
-EBAR_ABOVE_ONE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -180,12 +176,9 @@ class SimulationConfig:
 
     n_days simulates runs shorter than the fitted ones (counts then refer
     to that window); None uses the full fitted run length. rate_mode turns
-    the per-run count into an occurred/not indicator. correction selects
-    how the extremal index re-enters: "power" applies
-    1 - (1 - e_bar)**theta, "multiplicative" applies theta * e_bar. The
-    persistence question simulates whole runs and applies no correction,
-    so it takes neither n_days nor "multiplicative". workers splits the
-    persistence question's simulation over processes; the marginal
+    the per-run count into an occurred/not indicator. The persistence
+    question simulates whole runs, so it takes no n_days. workers splits
+    the persistence question's simulation over processes; the marginal
     questions sample nothing and ignore it.
     """
 
@@ -196,7 +189,6 @@ class SimulationConfig:
     seed: int = 0
     alpha: float = 0.05
     rate_mode: bool = False
-    correction: str = "power"
     n_days: int | None = None
     workers: int = 1
 
@@ -209,15 +201,12 @@ class SimulationConfig:
             raise ValueError("n_sim and n_srun must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.correction not in CORRECTIONS:
-            raise ValueError(f"correction must be one of {CORRECTIONS}")
         if self.n_days is not None and self.n_days < 1:
             raise ValueError("n_days must be >= 1 when given")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if QUESTIONS[self.question].uses_chain and (self.n_days is not None or self.correction != "power"):
-            raise ValueError(f"question {self.question} simulates whole runs with no extremal-index "
-                             "correction, so it takes no n_days and no correction but 'power'")
+        if QUESTIONS[self.question].uses_chain and self.n_days is not None:
+            raise ValueError(f"question {self.question} simulates whole runs, so it takes no n_days")
 
     @property
     def target(self) -> float:
@@ -227,21 +216,19 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Point and interval estimate with n_sim draws of the statistic c and of e_bar.
+    """Point and interval estimate of e_bar with n_sim draws of it.
 
     mc_se is the Monte Carlo standard error of the point: 0.0 when it comes
-    from an exact law, else std(c, ddof=1) / sqrt(n_sim), None for n_sim = 1.
-    An exact law also reports P(e_bar > 1) and the probability its table
-    leaves out (truncation and rounding); a simulation reports None for both.
+    from an exact law, else std(e_bar, ddof=1) / sqrt(n_sim), None for
+    n_sim = 1. An exact law also reports the probability its table leaves
+    out (truncation and rounding); a simulation reports None.
     """
 
     point: float
     ci_low: float
     ci_high: float
-    c_samples: np.ndarray
-    mean_e_samples: np.ndarray
+    ebar_samples: np.ndarray
     mc_se: float | None
-    prob_ebar_above_1: float | None = None
     law_tail_mass: float | None = None
 
 
@@ -349,36 +336,24 @@ def count_law(sampler: MarginalSampler, n_srun: int, rate_mode: bool = False) ->
     return np.maximum(law, 0.0)
 
 
-def law_estimate(sampler: MarginalSampler, config: SimulationConfig, theta: float) -> EstimateResult:
-    """Point and interval of c = g(S / n_srun) from the exact law of S (count_law).
+def law_estimate(sampler: MarginalSampler, config: SimulationConfig) -> EstimateResult:
+    """Point and interval of e_bar = S / n_srun from the exact law of S (count_law).
 
-    g, the extremal-index correction, is monotone, so the point is
-    sum_s g(s / n_srun) P(S = s) and the interval ends are g at the smallest
-    s whose CDF reaches alpha/2 and 1 - alpha/2. The power correction needs
-    e_bar <= 1: it is refused when P(e_bar > 1) > EBAR_ABOVE_ONE_TOL and
-    otherwise applied to min(e_bar, 1). The samples are n_sim inverse-CDF
-    draws of S from the stream of spawn key 0.
+    The point is the law's mean, sum_s (s / n_srun) P(S = s), and the interval
+    ends are s / n_srun at the smallest s whose CDF reaches alpha/2 and
+    1 - alpha/2. A cluster counts once, so the declustered rate and the GP of
+    cluster maxima already carry the clustering and no extremal index enters.
+    The samples are n_sim inverse-CDF draws of S from the stream of spawn key 0.
     """
     law = count_law(sampler, config.n_srun, config.rate_mode)
     ebar = np.arange(law.size) / config.n_srun
-    above = float(np.sum(law[config.n_srun + 1:]))
-    if config.correction == "multiplicative":
-        c = theta * ebar
-    elif above > EBAR_ABOVE_ONE_TOL:
-        raise RuntimeError(
-            f"P(mean exceedance count > 1) = {above:.4g} exceeds {EBAR_ABOVE_ONE_TOL:g}: the power "
-            "correction needs a rate; rerun with rate_mode or shorter simulated runs"
-        )
-    else:
-        c = decluster_correction(np.minimum(ebar, 1.0), theta)
     cdf = np.cumsum(law)
     last = law.size - 1
     lo, hi = np.minimum(np.searchsorted(cdf, [config.alpha / 2.0, 1.0 - config.alpha / 2.0]), last)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     s = np.minimum(np.searchsorted(cdf, rng.random(config.n_sim), side="right"), last)
-    return EstimateResult(point=float(c @ law), ci_low=float(c[lo]), ci_high=float(c[hi]),
-                          c_samples=c[s], mean_e_samples=ebar[s], mc_se=0.0,
-                          prob_ebar_above_1=above, law_tail_mass=max(0.0, 1.0 - float(cdf[-1])))
+    return EstimateResult(point=float(ebar @ law), ci_low=float(ebar[lo]), ci_high=float(ebar[hi]),
+                          ebar_samples=ebar[s], mc_se=0.0, law_tail_mass=max(0.0, 1.0 - float(cdf[-1])))
 
 
 def laplace_targets(emulator: RunEmulator, target: float) -> np.ndarray:
@@ -446,8 +421,7 @@ def _simulate_cells(sampler: ChainSampler, config: SimulationConfig, t_sims) -> 
 
 def chain_estimate(sampler: ChainSampler, config: SimulationConfig) -> EstimateResult:
     """Simulate n_sim synthetic ensembles of the persistence question and summarise:
-    the sample mean and central (alpha/2, 1 - alpha/2) quantiles of e_bar, which
-    takes no extremal-index correction."""
+    the sample mean and central (alpha/2, 1 - alpha/2) quantiles of e_bar."""
     all_t_sims = list(range(1, config.n_sim + 1))
     if config.workers == 1:
         ebar = _simulate_cells(sampler, config, all_t_sims)
@@ -461,7 +435,7 @@ def chain_estimate(sampler: ChainSampler, config: SimulationConfig) -> EstimateR
     ci_low, ci_high = np.quantile(ebar, [config.alpha / 2.0, 1.0 - config.alpha / 2.0])
     mc_se = float(np.std(ebar, ddof=1) / np.sqrt(ebar.size)) if ebar.size > 1 else None
     return EstimateResult(point=float(np.mean(ebar)), ci_low=float(ci_low), ci_high=float(ci_high),
-                          c_samples=ebar.copy(), mean_e_samples=ebar, mc_se=mc_se)
+                          ebar_samples=ebar, mc_se=mc_se)
 
 
 def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
@@ -477,7 +451,7 @@ def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
     if QUESTIONS[config.question].uses_chain:
         return chain_estimate(chain_sampler(emulators, config.target), config)
     sampler = marginal_sampler(emulators, combined.pi_hat, config.target, config.n_days)
-    return law_estimate(sampler, config, combined.theta_hat)
+    return law_estimate(sampler, config)
 
 
 def build_emulator(series: SummarySeries, question: str, tau: float = 0.95, run_length: int = 3,

@@ -23,6 +23,8 @@ class SummarySeries:
         months = np.ascontiguousarray(self.months, dtype=np.int64)
         if values.ndim != 1 or months.shape != values.shape:
             raise ValueError("values and months must be 1-D and the same length")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("summary series values must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "months", months)
 

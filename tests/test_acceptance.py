@@ -208,8 +208,10 @@ def test_criterion_7_estimate_determinism(tmp_path):
 
 # --------------------------------------------------------------- criterion 10
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: under temporal dependence the point reads "
-                   "theta_hat x the truth or less; item 2's fix removes this marker")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the point counts clusters, and under "
+                   "sub-asymptotic dependence a cluster at the target holds more than one day above "
+                   "it, so the point reads 0.859 (rho 0.5) and 0.676 (rho 0.7) of the truth in days; "
+                   "item 2's fix (e_bar / theta_hat, or the GP of all exceedances) removes this marker")
 @pytest.mark.parametrize("rho", [0.5, 0.7])
 def test_criterion_10_dependent_days_closed_form(rho):
     # criterion 6's oracle and bound on dependent days, declustered at the CLI's run length

@@ -176,9 +176,9 @@ class TestSampleResidual:
         assert float(np.var(draws(model, 10 ** 6, 100))) == pytest.approx(expected, rel=0.02)
 
     def test_empty_pool_rejected(self):
-        model = make_cev(0.5, 0.1, [])
-        with pytest.raises(ValueError):
-            stack_cev([make_cev(0.5, 0.1, [1.0]), model])
+        # the model refuses it, so no stack of models holds one
+        with pytest.raises(ValueError, match="residual pool must be a non-empty"):
+            make_cev(0.5, 0.1, [])
 
     def test_each_chain_draws_from_its_own_pool(self):
         models = stack_cev([make_cev(0.5, 0.1, [1.0, 2.0]), make_cev(0.5, 0.1, [-3.0]),

@@ -61,7 +61,7 @@ def assert_same_estimate(loaded, fitted, config):
     a = ev.monte_carlo_estimate(loaded, config, combined)
     b = ev.monte_carlo_estimate(fitted, config, combined)
     assert (a.point, a.ci_low, a.ci_high) == (b.point, b.ci_low, b.ci_high)
-    assert same_bits(a.c_samples, b.c_samples) and same_bits(a.mean_e_samples, b.mean_e_samples)
+    assert same_bits(a.ebar_samples, b.ebar_samples)
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +361,6 @@ class TestEstimateCommand:
         assert payload["question"] == "q1"
         assert payload["ci_low"] <= payload["point"] <= payload["ci_high"]
         assert payload["c_samples_path"].endswith("c_samples_q1.csv")
-        assert 0.0 <= payload["prob_ebar_above_1"] <= 1e-6
         assert 0.0 <= payload["law_tail_mass"] <= 1e-12
 
     def test_mc_se_reported(self, workspace, tmp_path):
@@ -380,7 +379,8 @@ class TestEstimateCommand:
                 c = np.loadtxt(out / f"c_samples_{question}.csv", delimiter=",", skiprows=1,
                                ndmin=2)[:, 0]
                 assert c.size == n_sim
-                assert ("prob_ebar_above_1" in d) == ("law_tail_mass" in d) == (question == "q1")
+                assert ("law_tail_mass" in d) == (question == "q1")
+                assert "prob_ebar_above_1" not in d and "correction" not in d
                 if question == "q1":
                     assert d["mc_se"] == 0.0
                 elif n_sim == 1:
@@ -408,16 +408,23 @@ class TestEstimateCommand:
                      fits / "run_1.json")
         assert rc == 2
 
-    def test_correction_and_rate_mode_flags(self, workspace, tmp_path):
+    def test_correction_and_rate_mode_flags(self, workspace, tmp_path, capsys):
+        # the extremal-index correction is gone as a flag and as a config key
         _, _, fits = workspace
         out = tmp_path / "alt"
-        rc = run_cli("estimate", "--out", out, "--question", "q1", "--target", 5.0,
-                     "--n-sim", 40, "--n-srun", 5, "--seed", 6, "--sim-days", 1000,
-                     "--correction", "multiplicative", "--rate-mode",
-                     fits / "run_1.json", fits / "run_2.json")
-        assert rc == 0
+        args = ("estimate", "--out", out, "--question", "q1", "--target", 5.0,
+                "--n-sim", 40, "--n-srun", 5, "--seed", 6, "--sim-days", 1000,
+                "--rate-mode", fits / "run_1.json", fits / "run_2.json")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, "--correction", "power")
+        assert exc.value.code == 2 and "unrecognized arguments: --correction power" in capsys.readouterr().err
+        conf = tmp_path / "correction.conf"
+        conf.write_text("correction = power\n")
+        assert run_cli(*args, "--config", conf) == 2
+        assert "unknown config key 'correction'" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(*args) == 0
         d = json.loads((out / "estimate_q1.json").read_text())
-        assert d["correction"] == "multiplicative"
         assert d["rate_mode"] is True
         assert 0.0 <= d["point"] <= 1.0
 
@@ -455,13 +462,19 @@ class TestEstimateCommand:
                 "(question q1, k = 1, 7300 days)") in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--sim-days", 100], ["--correction", "multiplicative"]])
+    @pytest.mark.parametrize("flags", [["--sim-days", 100], ["--correction", "power"]])
     def test_q3_refuses_a_window_and_a_correction(self, tmp_path, capsys, flags):
-        # q3 would record these settings without applying them
+        # q3 would record a window without applying it; and no question takes an
+        # extremal-index correction, so argparse refuses the option
         out = tmp_path / "est"
-        assert run_cli("estimate", "--out", out, "--question", "q3", "--n-sim", 5, *flags,
-                       GOLDEN_ARTIFACT) == 2
-        assert "question q3 simulates whole runs" in capsys.readouterr().err
+        args = ("estimate", "--out", out, "--question", "q3", "--n-sim", 5, *flags, GOLDEN_ARTIFACT)
+        if flags[0] == "--correction":
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*args)
+            assert exc.value.code == 2 and "unrecognized arguments: --correction" in capsys.readouterr().err
+        else:
+            assert run_cli(*args) == 2
+            assert "question q3 simulates whole runs" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("question", ["q1", "q3"])
@@ -506,7 +519,7 @@ CONFIG_SAMPLES = {
     "run_length": "2", "q_prob": "0.8", "shape": "by_month", "bulk": "monthly", "order_k": "2",
     "header": "true", "min_month_obs": "9", "min_month_maxima": "4", "target": "6.5",
     "n_sim": "12", "n_srun": "3", "alpha": "0.1", "rate_mode": "on",
-    "correction": "multiplicative", "sim_days": "100", "workers": "2", "c_samples": "1",
+    "sim_days": "100", "workers": "2", "c_samples": "1",
     "n_runs": "2", "n_days": "400", "n_sites": "3", "pi": "0.1", "xi": "0.2",
     "sigma": "0.7", "u0": "1,1,1,1,1,1.5,1.5,1.5,1,1,1,1", "rho": "0.3", "targets": "4,5",
     "n_boot": "20",
@@ -565,7 +578,7 @@ def test_cli_defaults_equal_the_library_defaults():
     fields = {f.name: f.default for f in dataclasses.fields(ev.SimulationConfig)}
     for name, field in (("target", "target_level"), ("n_sim", "n_sim"), ("n_srun", "n_srun"),
                         ("seed", "seed"), ("alpha", "alpha"), ("rate_mode", "rate_mode"),
-                        ("correction", "correction"), ("sim_days", "n_days"), ("workers", "workers")):
+                        ("sim_days", "n_days"), ("workers", "workers")):
         assert estimate[name] == fields[field], name
 
     synth, spec = parsed("synth"), ev.SynthSpec()
@@ -671,10 +684,31 @@ class TestDiagnoseCommand:
         ("xi null", "GP parameters must be finite"),
         # diagnose used to write its files, and estimate to exit 2 without the path
         ("question q9", "malformed artifact: question 'q9' is not one of ['q1', 'q2', 'q3']"),
+        # non-finite or out-of-range numbers used to read as a point of 0.0 or pass diagnose
+        ("values nan", "summary series values must be finite"),
+        ("cev beta0 nan", "beta0 must lie in [0, 1], got nan"),
+        ("cev beta0 7", "beta0 must lie in [0, 1], got 7.0"),
+        ("cev beta1 1", "beta1 must lie in [-5.0, 0.999999], got 1.0"),
+        ("cev q_threshold inf", "q_threshold must be positive and finite, got inf"),
+        ("cev kde_bandwidth -1", "kde_bandwidth must be non-negative and finite, got -1.0"),
+        ("cev residual nan", "the residual pool must be a non-empty 1-D array of finite values"),
+        ("cev residuals empty", "the residual pool must be a non-empty 1-D array of finite values"),
     ])
     def test_malformed_artifact_exit_2(self, tmp_path, capsys, breakage, message):
         d = self.artifact(np.linspace(0.0, 2.0, 400), 1.0)
-        if breakage == "threshold null":
+        question = "q1"
+        if breakage.startswith("cev "):
+            d, question = json.loads(GOLDEN_ARTIFACT.read_text()), "q3"
+            name, value = breakage.split()[1:]
+            if name == "residual":
+                d["cev"]["residuals"] = pack_floats(np.r_[1.0, np.nan])
+            elif name == "residuals":
+                d["cev"]["residuals"] = pack_floats(np.empty(0))
+            else:
+                d["cev"][name] = float(value)
+        elif breakage == "values nan":
+            d["values"] = pack_floats(np.r_[np.nan, np.linspace(0.0, 2.0, 399)])
+        elif breakage == "threshold null":
             d["threshold"] = None
         elif breakage == "gp list":
             d["gp"] = [1, 2]
@@ -690,7 +724,7 @@ class TestDiagnoseCommand:
             d["gp"]["xi"] = None
         path = tmp_path / "run_1.json"
         path.write_text(json.dumps(d))
-        assert run_cli("estimate", "--out", tmp_path / "e", "--question", "q1", path) == 2
+        assert run_cli("estimate", "--out", tmp_path / "e", "--question", question, path) == 2
         assert run_cli("diagnose", "--out", tmp_path / "d", path) == 2
         assert capsys.readouterr().err.count(f"error: {path}: {message}") == 2
         assert not (tmp_path / "e").exists() and not (tmp_path / "d").exists()

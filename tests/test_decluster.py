@@ -76,35 +76,6 @@ class TestRunDecluster:
             prev = cs.n_clusters
 
 
-class TestDeclusterCorrection:
-    def test_identity_at_theta_one(self):
-        assert ev.decluster_correction(0.1, 1.0) == pytest.approx(0.1)
-
-    def test_zero_probability(self):
-        assert ev.decluster_correction(0.0, 0.4) == 0.0
-
-    def test_hand_value(self):
-        assert ev.decluster_correction(0.19, 0.5) == pytest.approx(0.1, abs=1e-12)
-
-    def test_vectorised_over_probabilities(self):
-        p = np.array([0.0, 0.19, 0.5, 1.0])
-        assert np.array_equal(ev.decluster_correction(p, 0.5),
-                              [ev.decluster_correction(v, 0.5) for v in p])
-        assert np.array_equal(ev.decluster_correction(p, 1.0), p)  # exact identity
-        with pytest.raises(ValueError):
-            ev.decluster_correction(np.array([0.2, 1.1]), 0.5)
-        with pytest.raises(ValueError):
-            ev.decluster_correction(np.array([0.2, np.nan]), 0.5)
-
-    def test_range_checks(self):
-        with pytest.raises(ValueError):
-            ev.decluster_correction(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            ev.decluster_correction(0.5, 0.0)
-        with pytest.raises(ValueError):
-            ev.decluster_correction(0.5, 1.5)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.booleans(), min_size=1, max_size=120), st.integers(1, 6))
 def test_decluster_matches_oracle_property(flags, l):

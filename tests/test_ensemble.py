@@ -188,10 +188,10 @@ def small_tables(draw):
 @settings(max_examples=60, deadline=None)
 # p = 1/2 puts a zero of the transform at t = pi, and a zero-day month takes 0 log 0
 @example(tables=(np.array([[0, 7, 0, 13, 0, 60, 0, 1, 0, 24, 0, 5]]), np.full((1, 12), 0.5)),
-         n_srun=3, shrink=0.5, theta=0.7, correction="power")
+         n_srun=3, shrink=0.5, rate_mode=True)
 @given(tables=small_tables(), n_srun=st.integers(1, 8), shrink=st.floats(0.0, 1.0),
-       theta=st.floats(0.1, 1.0), correction=st.sampled_from(["power", "multiplicative"]))
-def test_count_law_is_the_nested_convolution(tables, n_srun, shrink, theta, correction):
+       rate_mode=st.booleans())
+def test_count_law_is_the_nested_convolution(tables, n_srun, shrink, rate_mode):
     days, p = tables
     law = ev.count_law(MarginalSampler(days=days, p=p), n_srun)
     ref = nested_convolution(days, p, n_srun)
@@ -204,12 +204,10 @@ def test_count_law_is_the_nested_convolution(tables, n_srun, shrink, theta, corr
     hit = float(np.mean(1.0 - np.prod((1.0 - p) ** days, axis=1)))
     rate_law = ev.count_law(MarginalSampler(days=days, p=p), n_srun, rate_mode=True)
     assert np.max(np.abs(rate_law - binomial_pmf(n_srun, hit))) <= 1e-12
-    # a higher target scales every p down: the point and both interval ends cannot
-    # rise (rate mode keeps the power correction defined)
-    cfg = ev.SimulationConfig(question="q1", n_sim=5, n_srun=n_srun, correction=correction,
-                              rate_mode=correction == "power")
-    high = law_estimate(MarginalSampler(days=days, p=p), cfg, theta)
-    low = law_estimate(MarginalSampler(days=days, p=p * shrink), cfg, theta)
+    # a higher target scales every p down: the point and both interval ends cannot rise
+    cfg = ev.SimulationConfig(question="q1", n_sim=5, n_srun=n_srun, rate_mode=rate_mode)
+    high = law_estimate(MarginalSampler(days=days, p=p), cfg)
+    low = law_estimate(MarginalSampler(days=days, p=p * shrink), cfg)
     assert low.point <= high.point + 1e-12
     assert low.ci_low <= high.ci_low and low.ci_high <= high.ci_high
 
@@ -353,9 +351,15 @@ def test_any_split_of_t_sims_concatenates_to_the_serial_output(n_sim, cuts, seed
 
 
 class TestMonteCarloEstimate:
-    @pytest.mark.parametrize("setting", [{"n_days": 365}, {"correction": "multiplicative"}])
+    @pytest.mark.parametrize("setting", [{"n_days": 365}, {"correction": "power"}])
     def test_persistence_question_refuses_a_window_and_a_correction(self, setting):
-        # its chains run over whole runs and its counts take no extremal-index correction
+        # its chains run over whole runs; and no question takes an extremal-index
+        # correction, so the config has no such field
+        if "correction" in setting:
+            for question in ev.QUESTIONS:
+                with pytest.raises(TypeError, match="correction"):
+                    ev.SimulationConfig(question=question, **setting)
+            return
         with pytest.raises(ValueError, match="q3 simulates whole runs"):
             ev.SimulationConfig(question="q3", **setting)
         ev.SimulationConfig(question="q1", **setting)
@@ -367,14 +371,18 @@ class TestMonteCarloEstimate:
         assert res.point == 0.0 and (res.ci_low, res.ci_high) == (0.0, 0.0)
 
     def test_theta_one_reduces_to_mean_count(self):
+        # clusters are counted once, so the extremal index leaves every output alone
         em = make_marginal_emulator(n_days=365)
         cfg = ev.SimulationConfig(question="q1", target_level=5.0, n_sim=100, n_srun=50, seed=3)
-        res = ev.monte_carlo_estimate([em], cfg, ev.CombinedEstimates(pi_hat=0.05, theta_hat=1.0))
-        assert np.array_equal(res.c_samples, res.mean_e_samples)
+        one = ev.monte_carlo_estimate([em], cfg, ev.CombinedEstimates(pi_hat=0.05, theta_hat=1.0))
+        low = ev.monte_carlo_estimate([em], cfg, ev.CombinedEstimates(pi_hat=0.05, theta_hat=0.4))
+        assert (one.point, one.ci_low, one.ci_high) == (low.point, low.ci_low, low.ci_high)
+        assert np.array_equal(one.ebar_samples, low.ebar_samples)
+        table = ev.marginal_sampler([em], 0.05, 5.0)
+        assert one.point == pytest.approx(float(np.sum(table.days * table.p)), rel=1e-12)
 
     def test_closed_form_oracle(self):
-        # sharp oracle: per-day event probability 0.05 * 0.01 over 1000 days; 100
-        # runs per ensemble keep P(e_bar > 1) below the power correction's tolerance
+        # sharp oracle: per-day event probability 0.05 * 0.01 over 1000 days
         em = make_marginal_emulator(n_days=1000, u=1.0, sigma=1.0, xi=0.0)
         target = 1.0 + np.log(1.0 / 0.01)
         cfg = ev.SimulationConfig(question="q1", target_level=target, n_sim=500, n_srun=100, seed=7)
@@ -390,8 +398,7 @@ class TestMonteCarloEstimate:
         a = ev.monte_carlo_estimate([em], cfg, combined)
         b = ev.monte_carlo_estimate([em], cfg, combined)
         assert a.point == b.point
-        assert np.array_equal(a.c_samples, b.c_samples)
-        assert np.array_equal(a.mean_e_samples, b.mean_e_samples)
+        assert np.array_equal(a.ebar_samples, b.ebar_samples)
 
     def test_parallel_matches_serial(self):
         # only the persistence question samples ensembles, so only it uses the pool
@@ -400,7 +407,7 @@ class TestMonteCarloEstimate:
         cfg = ev.SimulationConfig(question="q3", target_level=2.0, n_sim=40, n_srun=6, seed=8)
         serial = ev.monte_carlo_estimate(ems, cfg, combined)
         parallel = ev.monte_carlo_estimate(ems, dataclasses.replace(cfg, workers=2), combined)
-        assert np.array_equal(serial.c_samples, parallel.c_samples)
+        assert np.array_equal(serial.ebar_samples, parallel.ebar_samples)
 
     def test_pool_is_sized_by_its_chunks(self, monkeypatch):
         # 3 ensembles make 3 chunks, so 8 workers would fork 5 processes with nothing to do
@@ -425,7 +432,7 @@ class TestMonteCarloEstimate:
         serial = ev.monte_carlo_estimate(ems, cfg, combined)
         pooled = ev.monte_carlo_estimate(ems, dataclasses.replace(cfg, workers=8), combined)
         assert sizes == [3]
-        assert np.array_equal(serial.c_samples, pooled.c_samples)
+        assert np.array_equal(serial.ebar_samples, pooled.ebar_samples)
 
     def test_emulators_of_another_question_refused(self):
         # the library makes estimate's question check too, with or without combine_rates
@@ -442,7 +449,7 @@ class TestMonteCarloEstimate:
         one = ev.monte_carlo_estimate([em], cfg1, combined)
         four = ev.monte_carlo_estimate(
             [dataclasses.replace(em, run_id=i + 1) for i in range(4)], cfg4, combined)
-        stat = ks_2samp(one.c_samples, four.c_samples).statistic
+        stat = ks_2samp(one.ebar_samples, four.ebar_samples).statistic
         assert stat < 0.05
 
     def test_monotone_in_target(self):
@@ -454,30 +461,32 @@ class TestMonteCarloEstimate:
             points.append(ev.monte_carlo_estimate([em], cfg, combined).point)
         assert all(a >= b for a, b in zip(points, points[1:]))
 
-    def test_mean_count_above_one_raises_and_rate_mode_works(self):
+    def test_mean_count_above_one_and_rate_mode_read_the_law(self):
+        # a run expects about 2000 * 0.9 * e^-0.1 = 1629 events, so P(e_bar > 1) is 1
         em = make_marginal_emulator(n_days=2000, u=1.0, sigma=1.0, xi=0.0)
         combined = ev.CombinedEstimates(pi_hat=0.9, theta_hat=0.9)
         cfg = ev.SimulationConfig(question="q1", target_level=1.1, n_sim=10, n_srun=5, seed=2)
-        with pytest.raises(RuntimeError, match="rate"):
-            ev.monte_carlo_estimate([em], cfg, combined)
+        res = ev.monte_carlo_estimate([em], cfg, combined)
+        table = ev.marginal_sampler([em], 0.9, 1.1)
+        assert res.point == pytest.approx(float(np.sum(table.days * table.p)), rel=1e-12)
+        assert 1.0 < res.ci_low <= res.point <= res.ci_high
         rate_cfg = dataclasses.replace(cfg, rate_mode=True)
         res = ev.monte_carlo_estimate([em], rate_cfg, combined)
         assert 0.0 <= res.point <= 1.0
 
-    def test_multiplicative_correction(self):
-        # 100 simulated days: a run expects 100 * 0.05 * e^-4.5 = 0.056 events,
-        # and e_bar > 1 (11 or more among 10 runs) has probability 2.2e-11 per
-        # ensemble, so the power correction's guard never trips here
-        em = make_marginal_emulator(n_days=800)
+    def test_rate_mode_point_is_the_chance_of_a_day_above(self):
+        # under the fitted model, whatever the extremal index: mean_r P(a run on r has a day
+        # above the target), read off marginal_sampler's own tables
+        ems = [make_marginal_emulator(n_days=800, run_id=1),
+               make_marginal_emulator(n_days=800, u=1.2, sigma=1.3, xi=0.1, run_id=2)]
         combined = ev.CombinedEstimates(pi_hat=0.05, theta_hat=0.6)
-        cfg_pow = ev.SimulationConfig(question="q1", target_level=5.5, n_sim=50, n_srun=10, seed=5,
-                                      n_days=100)
-        cfg_mul = dataclasses.replace(cfg_pow, correction="multiplicative")
-        res_pow = ev.monte_carlo_estimate([em], cfg_pow, combined)
-        res_mul = ev.monte_carlo_estimate([em], cfg_mul, combined)
-        assert np.array_equal(res_mul.mean_e_samples, res_pow.mean_e_samples)
-        assert np.allclose(res_mul.c_samples, 0.6 * res_mul.mean_e_samples)
-        assert np.allclose(res_pow.c_samples, 1.0 - (1.0 - res_pow.mean_e_samples) ** 0.6)
+        cfg = ev.SimulationConfig(question="q1", target_level=5.5, n_sim=50, n_srun=10, seed=5,
+                                  n_days=300, rate_mode=True)
+        res = ev.monte_carlo_estimate(ems, cfg, combined)
+        table = ev.marginal_sampler(ems, combined.pi_hat, cfg.target, cfg.n_days)
+        hit = float(np.mean(1.0 - np.prod((1.0 - table.p) ** table.days, axis=1)))
+        assert abs(res.point - hit) <= 1e-12
+        assert res.ci_low <= res.point <= res.ci_high
 
     def test_coverage_over_synthetic_worlds(self):
         # emulators carry the true parameters, so the interval should cover
@@ -509,8 +518,6 @@ class TestMonteCarloEstimate:
         with pytest.raises(ValueError):
             ev.SimulationConfig(question="q1", n_sim=0)
         with pytest.raises(ValueError):
-            ev.SimulationConfig(question="q1", correction="nope")
-        with pytest.raises(ValueError):
             ev.SimulationConfig(question="q1", alpha=1.5)
 
 
@@ -536,7 +543,7 @@ class TestRunQuestion:
         assert result.point >= 0.0
         assert result.ci_low <= result.point <= result.ci_high
         again = ev.run_question("q3", runs, config, order_k=3)
-        assert np.array_equal(result.c_samples, again.c_samples)
+        assert np.array_equal(result.ebar_samples, again.ebar_samples)
 
     def test_default_target_is_the_asked_questions(self):
         # a config made for q1 and passed to q3 takes q3's level, not q1's
@@ -551,7 +558,7 @@ class TestRunQuestion:
         for level, same in ((ev.QUESTIONS["q3"].target, True), (ev.QUESTIONS["q1"].target, False)):
             explicit = ev.run_question("q3", runs, ev.SimulationConfig(question="q3", target_level=level,
                                                                         **settings), order_k=3)
-            assert np.array_equal(result.c_samples, explicit.c_samples) == same, level
+            assert np.array_equal(result.ebar_samples, explicit.ebar_samples) == same, level
 
     def test_unknown_question_rejected(self):
         with pytest.raises(ValueError):
