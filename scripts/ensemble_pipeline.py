@@ -23,7 +23,6 @@ def run(argv=None):
     parser.add_argument("--n-sim", type=int, default=10_000)
     parser.add_argument("--n-srun", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--header", action="store_true")
     args = parser.parse_args(argv)
 
@@ -42,8 +41,7 @@ def run(argv=None):
         artifacts = sorted(str(p) for p in fits.glob("run_*.json"))
         est = out / question
         rc = cli(["estimate", "--out", str(est), "--question", question, "--n-sim", str(args.n_sim),
-                  "--n-srun", str(args.n_srun), "--seed", str(args.seed),
-                  "--workers", str(args.workers), "--c-samples", *artifacts])
+                  "--n-srun", str(args.n_srun), "--seed", str(args.seed), "--c-samples", *artifacts])
         if rc != 0:
             raise SystemExit(f"{question}: estimation failed")
         cli(["diagnose", "--out", str(out / question / "diagnostics"), artifacts[0]])

@@ -4,15 +4,14 @@ Pipeline: reduce each daily spatial field to an order statistic, fit a
 month-varying threshold by asymmetric-Laplace likelihood, decluster the
 exceedances, fit generalized Pareto tails, optionally model day-to-day
 extremal persistence, and combine the per-run fitted models into point and
-interval estimates: exactly for the marginal questions, by Monte Carlo
-simulation for the persistence question.
+interval estimates from the exact law of an ensemble's event count.
 """
 
 from .cev import (
     CEVModel,
-    count_chains,
     fit_cev,
     fit_conditional_pairs,
+    hit_probability,
     laplace_cdf,
     laplace_quantile,
     to_laplace,
@@ -25,7 +24,7 @@ from .ensemble import (
     RunEmulator,
     SimulationConfig,
     build_emulator,
-    chain_sampler,
+    chain_law,
     combine_rates,
     count_law,
     laplace_targets,

@@ -9,12 +9,14 @@ threshold on that scale, tomorrow's value is modelled as
 with beta0 in [0, 1], beta1 < 1 and Z a residual with unspecified
 distribution. The two-step fit first maximises a Gaussian working
 likelihood for (beta0, beta1) plus a nuisance mean and scale, then drops the
-Gaussian assumption and keeps the empirical residuals, smoothed at
-sampling time by a Gaussian kernel with Silverman's bandwidth.
+Gaussian assumption and keeps the empirical residuals, smoothed by a
+Gaussian kernel with Silverman's bandwidth. hit_probability runs it forward
+as a Markov chain by quadrature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,9 @@ from .optimise import minimise_1d
 PROB_CLIP = 1e-10
 BETA1_MIN = -5.0
 BETA1_MAX = 1.0 - 1e-6
+Y_MAX = 30.0       # the chain quadrature's cells cover (0, Y_MAX]
+CHAIN_STEPS = 30
+CELL_WIDTH = 0.05
 
 
 def laplace_quantile(p):
@@ -160,61 +165,99 @@ def fit_cev(laplace: np.ndarray, q_prob: float = 0.90, min_pairs: int = 100) -> 
     return fit_conditional_pairs(x_all[keep], y_all[keep], q)
 
 
-@dataclass(frozen=True)
-class StackedCEV:
-    """Conditional tail models side by side: model j has parameters beta0[j], ...,
-    kde_bandwidth[j] and residual pool residuals[offsets[j]:offsets[j] + sizes[j]]."""
+def residual_law(model: CEVModel):
+    """(F, U): the CDF F of the kernel-smoothed residuals Z and their expected excess
+    U(z) = E[(Z - z)+], as vectorised functions; exact at zero bandwidth. Else the
+    residuals are binned linearly at h/20 (coarser past 50,000 bandwidths of
+    spread), convolved with Phi out to 8 bandwidths and U summed by trapezoids,
+    each interpolated linearly."""
+    r, h = np.sort(model.residuals), model.kde_bandwidth
+    if h == 0.0:
+        above = np.concatenate([np.cumsum(r[::-1])[::-1], [0.0]])  # above[i] = sum(r[i:])
 
-    beta0: np.ndarray
-    beta1: np.ndarray
-    q_threshold: np.ndarray
-    kde_bandwidth: np.ndarray
-    residuals: np.ndarray
-    offsets: np.ndarray
-    sizes: np.ndarray
+        def excess(z):
+            i = np.searchsorted(r, z, side="right")
+            return (above[i] - (r.size - i) * z) / r.size
+        return (lambda z: np.searchsorted(r, z, side="right") / r.size), excess
+    per_h = min(20.0, (1 << 20) / ((r[-1] - r[0]) / h + 20.0))  # grid steps per bandwidth
+    half = int(math.ceil(8.0 * per_h))
+    step = h / per_h
+    lo = r[0] - (half + 1) * step
+    size = int((r[-1] - lo) / step) + half + 3
+    x = (r - lo) / step
+    k = x.astype(np.int64)
+    w = (np.bincount(k, 1.0 - (x - k), size) + np.bincount(k + 1, x - k, size)) / r.size
+    phi = [0.5 * math.erfc(-j / per_h / math.sqrt(2.0)) for j in range(-half, half + 1)]
+    # bins more than 8 bandwidths below a grid point add their whole weight
+    below = np.concatenate([np.zeros(half + 1), np.cumsum(w)[:size - half - 1]])
+    cdf = np.convolve(w, phi)[half:half + size] + below
+    grid = lo + step * np.arange(size)
+    tail = np.append(np.cumsum((step - 0.5 * step * (cdf[1:] + cdf[:-1]))[::-1])[::-1], 0.0)
+    return (lambda z: np.interp(z, grid, cdf, left=0.0, right=1.0),
+            lambda z: np.interp(z, grid, tail, right=0.0) + np.maximum(lo - z, 0.0))
 
 
-def stack_cev(models: list[CEVModel]) -> StackedCEV:
-    sizes = np.array([m.residuals.size for m in models], dtype=np.int64)
-    return StackedCEV(
-        *(np.array([getattr(m, f) for m in models], dtype=np.float64)
-          for f in ("beta0", "beta1", "q_threshold", "kde_bandwidth")),
-        residuals=np.concatenate([m.residuals for m in models]),
-        offsets=np.cumsum(sizes) - sizes, sizes=sizes,
-    )
+def hit_probability(model: CEVModel, start_floor: float, targets, width: float = CELL_WIDTH):
+    """(P, lost): for each target t, the probability P that a chain of the model
+    exceeds t on two consecutive steps (step 0 included) within CHAIN_STEPS
+    steps, and the mass the quadrature loses above Y_MAX.
 
-
-def sample_residuals(models: StackedCEV, j: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the kernel-smoothed residual distribution of model j[i], for each i."""
-    # floor(U * size) is uniform on 0..size-1 to within 2**-53 and, with
-    # per-chain sizes, about twice as fast as rng.integers
-    pick = models.offsets[j] + (rng.random(j.size) * models.sizes[j]).astype(np.int64)
-    return models.residuals[pick] + models.kde_bandwidth[j] * rng.standard_normal(j.size)
-
-
-def count_chains(models: StackedCEV, j: np.ndarray, y0: np.ndarray, target: np.ndarray,
-                 rng: np.random.Generator, steps: int = 30) -> np.ndarray:
-    """Whether each chain exceeds its target on two consecutive steps (step 0 included).
-
-    Chain i follows model j[i] from y0[i] by Y_{k+1} = beta0 Y_k + Y_k**beta1 Z.
-    A chain starting at or below its conditioning threshold never counts. A
-    chain ends at a non-positive or non-finite value, which is still compared
-    with the target (the power term is undefined there). Chains leave the
-    batch once they end or count, so each step draws for live chains only.
+    The chain starts at start_floor + Exp(1), counts only from above the
+    threshold, steps by Y' = beta0 Y + Y**beta1 Z and ends at Y <= 0, which is
+    still compared with t. Its law moves over cells of (0, Y_MAX] cut every
+    width and at the threshold, start_floor and each t: a cell steps above c
+    w.p. 1 - F(z), z = (c - beta0 y) / y**beta1, at its midpoint y, or, where
+    the kernel is narrower than the cell (y**beta1 h < width) and a midpoint
+    would pin mass that moves less, averaged over the cell by U's difference
+    quotient. Mass above t stepping above t counts and leaves; all targets
+    move in one matrix product per step. Mass stepping above Y_MAX from below
+    t, and start mass above Y_MAX, is lost.
     """
-    counted = np.zeros(y0.size, dtype=bool)
-    live = np.flatnonzero((y0 > models.q_threshold[j]) & (y0 > 0.0))
-    y, j, t = y0[live], j[live], target[live]
-    prev = y > t
-    for _ in range(steps):
-        if live.size == 0:
+    targets = np.asarray(targets, dtype=np.float64)
+    n, (cdf, excess), b0, b1 = targets.size, residual_law(model), model.beta0, model.beta1
+    cuts = [v for v in (model.q_threshold, start_floor, *targets) if 0.0 < v < Y_MAX]
+    edges = np.unique(np.concatenate([np.linspace(0.0, Y_MAX, int(round(Y_MAX / width)) + 1), cuts]))
+    points, cells = np.concatenate([edges, targets]), edges.size - 1
+
+    def arg(y, c):  # z of each source y (rows) and point c (columns)
+        return np.subtract.outer(c, b0 * y).T * (y ** -b1)[:, None]
+
+    def exceed(first, last, c):
+        """P(Y' > c) from cells first..last - 1."""
+        lower, upper = edges[first:last], edges[first + 1:last + 1]
+        mid = 0.5 * (lower + upper)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            up = 1.0 - cdf(arg(mid, c))
+            # NaN (0 * inf at h = 0) is narrow; cell 0 keeps its midpoint, as y**beta1 is singular at 0
+            narrow = np.flatnonzero(~(model.kde_bandwidth * mid ** b1 >= width) & (lower > 0.0))
+            zl, zu = arg(lower[narrow], c), arg(upper[narrow], c)
+            mean = (excess(zl) - excess(zu)) / (zu - zl)
+        # where z barely moves over the cell, the quotient would be rounding
+        up[narrow] = np.where(np.abs(zu - zl) > 1e-6 * (1.0 + np.abs(zu)), mean, up[narrow])
+        return up
+
+    # cells from top on lie above every target: their mass only leaves or
+    # steps below a target, so they need no columns above top
+    top = min(int(np.searchsorted(edges, targets.max())), cells)
+    up, cols = np.zeros((cells, points.size)), np.r_[:top + 1, cells + 1:points.size]
+    up[:top], up[top:, cols] = exceed(0, top, points), exceed(top, cells, points[cols])
+    overflow, counts, kernel = up[:, cells].copy(), up[:, cells + 1:].T.copy(), up[:, :cells] - up[:, 1:cells + 1]
+    del up  # the estimate's peak memory is these two tables
+    # a kernel row is 0 past the cells its residuals reach, so each step
+    # multiplies only up to the last cell holding mass and up to its reach
+    reach = np.maximum.accumulate(cells - np.argmax((kernel != 0.0)[:, ::-1], axis=1))
+    surv = np.exp(np.minimum(0.0, start_floor - edges))
+    above = edges[:-1] >= targets[:, None]
+    split = np.vstack([above, ~above])  # mass rows: above each target, then not above it
+    mass = np.where(split, np.where(edges[:-1] >= model.q_threshold, surv[:-1] - surv[1:], 0.0), 0.0)
+    p, lost = np.zeros(n), np.full(n, surv[-1])
+    for _ in range(CHAIN_STEPS):
+        p += np.einsum("mj,mj->m", mass[:n], counts)
+        lost += mass[n:] @ overflow
+        held = np.flatnonzero(mass.any(axis=0))
+        if held.size == 0:
             break
-        z = sample_residuals(models, j, rng)
-        with np.errstate(invalid="ignore", over="ignore"):
-            y = models.beta0[j] * y + y ** models.beta1[j] * z
-        cur = y > t  # NaN compares False
-        hit = prev & cur
-        counted[live[hit]] = True
-        keep = np.flatnonzero(~hit & (y > 0.0) & np.isfinite(y))  # indexing five arrays beats masking each
-        live, y, j, t, prev = live[keep], y[keep], j[keep], t[keep], cur[keep]
-    return counted
+        moved = np.zeros((2 * n, cells))
+        moved[:, :reach[held[-1]]] = mass[:, :held[-1] + 1] @ kernel[:held[-1] + 1, :reach[held[-1]]]
+        mass = np.where(split, np.tile(np.where(above, 0.0, moved[:n]) + moved[n:], (2, 1)), 0.0)
+    return p, lost

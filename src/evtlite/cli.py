@@ -172,7 +172,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     config = SimulationConfig(
         question=args.question, target_level=args.target, n_sim=args.n_sim,
         n_srun=args.n_srun, seed=args.seed, alpha=args.alpha,
-        rate_mode=args.rate_mode, n_days=args.sim_days, workers=args.workers,
+        rate_mode=args.rate_mode, n_days=args.sim_days,
     )
     result = monte_carlo_estimate(emulators, config, combined)
     out = Path(args.out)
@@ -197,9 +197,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "rate_mode": config.rate_mode,
         "sim_days": config.n_days,
         "c_samples_path": samples_path,
+        "law_tail_mass": result.law_tail_mass,
     }
-    if result.law_tail_mass is not None:  # q1 and q2: the exact law reports what its table leaves out
-        payload["law_tail_mass"] = result.law_tail_mass
+    if result.quadrature_error is not None:  # q3: how far its chain quadrature may be off
+        payload.update(quadrature_error=result.quadrature_error, quadrature_lost_mass=result.quadrature_lost_mass)
     estimate_path = out / f"estimate_{config.question}.json"
     _write_json(estimate_path, payload)
     print(f"{config.question}  point={result.point:.4f}  "
@@ -305,12 +306,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     estimate("emulators", nargs="*", default=[], help="emulator JSON artifacts")
     estimate("--target", type=float, help="default: the question's")
-    estimate("--n-sim", type=int, default=10_000)
+    estimate("--n-sim", type=int, default=10_000, help="draws of e_bar for --c-samples; estimates are exact")
     estimate("--n-srun", type=int, default=50)
     estimate("--alpha", type=float, default=0.05)
     estimate("--rate-mode", action="store_true", help="count at most one event per simulated run")
     estimate("--sim-days", type=int, help="simulate runs of this many days (default: fitted length)")
-    estimate("--workers", type=int, default=1, help="processes for q3's simulation")
+    estimate("--workers", type=int, default=1, help="accepted for old scripts; has no effect")
     estimate("--c-samples", action="store_true",
              help="also write n_sim draws of e_bar to CSV, in both its columns c and mean_e")
 

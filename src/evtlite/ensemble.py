@@ -6,33 +6,26 @@ question). A synthetic ensemble has n_srun synthetic runs, each on an
 emulator picked uniformly; its statistic is the mean count per run, e_bar.
 Point and interval estimates are the mean and central quantiles of e_bar.
 
-For the marginal questions the law of e_bar is exact and nothing is
-sampled. By thinning, a run's count on emulator r is sum_m Binomial(n_days_m,
-pi_hat * S_m(target - u_m)), with S_m the month-m GP survivor function, so
-one run's pmf is the inverse DFT of the mean over emulators of a product of
-binomial characteristic functions, and an ensemble's total is its n_srun-th
-convolution power, one FFT power.
-For the persistence question all chains of one synthetic ensemble advance
-as one batch, and n_sim ensembles are simulated.
-
-Randomness: every simulated ensemble t_sim >= 1 owns the stream
-default_rng(SeedSequence(seed, spawn_key=(t_sim,))), so chunked or parallel
-execution over t_sim reproduces the serial output bit for bit. The draws
-from an exact law use spawn_key=(0,).
+The law of e_bar is exact and nothing is simulated. By thinning, a run's
+count on emulator r is sum_m Binomial(n_days_m, pi_hat * S_m(target - u_m)),
+with S_m the month-m GP survivor function, for the marginal questions, and
+Poisson(sum_m month_rate[r, m] P[r, m]) for the persistence question, where
+P[r, m] is the chance that a cluster's chain counts (hit_probability). One
+run's pmf is the inverse DFT of the mean over emulators of its
+characteristic function, and an ensemble's total is its n_srun-th
+convolution power, one FFT power. Only the n_sim draws of e_bar are random,
+from the stream default_rng(SeedSequence(seed, spawn_key=(0,))).
 """
 
 from __future__ import annotations
 
 import base64
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
 from . import decluster
-from .cev import (PROB_CLIP, CEVModel, StackedCEV, count_chains, fit_cev, laplace_quantile,
-                  stack_cev, to_laplace)
+from .cev import CELL_WIDTH, CEVModel, fit_cev, hit_probability, to_laplace
 from .decluster import ClusterSet, run_decluster
 from .gpd import GPModel, MixedDistribution, build_mixed, fit_gp, gp_cdf
 from .ingest import Calendar, EnsembleRun, validate_ensemble
@@ -172,14 +165,13 @@ class CombinedEstimates:
 
 @dataclass
 class SimulationConfig:
-    """Settings for the simulation-based estimate.
+    """Settings for the estimate over synthetic ensembles.
 
     n_days simulates runs shorter than the fitted ones (counts then refer
     to that window); None uses the full fitted run length. rate_mode turns
     the per-run count into an occurred/not indicator. The persistence
-    question simulates whole runs, so it takes no n_days. workers splits
-    the persistence question's simulation over processes; the marginal
-    questions sample nothing and ignore it.
+    question's chains run over whole runs, so it takes no n_days. Estimates
+    are exact; n_sim and seed only set the draws of e_bar the result carries.
     """
 
     question: str
@@ -190,7 +182,6 @@ class SimulationConfig:
     alpha: float = 0.05
     rate_mode: bool = False
     n_days: int | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.question not in QUESTIONS:
@@ -203,8 +194,6 @@ class SimulationConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.n_days is not None and self.n_days < 1:
             raise ValueError("n_days must be >= 1 when given")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if QUESTIONS[self.question].uses_chain and self.n_days is not None:
             raise ValueError(f"question {self.question} simulates whole runs, so it takes no n_days")
 
@@ -216,20 +205,19 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Point and interval estimate of e_bar with n_sim draws of it.
-
-    mc_se is the Monte Carlo standard error of the point: 0.0 when it comes
-    from an exact law, else std(e_bar, ddof=1) / sqrt(n_sim), None for
-    n_sim = 1. An exact law also reports the probability its table leaves
-    out (truncation and rounding); a simulation reports None.
-    """
+    """Point and interval estimate of e_bar with n_sim draws of it, from an exact
+    law: mc_se is 0.0 and law_tail_mass what the law's table leaves out. q3 also
+    reports the largest change of a counting probability P[r, m] from cells twice
+    as wide, and the largest mass lost above the cells (ChainLaw)."""
 
     point: float
     ci_low: float
     ci_high: float
     ebar_samples: np.ndarray
-    mc_se: float | None
-    law_tail_mass: float | None = None
+    mc_se: float
+    law_tail_mass: float
+    quadrature_error: float | None = None
+    quadrature_lost_mass: float | None = None
 
 
 def combine_rates(emulators: list[RunEmulator], names: list[str] | None = None) -> CombinedEstimates:
@@ -259,6 +247,18 @@ def combine_rates(emulators: list[RunEmulator], names: list[str] | None = None) 
     return CombinedEstimates(pi_hat=pi_hat, theta_hat=theta_hat)
 
 
+def _times_log(n, log_x):
+    """n * log_x, 0 where n is 0 (also where log_x is -inf)."""
+    return n * np.where(n == 0, 0.0, log_x)
+
+
+def _dft_grid(k_max: int):
+    """(size, sin^2(t/2), sin t) on the grid of an inverse rfft of length 2**bit_length(k_max)."""
+    size = 1 << k_max.bit_length()
+    t = 2.0 * np.pi * np.arange(size // 2 + 1) / size
+    return size, np.sin(t / 2.0) ** 2, np.sin(t)
+
+
 @dataclass(frozen=True)
 class MarginalSampler:
     """Per-emulator tables for the marginal questions (q1, q2).
@@ -270,6 +270,30 @@ class MarginalSampler:
 
     days: np.ndarray  # (n_emulators, 12) simulated days per month
     p: np.ndarray     # (n_emulators, 12) per-day probability of a target exceedance
+    quadrature_error = quadrature_lost_mass = None  # exact tables: no quadrature
+
+    def run_pmf(self, rate_mode: bool = False) -> np.ndarray:
+        """P(count = k), k = 0..K, of one run on a uniformly picked emulator; in rate
+        mode the count is whether the run saw an event. Otherwise K = max_r (mean_r
+        + 12 sd_r) + 30, and the pmf is the inverse rfft of the mean over emulators
+        of prod_m (1 - p + p e^-it)^d, each factor in modulus/argument form:
+        log|phi| = d/2 log1p(-4 p (1 - p) sin^2(t/2)), arg phi = d atan2(-p sin t, 1 - 2 p sin^2(t/2)).
+        """
+        days, p = self.days, self.p
+        if rate_mode:
+            with np.errstate(divide="ignore"):
+                log_none = np.sum(_times_log(days, np.log1p(-p)), axis=1)
+            hit = float(np.mean(-np.expm1(log_none)))
+            return np.array([1.0 - hit, hit])
+        mean, var = np.sum(days * p, axis=1), np.sum(days * p * (1.0 - p), axis=1)
+        k_max = int(min(np.ceil(np.max(mean + 12.0 * np.sqrt(var))) + 30, np.max(days.sum(axis=1))))
+        size, sin2, sin_t = _dft_grid(k_max)
+        d, p = days[..., None], p[..., None]
+        with np.errstate(divide="ignore"):  # |phi| is 0 at p = 1/2, t = pi
+            log_mod = _times_log(d / 2.0, np.log1p(-4.0 * p * (1.0 - p) * sin2))
+        arg = d * np.arctan2(-p * sin_t, 1.0 - 2.0 * p * sin2)
+        cf = np.exp(log_mod.sum(axis=1) + 1j * arg.sum(axis=1)).mean(axis=0)
+        return np.fft.irfft(cf, n=size)[:k_max + 1]
 
 
 def marginal_sampler(emulators: list[RunEmulator], pi_hat: float, target: float,
@@ -294,66 +318,28 @@ def marginal_sampler(emulators: list[RunEmulator], pi_hat: float, target: float,
     return MarginalSampler(days=np.array(days), p=np.array(p))
 
 
-def _times_log(n, log_x):
-    """n * log_x, 0 where n is 0 (also where log_x is -inf)."""
-    return n * np.where(n == 0, 0.0, log_x)
+@dataclass(frozen=True)
+class ChainLaw:
+    """Per-emulator tables for the persistence question (q3). A run has Poisson(
+    month_rate[r, m]) clusters in month m, each counting with probability
+    p[r, m], so by thinning its count is Poisson(lam[r] = sum_m month_rate p)."""
 
+    month_rate: np.ndarray  # (n_emulators, 12) observed clusters per month
+    p: np.ndarray           # (n_emulators, 12) probability that a cluster counts
+    quadrature_error: float
+    quadrature_lost_mass: float
 
-def count_law(sampler: MarginalSampler, n_srun: int, rate_mode: bool = False) -> np.ndarray:
-    """P(S = s), s = 0..len - 1, of the total count S of n_srun synthetic runs.
-
-    A run on emulator r counts sum_m Binomial(days[r, m], p[r, m]), or in
-    rate mode whether that sum is positive, and picks r uniformly, so one
-    run's pmf is the mean over emulators and S's is its n_srun-th power
-    under convolution. A run's count is cut at K = max_r (mean_r + 12 sd_r)
-    + 30, beyond which it has negligible mass. Its pmf is the inverse rfft,
-    of length 2**bit_length(K), of the mean over emulators of
-    prod_m (1 - p + p e^-it)^d at t = 2 pi j / length, each factor taken in
-    modulus/argument form: log|phi| = d/2 log1p(-4 p (1 - p) sin^2(t/2)),
-    arg phi = d atan2(-p sin t, 1 - 2 p sin^2(t/2)). The table holds
-    s <= n_srun K, and rounding noise is clipped at 0.
-    """
-    days, p = sampler.days, sampler.p
-    if rate_mode:
-        with np.errstate(divide="ignore"):
-            log_none = np.sum(_times_log(days, np.log1p(-p)), axis=1)
-        hit = float(np.mean(-np.expm1(log_none)))
-        run, k_max = np.array([1.0 - hit, hit]), 1
-    else:
-        mean, var = np.sum(days * p, axis=1), np.sum(days * p * (1.0 - p), axis=1)
-        k_max = int(min(np.ceil(np.max(mean + 12.0 * np.sqrt(var))) + 30, np.max(days.sum(axis=1))))
-        # an inverse DFT longer than K folds back only a run's mass above K
-        size = 1 << k_max.bit_length()
-        t = 2.0 * np.pi * np.arange(size // 2 + 1) / size
-        d, p, sin2 = days[..., None], p[..., None], np.sin(t / 2.0) ** 2
-        with np.errstate(divide="ignore"):  # |phi| is 0 at p = 1/2, t = pi
-            log_mod = _times_log(d / 2.0, np.log1p(-4.0 * p * (1.0 - p) * sin2))
-        arg = d * np.arctan2(-p * np.sin(t), 1.0 - 2.0 * p * sin2)
-        cf = np.exp(log_mod.sum(axis=1) + 1j * arg.sum(axis=1)).mean(axis=0)
-        run = np.fft.irfft(cf, n=size)[:k_max + 1]
-    size = 1 << (n_srun * k_max).bit_length()
-    law = np.fft.irfft(np.fft.rfft(run, n=size) ** n_srun, n=size)[:n_srun * k_max + 1]
-    return np.maximum(law, 0.0)
-
-
-def law_estimate(sampler: MarginalSampler, config: SimulationConfig) -> EstimateResult:
-    """Point and interval of e_bar = S / n_srun from the exact law of S (count_law).
-
-    The point is the law's mean, sum_s (s / n_srun) P(S = s), and the interval
-    ends are s / n_srun at the smallest s whose CDF reaches alpha/2 and
-    1 - alpha/2. A cluster counts once, so the declustered rate and the GP of
-    cluster maxima already carry the clustering and no extremal index enters.
-    The samples are n_sim inverse-CDF draws of S from the stream of spawn key 0.
-    """
-    law = count_law(sampler, config.n_srun, config.rate_mode)
-    ebar = np.arange(law.size) / config.n_srun
-    cdf = np.cumsum(law)
-    last = law.size - 1
-    lo, hi = np.minimum(np.searchsorted(cdf, [config.alpha / 2.0, 1.0 - config.alpha / 2.0]), last)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-    s = np.minimum(np.searchsorted(cdf, rng.random(config.n_sim), side="right"), last)
-    return EstimateResult(point=float(ebar @ law), ci_low=float(ebar[lo]), ci_high=float(ebar[hi]),
-                          ebar_samples=ebar[s], mc_se=0.0, law_tail_mass=max(0.0, 1.0 - float(cdf[-1])))
+    def run_pmf(self, rate_mode: bool = False) -> np.ndarray:
+        """As MarginalSampler.run_pmf, with the Poisson characteristic function
+        exp(-2 lam sin^2(t/2) - i lam sin t) and K = max_r (lam_r + 12 sqrt(lam_r)) + 30."""
+        lam = np.sum(self.month_rate * self.p, axis=1)
+        if rate_mode:
+            hit = float(np.mean(-np.expm1(-lam)))
+            return np.array([1.0 - hit, hit])
+        k_max = int(np.ceil(np.max(lam + 12.0 * np.sqrt(lam)))) + 30
+        size, sin2, sin_t = _dft_grid(k_max)
+        cf = np.exp(-lam[:, None] * (2.0 * sin2 + 1j * sin_t)).mean(axis=0)
+        return np.fft.irfft(cf, n=size)[:k_max + 1]
 
 
 def laplace_targets(emulator: RunEmulator, target: float) -> np.ndarray:
@@ -362,96 +348,66 @@ def laplace_targets(emulator: RunEmulator, target: float) -> np.ndarray:
     return to_laplace(emulator.mixed, target, np.arange(1, 13))
 
 
-def chain_starts(v, pi):
-    """Laplace-scale image of the chain start x0 = u + gp_quantile(v): x0 lies in the
-    tail branch 1 - pi (1 - H) of the mixed distribution and H(x0 - u) = v."""
-    return laplace_quantile(np.clip(1.0 - pi * (1.0 - v), PROB_CLIP, 1.0 - PROB_CLIP))
-
-
-@dataclass(frozen=True)
-class ChainSampler:
-    """Per-emulator tables for the persistence question (q3).
-
-    A run has Poisson(observed clusters in month m) clusters starting in
-    month m, independently over months: a Poisson total split by the
-    observed month shares. Each starts from a GP exceedance, the month only
-    picks the Laplace-scale target, and it counts when its chain exceeds
-    the target on two consecutive steps.
-    """
-
-    month_rate: np.ndarray  # (n_emulators, 12) observed clusters per month
-    pi: np.ndarray          # (n_emulators,) tail weight of each mixed distribution
-    targets: np.ndarray     # (n_emulators, 12) Laplace-scale target by month
-    cev: StackedCEV
-
-    def counts(self, rng: np.random.Generator, n_srun: int) -> np.ndarray:
-        """Counting clusters of n_srun synthetic runs, all chains in one batch."""
-        r = rng.integers(self.pi.size, size=n_srun)
-        n_chains = rng.poisson(self.month_rate[r])  # (n_srun, 12)
-        per_run = n_chains.sum(axis=1)
-        j = np.repeat(r, per_run)
-        y0 = chain_starts(rng.random(j.size), self.pi[j])
-        target = np.repeat(self.targets[r], n_chains.ravel())
-        hit = count_chains(self.cev, j, y0, target, rng)
-        return np.bincount(np.repeat(np.arange(n_srun), per_run)[hit], minlength=n_srun)
-
-
-def chain_sampler(emulators: list[RunEmulator], target: float) -> ChainSampler:
-    """Tables for the persistence question at a raw target level."""
+def chain_law(emulators: list[RunEmulator], target: float, width: float = CELL_WIDTH) -> ChainLaw:
+    """Tables for the persistence question at a raw target level. A chain starts at
+    a GP exceedance, x0 = u + gp_quantile(V), in the tail branch 1 - pi (1 - H) of
+    the mixed distribution: on the Laplace scale -log(2 pi) + Exp(1). The error
+    is p's largest change from cells twice as wide."""
+    p, error, lost = [], 0.0, 0.0
     for e in emulators:
         if e.cev_model is None:
             raise ValueError(f"run {e.run_id}: the persistence question needs a conditional tail model")
-    return ChainSampler(
-        month_rate=np.array([e.cluster_set.month_cluster_counts for e in emulators], dtype=np.float64),
-        pi=np.array([e.mixed.pi for e in emulators]),
-        targets=np.array([laplace_targets(e, target) for e in emulators]),
-        cev=stack_cev([e.cev_model for e in emulators]),
-    )
+        start, targets = -np.log(2.0 * e.mixed.pi), laplace_targets(e, target)
+        fine, fine_lost = hit_probability(e.cev_model, start, targets, width)
+        coarse, _ = hit_probability(e.cev_model, start, targets, 2.0 * width)
+        p.append(fine)
+        error, lost = max(error, float(np.max(np.abs(fine - coarse)))), max(lost, float(np.max(fine_lost)))
+    rate = np.array([e.cluster_set.month_cluster_counts for e in emulators], dtype=np.float64)
+    return ChainLaw(month_rate=rate, p=np.array(p), quadrature_error=error, quadrature_lost_mass=lost)
 
 
-def _simulate_cells(sampler: ChainSampler, config: SimulationConfig, t_sims) -> np.ndarray:
-    """Mean count per synthetic run, e_bar, for each synthetic ensemble in t_sims."""
-    e_bar = np.empty(len(t_sims))
-    for k, t_sim in enumerate(t_sims):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(t_sim,)))
-        e = sampler.counts(rng, config.n_srun)
-        e_bar[k] = (np.minimum(e, 1) if config.rate_mode else e).mean()
-    return e_bar
+def count_law(sampler: MarginalSampler | ChainLaw, n_srun: int, rate_mode: bool = False) -> np.ndarray:
+    """P(S = s), s = 0..n_srun K, of the total count S of n_srun synthetic runs, each
+    on a uniformly picked emulator: the n_srun-th convolution power of
+    sampler.run_pmf, one FFT power, with rounding noise clipped at 0."""
+    run = sampler.run_pmf(rate_mode)
+    k_max = run.size - 1
+    size = 1 << (n_srun * k_max).bit_length()
+    law = np.fft.irfft(np.fft.rfft(run, n=size) ** n_srun, n=size)[:n_srun * k_max + 1]
+    return np.maximum(law, 0.0)
 
 
-def chain_estimate(sampler: ChainSampler, config: SimulationConfig) -> EstimateResult:
-    """Simulate n_sim synthetic ensembles of the persistence question and summarise:
-    the sample mean and central (alpha/2, 1 - alpha/2) quantiles of e_bar."""
-    all_t_sims = list(range(1, config.n_sim + 1))
-    if config.workers == 1:
-        ebar = _simulate_cells(sampler, config, all_t_sims)
-    else:
-        n_chunks = min(config.workers * 4, config.n_sim)
-        # plain ints: spawn keys must not depend on how the chunking was done
-        chunks = [[int(t) for t in chunk] for chunk in np.array_split(all_t_sims, n_chunks)]
-        with ProcessPoolExecutor(max_workers=min(config.workers, n_chunks)) as pool:
-            ebar = np.concatenate(list(pool.map(_simulate_cells, repeat(sampler), repeat(config),
-                                                chunks)))
-    ci_low, ci_high = np.quantile(ebar, [config.alpha / 2.0, 1.0 - config.alpha / 2.0])
-    mc_se = float(np.std(ebar, ddof=1) / np.sqrt(ebar.size)) if ebar.size > 1 else None
-    return EstimateResult(point=float(np.mean(ebar)), ci_low=float(ci_low), ci_high=float(ci_high),
-                          ebar_samples=ebar, mc_se=mc_se)
+def law_estimate(sampler: MarginalSampler | ChainLaw, config: SimulationConfig) -> EstimateResult:
+    """Point and interval of e_bar = S / n_srun from the exact law of S (count_law):
+    the law's mean, and s / n_srun at the smallest s whose CDF reaches alpha/2 and
+    1 - alpha/2. A cluster counts once, so the declustered rate and the GP of
+    cluster maxima carry the clustering and no extremal index enters. The
+    samples are n_sim inverse-CDF draws of S from the stream of spawn key 0."""
+    law = count_law(sampler, config.n_srun, config.rate_mode)
+    ebar = np.arange(law.size) / config.n_srun
+    cdf = np.cumsum(law)
+    last = law.size - 1
+    lo, hi = np.minimum(np.searchsorted(cdf, [config.alpha / 2.0, 1.0 - config.alpha / 2.0]), last)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
+    s = np.minimum(np.searchsorted(cdf, rng.random(config.n_sim), side="right"), last)
+    return EstimateResult(point=float(ebar @ law), ci_low=float(ebar[lo]), ci_high=float(ebar[hi]),
+                          ebar_samples=ebar[s], mc_se=0.0, law_tail_mass=max(0.0, 1.0 - float(cdf[-1])),
+                          quadrature_error=sampler.quadrature_error,
+                          quadrature_lost_mass=sampler.quadrature_lost_mass)
 
 
 def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
                          combined: CombinedEstimates) -> EstimateResult:
     """The estimate of config.question over synthetic ensembles of n_srun runs, each
-    run on a uniformly picked emulator: from the exact law of the ensemble's count
-    for the marginal questions (law_estimate), by simulating n_sim ensembles for the
-    persistence question (chain_estimate), from emulators fitted for config.question."""
+    run on a uniformly picked emulator, from the exact law of the ensemble's count
+    (law_estimate), from emulators fitted for config.question."""
     if not emulators:
         raise ValueError("at least one emulator is required")
     if other := sorted({e.question for e in emulators} - {config.question}):
         raise ValueError(f"emulators fitted for question {', '.join(other)} cannot estimate {config.question}")
     if QUESTIONS[config.question].uses_chain:
-        return chain_estimate(chain_sampler(emulators, config.target), config)
-    sampler = marginal_sampler(emulators, combined.pi_hat, config.target, config.n_days)
-    return law_estimate(sampler, config)
+        return law_estimate(chain_law(emulators, config.target), config)
+    return law_estimate(marginal_sampler(emulators, combined.pi_hat, config.target, config.n_days), config)
 
 
 def build_emulator(series: SummarySeries, question: str, tau: float = 0.95, run_length: int = 3,
@@ -480,7 +436,7 @@ def build_emulator(series: SummarySeries, question: str, tau: float = 0.95, run_
 def run_question(question: str, runs: list[EnsembleRun], config: SimulationConfig,
                  order_k: int | None = None, **fit_kwargs) -> EstimateResult:
     """Full pipeline for one question: reduce each run to its order statistic (by
-    default the question's), fit per-run emulators, combine, simulate."""
+    default the question's), fit per-run emulators, combine, estimate."""
     validate_ensemble(runs)
     if config.question != question:
         config = replace(config, question=question)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.optimize import minimize
 
 import evtlite as ev
+from evtlite.cev import PROB_CLIP
 from evtlite.decluster import ClusterSet
 
 
@@ -172,3 +175,77 @@ def oracle_working_negloglik(x, y, seed=424242):
         starts.append((rng.uniform(0.05, 0.95), rng.uniform(-1.0, 0.9),
                        mu0 + rng.standard_normal(), ls0 + 0.5 * rng.standard_normal()))
     return _nelder_mead(lambda p: working_negloglik(p, x, y), starts)
+
+
+# ---------------------------------------------------------------- chain oracle
+# The persistence question's chains, drawn one by one: the sampler the library
+# replaced by a quadrature (evtlite.cev.hit_probability), kept as its oracle.
+
+@dataclass(frozen=True)
+class StackedCEV:
+    """Conditional tail models side by side: model j has parameters beta0[j], ...,
+    kde_bandwidth[j] and residual pool residuals[offsets[j]:offsets[j] + sizes[j]]."""
+
+    beta0: np.ndarray
+    beta1: np.ndarray
+    q_threshold: np.ndarray
+    kde_bandwidth: np.ndarray
+    residuals: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray
+
+
+def stack_cev(models) -> StackedCEV:
+    sizes = np.array([m.residuals.size for m in models], dtype=np.int64)
+    return StackedCEV(
+        *(np.array([getattr(m, f) for m in models], dtype=np.float64)
+          for f in ("beta0", "beta1", "q_threshold", "kde_bandwidth")),
+        residuals=np.concatenate([m.residuals for m in models]),
+        offsets=np.cumsum(sizes) - sizes, sizes=sizes,
+    )
+
+
+def sample_residuals(models: StackedCEV, j, rng):
+    """One draw from the kernel-smoothed residual distribution of model j[i], for each i."""
+    pick = models.offsets[j] + (rng.random(j.size) * models.sizes[j]).astype(np.int64)
+    return models.residuals[pick] + models.kde_bandwidth[j] * rng.standard_normal(j.size)
+
+
+def count_chains(models: StackedCEV, j, y0, target, rng, steps=30):
+    """Whether each chain exceeds its target on two consecutive steps (step 0 included).
+
+    Chain i follows model j[i] from y0[i] by Y_{k+1} = beta0 Y_k + Y_k**beta1 Z.
+    A chain starting at or below its conditioning threshold never counts. A
+    chain ends at a non-positive or non-finite value, which is still compared
+    with the target (the power term is undefined there).
+    """
+    counted = np.zeros(y0.size, dtype=bool)
+    live = np.flatnonzero((y0 > models.q_threshold[j]) & (y0 > 0.0))
+    y, j, t = y0[live], j[live], target[live]
+    prev = y > t
+    for _ in range(steps):
+        if live.size == 0:
+            break
+        z = sample_residuals(models, j, rng)
+        with np.errstate(invalid="ignore", over="ignore"):
+            y = models.beta0[j] * y + y ** models.beta1[j] * z
+        cur = y > t  # NaN compares False
+        hit = prev & cur
+        counted[live[hit]] = True
+        keep = np.flatnonzero(~hit & (y > 0.0) & np.isfinite(y))
+        live, y, j, t, prev = live[keep], y[keep], j[keep], t[keep], cur[keep]
+    return counted
+
+
+def chain_starts(v, pi):
+    """Laplace-scale image of the chain start x0 = u + gp_quantile(v): x0 lies in the
+    tail branch 1 - pi (1 - H) of the mixed distribution and H(x0 - u) = v."""
+    return ev.laplace_quantile(np.clip(1.0 - pi * (1.0 - v), PROB_CLIP, 1.0 - PROB_CLIP))
+
+
+def oracle_hit_fraction(model, pi, target, n, seed=0):
+    """Fraction of n chains of one model, started by chain_starts, that count."""
+    rng = np.random.default_rng(seed)
+    y0 = chain_starts(rng.random(n), pi)
+    return float(np.mean(count_chains(stack_cev([model]), np.zeros(n, dtype=np.int64), y0,
+                                      np.full(n, float(target)), rng)))

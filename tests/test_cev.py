@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtlite as ev
-from conftest import oracle_working_negloglik, working_negloglik
-from evtlite.cev import CEVModel, laplace_cdf, sample_residuals, silverman_bandwidth, stack_cev
+from conftest import (count_chains, oracle_hit_fraction, oracle_working_negloglik, sample_residuals,
+                      stack_cev, working_negloglik)
+from evtlite.cev import CELL_WIDTH, Y_MAX, CEVModel, laplace_cdf, residual_law, silverman_bandwidth
 
 
 def make_cev(beta0, beta1, residuals, bandwidth=0.0, q=1.6094379124341003):
@@ -158,7 +159,7 @@ def draws(model, n, seed):
 
 
 class TestSampleResidual:
-    """Kernel-smoothed residual draws of the batched chain stepper."""
+    """Kernel-smoothed residual draws of the chain oracle."""
 
     def test_zero_bandwidth_returns_stored_value(self):
         model = make_cev(0.5, 0.1, [1.25, -0.75, 3.5])
@@ -193,12 +194,12 @@ class TestSampleResidual:
 def counted(model, y0, target, steps=30, seed=0):
     """count_chains for chains of one model."""
     y0, target = np.broadcast_arrays(np.asarray(y0, dtype=float), np.asarray(target, dtype=float))
-    return ev.count_chains(stack_cev([model]), np.zeros(y0.size, dtype=np.int64), y0.ravel(),
+    return count_chains(stack_cev([model]), np.zeros(y0.size, dtype=np.int64), y0.ravel(),
                            target.ravel(), np.random.default_rng(seed), steps)
 
 
 class TestSimulateChain:
-    """The batched stepper: which chains exceed the target on two consecutive steps."""
+    """The chain oracle: which chains exceed the target on two consecutive steps."""
 
     def test_requires_start_above_threshold(self):
         # beta0 = 1 holds a chain at its start; only the start above q is propagated
@@ -263,3 +264,105 @@ class TestSilverman:
 @given(st.floats(1e-9, 1.0 - 1e-9))
 def test_laplace_round_trip_property(p):
     assert laplace_cdf(ev.laplace_quantile(p)) == pytest.approx(p, abs=1e-12)
+
+
+def start_mass(start_floor, above):
+    """P(start_floor + Exp(1) > above)."""
+    return float(np.exp(min(0.0, start_floor - above)))
+
+
+class TestResidualLaw:
+    @pytest.mark.parametrize("bandwidth", [0.0, 0.05, 0.4])
+    def test_cdf_and_expected_excess_match_the_kernel_mixture(self, bandwidth):
+        from scipy.stats import norm
+        r = np.random.default_rng(3).standard_normal(40) * 1.5
+        cdf, excess = residual_law(make_cev(0.5, 0.1, r, bandwidth=bandwidth))
+        z = np.linspace(-8.0, 8.0, 2001)
+        d = z[:, None] - r
+        if bandwidth == 0.0:
+            want_f, want_u = np.mean(d >= 0.0, axis=1), np.mean(np.maximum(-d, 0.0), axis=1)
+            tol_f, tol_u = 0.0, 1e-13
+        else:
+            s = -d / bandwidth  # E[(Z - z)+] of Z = r + h N is h (s Phi(s) + phi(s))
+            want_f = np.mean(norm.cdf(d / bandwidth), axis=1)
+            want_u = np.mean(bandwidth * (s * norm.cdf(s) + norm.pdf(s)), axis=1)
+            tol_f, tol_u = 1e-4, 1e-4  # linear binning at h/20 and linear interpolation
+        assert np.max(np.abs(cdf(z) - want_f)) <= tol_f
+        assert np.max(np.abs(excess(z) - want_u)) <= tol_u
+        assert cdf(np.array([-1e9, 1e9])).tolist() == [0.0, 1.0]
+        assert excess(np.array([1e9]))[0] == 0.0
+
+
+class TestHitProbability:
+    """The quadrature of the chain kernel against exact answers and the chain oracle."""
+
+    Q = ev.laplace_quantile(0.9)
+
+    def test_independence_corner_is_exact(self):
+        # beta0 = beta1 = 0: each step is an iid draw from {2, -1, 0.5}; with
+        # target 1 a draw exceeds (2), ends the chain (-1) or does neither
+        model, a, t = make_cev(0.0, 0.0, [2.0, -1.0, 0.5]), -np.log(2 * 0.05), 1.0
+        above, below, want = start_mass(a, max(t, self.Q)), 0.0, 0.0
+        for _ in range(30):
+            want += above / 3.0
+            above, below = below / 3.0, (above + below) / 3.0
+        p, lost = ev.hit_probability(model, a, [t])
+        assert p[0] == pytest.approx(want, abs=1e-12) and lost[0] <= 1e-11
+
+    @pytest.mark.parametrize("pi, t", [(0.05, 3.0), (0.05, 1.0), (0.3, 3.0), (0.3, 1.0)])
+    def test_held_chain_counts_its_start_above_the_target(self, pi, t):
+        # beta0 = 1 with a zero residual holds a chain at its start, so it counts
+        # exactly when it starts above both the target and the threshold: t = 1
+        # lies below the threshold, and pi = 0.3 puts the start floor below it
+        a = -np.log(2 * pi)
+        p, _ = ev.hit_probability(make_cev(1.0, 0.0, [0.0]), a, [t])
+        assert p[0] == pytest.approx(start_mass(a, max(t, self.Q)), abs=1e-12)
+
+    def test_target_at_or_below_zero_counts_a_step_into_it(self):
+        # Y' = Z from {-0.3, -1, 2}: with target -0.5 every start lies above it,
+        # and a draw of -0.3 counts although the chain ends there; at target 0 only 2 counts
+        a = -np.log(2 * 0.2)
+        p, _ = ev.hit_probability(make_cev(0.0, 0.0, [-0.3, -1.0, 2.0]), a, [-0.5, 0.0])
+        assert p == pytest.approx(start_mass(a, self.Q) * np.array([2.0, 1.0]) / 3.0, abs=1e-12)
+
+    def test_start_below_the_threshold_never_counts(self):
+        # no cell lies above a threshold of 40, so only the lost start mass could count
+        p, lost = ev.hit_probability(make_cev(1.0, 0.0, [0.0], q=40.0), 3.0, [-10.0, 2.0])
+        assert p.tolist() == [0.0, 0.0] and np.all(lost == start_mass(3.0, Y_MAX))
+
+    def test_targets_are_independent_of_each_other(self):
+        model = make_cev(0.6, 0.3, np.random.default_rng(1).standard_normal(30), bandwidth=0.3)
+        both, _ = ev.hit_probability(model, 2.3, [2.5, 4.0])
+        alone = [ev.hit_probability(model, 2.3, [t])[0][0] for t in (2.5, 4.0)]
+        assert both == pytest.approx(alone, rel=1e-12)
+
+    def test_narrow_kernel_moves_mass_within_a_cell(self):
+        # beta0 = 1 and beta1 = -5: from y > 2 a step moves less than a cell, which
+        # a midpoint rule would pin in place; the oracle draws the same chains
+        model = make_cev(1.0, -5.0, np.linspace(-0.5, 2.0, 21))
+        pi, t = 0.2, 3.15
+        p, lost = ev.hit_probability(model, -np.log(2 * pi), [t])
+        n = 200_000
+        got = oracle_hit_fraction(model, pi, t, n, seed=5)
+        assert abs(got - p[0]) <= 5.0 * np.sqrt(p[0] * (1.0 - p[0]) / n) + lost[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(beta0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           beta1=st.one_of(st.sampled_from([-5.0, 0.0]), st.floats(-5.0, 1.0 - 1e-6)),
+           residuals=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=50),
+           bandwidth=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+           pi=st.floats(0.01, 0.3), target=st.floats(-1.0, 6.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_the_chain_oracle(self, beta0, beta1, residuals, bandwidth, pi, target, seed):
+        # the oracle's fraction lies within 5 standard errors of P, widened by twice the
+        # quadrature error and, upwards only, by the mass the quadrature loses above its cells
+        model = make_cev(beta0, beta1, residuals, bandwidth=bandwidth)
+        a = -np.log(2 * pi)
+        p, lost = ev.hit_probability(model, a, [target])
+        coarse, _ = ev.hit_probability(model, a, [target], width=2 * CELL_WIDTH)
+        n = 40_000
+        got = oracle_hit_fraction(model, pi, target, n, seed=seed)
+
+        def slack(q):
+            return 5.0 * np.sqrt(max(q * (1.0 - q), 1.0 / n) / n) + 2.0 * abs(p[0] - coarse[0])
+        high = min(p[0] + lost[0], 1.0)
+        assert p[0] - slack(p[0]) <= got <= high + slack(high)

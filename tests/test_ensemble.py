@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.stats import binom, ks_2samp
 
 import evtlite as ev
-from conftest import daily_marginal_count, make_marginal_emulator
-from evtlite.cev import PROB_CLIP, CEVModel
-from evtlite.ensemble import MarginalSampler, _simulate_cells, chain_starts, law_estimate
+from conftest import chain_starts, count_chains, daily_marginal_count, make_marginal_emulator, stack_cev
+from evtlite.cev import CELL_WIDTH, PROB_CLIP, CEVModel
+from evtlite.ensemble import ChainLaw, MarginalSampler, law_estimate
 
 
 def with_cev(emulator, beta0, beta1, residuals, bandwidth=0.0, q=None):
@@ -248,78 +248,111 @@ def q3_emulators():
     return [a, b]
 
 
+def start_floor(emulator):
+    """Laplace-scale floor of the chain starts: the image of the GP threshold."""
+    return -np.log(2.0 * emulator.mixed.pi)
+
+
 class TestSimulateClusterRun:
-    """The batched chain sampler of the persistence question."""
+    """The persistence question's exact law: Poisson clusters thinned by the
+    quadrature's counting probability."""
 
     def test_zero_cluster_rate(self):
         em = with_cev(make_marginal_emulator(n_clusters=0), 0.5, 0.0, [0.0])
-        counts = ev.chain_sampler([em], 2.0).counts(np.random.default_rng(0), 20)
-        assert np.all(counts == 0)
+        law = ev.count_law(ev.chain_law([em], 2.0), 20)
+        assert law[0] == pytest.approx(1.0, abs=1e-15) and np.all(law[1:] <= 1e-15)
 
     def test_missing_cev_rejected(self):
         em = make_marginal_emulator()
         with pytest.raises(ValueError):
-            ev.chain_sampler([em], 2.0)
+            ev.chain_law([em], 2.0)
 
     def test_persistence_corner_counts_initial_exceedances(self):
         # beta0 = 1 with zero residuals holds the chain at its start value
         em = with_cev(make_marginal_emulator(n_days=2000, u=1.0, sigma=1.0, xi=0.0,
                                              n_clusters=60, pi_mixed=0.03),
                       1.0, 0.0, [0.0])
-        counts = ev.chain_sampler([em], 3.0).counts(np.random.default_rng(123), 800)
-        expected = 60 * np.exp(-2.0)  # Poisson(60) starts, each above 3.0 w.p. e^-2
-        assert np.mean(counts) == pytest.approx(expected, rel=0.05)
+        law = ev.chain_law([em], 3.0)
+        # Poisson(60) starts, each above 3.0 w.p. e^-2, the GP survivor of the excess
+        assert law.p == pytest.approx(np.full((1, 12), np.exp(-2.0)), rel=1e-9)
+        cfg = ev.SimulationConfig(question="q3", target_level=3.0, n_sim=5, n_srun=4)
+        assert law_estimate(law, cfg).point == pytest.approx(60 * np.exp(-2.0), rel=1e-9)
 
     def test_independence_corner_lower_bound(self):
         # beta0 = beta1 = 0: the chain is iid residual draws; a cluster counts
         # at least when the first draw re-exceeds, so the counting fraction
-        # is bounded below by rho = P(Z > target)
+        # is bounded below by rho = P(Z > target), and the law uses the emulator's
+        # own start floor and Laplace targets
         rho = 0.3
         residuals = np.array([3.0] * 30 + [1.0] * 70)
-        em = with_cev(make_marginal_emulator(n_days=400000, u=1.0, sigma=1.0, xi=0.0,
-                                             n_clusters=100000, pi_mixed=0.03),
+        em = with_cev(make_marginal_emulator(n_days=4000, u=1.0, sigma=1.0, xi=0.0,
+                                             n_clusters=1000, pi_mixed=0.03),
                       0.0, 0.0, residuals)
-        # all starts exceed 2.0 on the Laplace scale (y0 >= laplace(0.97) = 2.81)
-        sampler = dataclasses.replace(ev.chain_sampler([em], 3.0), targets=np.full((1, 12), 2.0))
-        count = int(sampler.counts(np.random.default_rng(9), 1)[0])
-        frac = count / 100000
-        assert frac >= rho - 0.02
-        assert frac < 1.0
+        # the raw target 1.1 maps to start_floor + 0.1 = 2.91, between the residuals 1 and 3
+        p = ev.chain_law([em], 1.1).p[0]
+        assert np.all(p >= rho * np.exp(-0.1)) and np.all(p < 1.0)
+        alone, _ = ev.hit_probability(em.cev_model, start_floor(em), ev.laplace_targets(em, 1.1))
+        assert np.array_equal(p, alone)
 
     def test_start_below_conditioning_threshold_never_counts(self):
         em = with_cev(make_marginal_emulator(n_clusters=50), 1.0, 0.0, [0.0], q=100.0)
-        sampler = dataclasses.replace(ev.chain_sampler([em], 3.0), targets=np.full((1, 12), -10.0))
-        assert np.all(sampler.counts(np.random.default_rng(2), 20) == 0)
+        assert np.all(ev.chain_law([em], -10.0).p == 0.0)
 
     def test_month_picks_the_target(self):
-        # chains held at their start count exactly when their month's target
-        # lies below the start (y0 >= laplace(0.95) = 2.30 here)
-        em = with_cev(make_marginal_emulator(n_clusters=40), 1.0, 0.0, [0.0])
-        targets = np.full((1, 12), np.inf)
-        targets[0, 6] = 0.0  # July
-        counts = {}
+        # chains held at their start count exactly when they start above their
+        # month's Laplace-scale target, which the month's GP scale sets
+        em = with_cev(month_varying_emulator(np.full(12, 1.0), np.geomspace(0.3, 3.0, 12), np.zeros(12),
+                                             n_days=1000), 1.0, 0.0, [0.0])
+        targets = ev.laplace_targets(em, 3.0)
+        assert np.all(np.diff(targets) < 0.0)
+        lam = {}
         for month in (1, 7):
             cs = dataclasses.replace(em.cluster_set, maxima_months=np.full(40, month))
-            sampler = ev.chain_sampler([dataclasses.replace(em, cluster_set=cs)], 3.0)
-            sampler = dataclasses.replace(sampler, targets=targets)
-            counts[month] = sampler.counts(np.random.default_rng(5), 30)
-        assert np.all(counts[1] == 0)
-        assert counts[7].sum() > 0.5 * 40 * 30
+            law = ev.chain_law([dataclasses.replace(em, cluster_set=cs)], 3.0)
+            assert law.p[0] == pytest.approx(np.exp(start_floor(em) - targets), rel=1e-9)
+            lam[month] = float(law.month_rate[0] @ law.p[0])
+        assert lam == pytest.approx({1: 40 * law.p[0, 0], 7: 40 * law.p[0, 6]}, rel=1e-12)
 
     def test_batch_equals_chains_run_alone(self):
-        # a deterministic chain (zero bandwidth, one residual) counts the same
-        # whichever other chains share its batch
-        ems = [with_cev(make_marginal_emulator(run_id=1), 1.0, 0.0, [0.0]),
-               with_cev(make_marginal_emulator(run_id=2), 0.5, 0.0, [0.0])]
-        sampler = ev.chain_sampler(ems, 3.0)
+        # the oracle's chains: a deterministic chain (zero bandwidth, one residual)
+        # counts the same whichever other chains share its batch
+        cev = stack_cev([CEVModel(beta0=b0, beta1=0.0, q_threshold=ev.laplace_quantile(0.9),
+                                  residuals=np.zeros(1), kde_bandwidth=0.0, loglik=0.0)
+                         for b0 in (1.0, 0.5)])
         j = np.array([0, 1, 1, 0])
         y0 = np.array([4.0, 4.0, 4.0, 2.5])
         target = np.array([3.5, 1.5, 2.5, 2.0])
         rng = np.random.default_rng(0)
-        batch = ev.count_chains(sampler.cev, j, y0, target, rng)
-        alone = [ev.count_chains(sampler.cev, j[i:i + 1], y0[i:i + 1], target[i:i + 1], rng)[0]
+        batch = count_chains(cev, j, y0, target, rng)
+        alone = [count_chains(cev, j[i:i + 1], y0[i:i + 1], target[i:i + 1], rng)[0]
                  for i in range(4)]
         assert batch.tolist() == alone == [True, True, False, True]
+
+
+def poisson_mixture_law(lam, n_srun, length):
+    """The first length values of P(S = s) for n_srun runs, each Poisson(lam[r]) at a
+    uniformly picked r, by direct convolution of scipy's Poisson pmfs."""
+    from scipy.stats import poisson
+    run = np.mean([poisson.pmf(np.arange(length), m) for m in lam], axis=0)
+    law = np.ones(1)
+    for _ in range(n_srun):
+        law = np.convolve(law, run)[:length]
+    return law
+
+
+@pytest.mark.parametrize("lam, n_srun", [([0.0], 5), ([0.3, 2.0], 10), ([41.3, 38.4, 44.2, 40.0], 50)])
+def test_chain_count_law_is_a_poisson_mixture(lam, n_srun):
+    # any split of lam into months and probabilities gives the same law
+    lam = np.asarray(lam)
+    law_table = ChainLaw(month_rate=np.outer(lam, np.full(12, 1.0 / 6.0)), p=np.full((lam.size, 12), 0.5),
+                         quadrature_error=0.0, quadrature_lost_mass=0.0)
+    law = ev.count_law(law_table, n_srun)
+    assert abs(law.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(law - poisson_mixture_law(lam, n_srun, law.size))) <= 1e-13
+    assert np.arange(law.size) @ law == pytest.approx(n_srun * lam.mean(), rel=1e-12, abs=1e-14)
+    hit = float(np.mean(1.0 - np.exp(-lam)))
+    rate_law = ev.count_law(law_table, n_srun, rate_mode=True)
+    assert np.max(np.abs(rate_law - binomial_pmf(n_srun, hit))) <= 1e-12
 
 
 @pytest.mark.parametrize("xi", [-0.3, 0.0, 0.2, 0.8])
@@ -336,18 +369,6 @@ def test_analytic_chain_start_matches_the_mixed_cdf_route(xi, pi):
         x0 = md.gp.threshold_model.u_by_month[m - 1] + ev.gp_quantile(v, sigma[m - 1], xi)
         old = ev.laplace_quantile(np.clip(ev.mixed_cdf(md, x0, m), PROB_CLIP, 1 - PROB_CLIP))
         assert np.max(np.abs(chain_starts(v, pi) - old)) <= 1e-12
-
-
-@settings(max_examples=30, deadline=None)
-@given(n_sim=st.integers(1, 25), cuts=st.lists(st.integers(1, 24), max_size=6),
-       seed=st.integers(0, 2 ** 32))
-def test_any_split_of_t_sims_concatenates_to_the_serial_output(n_sim, cuts, seed):
-    sampler = ev.chain_sampler(q3_emulators(), 2.0)
-    cfg = ev.SimulationConfig(question="q3", n_sim=n_sim, n_srun=7, seed=seed)
-    t_sims = list(range(1, n_sim + 1))
-    edges = [0, *sorted({c for c in cuts if c < n_sim}), n_sim]
-    parts = [_simulate_cells(sampler, cfg, t_sims[a:b]) for a, b in zip(edges, edges[1:])]
-    assert np.array_equal(np.concatenate(parts), _simulate_cells(sampler, cfg, t_sims))
 
 
 class TestMonteCarloEstimate:
@@ -400,39 +421,22 @@ class TestMonteCarloEstimate:
         assert a.point == b.point
         assert np.array_equal(a.ebar_samples, b.ebar_samples)
 
-    def test_parallel_matches_serial(self):
-        # only the persistence question samples ensembles, so only it uses the pool
+    def test_persistence_question_reads_its_quadrature(self):
+        # q3 is exact as well: no Monte Carlo error, and a rerun is bitwise identical;
+        # its quadrature error is the largest change of P from cells twice as wide
         ems = q3_emulators()
         combined = ev.combine_rates(ems)
         cfg = ev.SimulationConfig(question="q3", target_level=2.0, n_sim=40, n_srun=6, seed=8)
-        serial = ev.monte_carlo_estimate(ems, cfg, combined)
-        parallel = ev.monte_carlo_estimate(ems, dataclasses.replace(cfg, workers=2), combined)
-        assert np.array_equal(serial.ebar_samples, parallel.ebar_samples)
-
-    def test_pool_is_sized_by_its_chunks(self, monkeypatch):
-        # 3 ensembles make 3 chunks, so 8 workers would fork 5 processes with nothing to do
-        sizes = []
-
-        class SerialPool:
-            map = staticmethod(map)
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-        monkeypatch.setattr("evtlite.ensemble.ProcessPoolExecutor", SerialPool)
-        ems = q3_emulators()
-        combined = ev.combine_rates(ems)
-        cfg = ev.SimulationConfig(question="q3", target_level=2.0, n_sim=3, n_srun=6, seed=8)
-        serial = ev.monte_carlo_estimate(ems, cfg, combined)
-        pooled = ev.monte_carlo_estimate(ems, dataclasses.replace(cfg, workers=8), combined)
-        assert sizes == [3]
-        assert np.array_equal(serial.ebar_samples, pooled.ebar_samples)
+        res = ev.monte_carlo_estimate(ems, cfg, combined)
+        again = ev.monte_carlo_estimate(ems, cfg, combined)
+        assert (res.point, res.ci_low, res.ci_high) == (again.point, again.ci_low, again.ci_high)
+        assert np.array_equal(res.ebar_samples, again.ebar_samples) and res.ebar_samples.size == 40
+        assert res.mc_se == 0.0 and 0.0 <= res.law_tail_mass <= 1e-12
+        fine, coarse = ev.chain_law(ems, 2.0), ev.chain_law(ems, 2.0, width=2 * CELL_WIDTH)
+        assert res.quadrature_error == fine.quadrature_error == np.max(np.abs(fine.p - coarse.p)) > 0.0
+        assert 0.0 <= res.quadrature_lost_mass == fine.quadrature_lost_mass <= 1e-6
+        lam = np.sum(fine.month_rate * fine.p, axis=1)
+        assert res.point == pytest.approx(lam.mean(), rel=1e-12)
 
     def test_emulators_of_another_question_refused(self):
         # the library makes estimate's question check too, with or without combine_rates
