@@ -211,7 +211,7 @@ def hit_probability(model: CEVModel, start_floor: float, targets, width: float =
     would pin mass that moves less, averaged over the cell by U's difference
     quotient. Mass above t stepping above t counts and leaves; all targets
     move in one matrix product per step. Mass stepping above Y_MAX from below
-    t, and start mass above Y_MAX, is lost.
+    t, and start mass above Y_MAX, is lost: P reads low by up to it.
     """
     targets = np.asarray(targets, dtype=np.float64)
     n, (cdf, excess), b0, b1 = targets.size, residual_law(model), model.beta0, model.beta1
@@ -237,15 +237,13 @@ def hit_probability(model: CEVModel, start_floor: float, targets, width: float =
         return up
 
     # cells from top on lie above every target: their mass only leaves or
-    # steps below a target, so they need no columns above top
+    # steps below a target, so they need no columns above top, which keeps
+    # the temporaries of this table, the estimate's peak memory, small
     top = min(int(np.searchsorted(edges, targets.max())), cells)
     up, cols = np.zeros((cells, points.size)), np.r_[:top + 1, cells + 1:points.size]
     up[:top], up[top:, cols] = exceed(0, top, points), exceed(top, cells, points[cols])
     overflow, counts, kernel = up[:, cells].copy(), up[:, cells + 1:].T.copy(), up[:, :cells] - up[:, 1:cells + 1]
     del up  # the estimate's peak memory is these two tables
-    # a kernel row is 0 past the cells its residuals reach, so each step
-    # multiplies only up to the last cell holding mass and up to its reach
-    reach = np.maximum.accumulate(cells - np.argmax((kernel != 0.0)[:, ::-1], axis=1))
     surv = np.exp(np.minimum(0.0, start_floor - edges))
     above = edges[:-1] >= targets[:, None]
     split = np.vstack([above, ~above])  # mass rows: above each target, then not above it
@@ -254,10 +252,6 @@ def hit_probability(model: CEVModel, start_floor: float, targets, width: float =
     for _ in range(CHAIN_STEPS):
         p += np.einsum("mj,mj->m", mass[:n], counts)
         lost += mass[n:] @ overflow
-        held = np.flatnonzero(mass.any(axis=0))
-        if held.size == 0:
-            break
-        moved = np.zeros((2 * n, cells))
-        moved[:, :reach[held[-1]]] = mass[:, :held[-1] + 1] @ kernel[:held[-1] + 1, :reach[held[-1]]]
+        moved = mass @ kernel
         mass = np.where(split, np.tile(np.where(above, 0.0, moved[:n]) + moved[n:], (2, 1)), 0.0)
     return p, lost

@@ -201,6 +201,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     }
     if result.quadrature_error is not None:  # q3: how far its chain quadrature may be off
         payload.update(quadrature_error=result.quadrature_error, quadrature_lost_mass=result.quadrature_lost_mass)
+        if result.quadrature_lost_mass > result.quadrature_error:
+            print(f"warning: the chain quadrature lost mass {result.quadrature_lost_mass:.3g} above its "
+                  f"cells, more than its quadrature error {result.quadrature_error:.3g}, so the point "
+                  "may read low", file=sys.stderr)
     estimate_path = out / f"estimate_{config.question}.json"
     _write_json(estimate_path, payload)
     print(f"{config.question}  point={result.point:.4f}  "

@@ -270,7 +270,6 @@ class MarginalSampler:
 
     days: np.ndarray  # (n_emulators, 12) simulated days per month
     p: np.ndarray     # (n_emulators, 12) per-day probability of a target exceedance
-    quadrature_error = quadrature_lost_mass = None  # exact tables: no quadrature
 
     def run_pmf(self, rate_mode: bool = False) -> np.ndarray:
         """P(count = k), k = 0..K, of one run on a uniformly picked emulator; in rate
@@ -348,7 +347,7 @@ def laplace_targets(emulator: RunEmulator, target: float) -> np.ndarray:
     return to_laplace(emulator.mixed, target, np.arange(1, 13))
 
 
-def chain_law(emulators: list[RunEmulator], target: float, width: float = CELL_WIDTH) -> ChainLaw:
+def chain_law(emulators: list[RunEmulator], target: float) -> ChainLaw:
     """Tables for the persistence question at a raw target level. A chain starts at
     a GP exceedance, x0 = u + gp_quantile(V), in the tail branch 1 - pi (1 - H) of
     the mixed distribution: on the Laplace scale -log(2 pi) + Exp(1). The error
@@ -358,8 +357,8 @@ def chain_law(emulators: list[RunEmulator], target: float, width: float = CELL_W
         if e.cev_model is None:
             raise ValueError(f"run {e.run_id}: the persistence question needs a conditional tail model")
         start, targets = -np.log(2.0 * e.mixed.pi), laplace_targets(e, target)
-        fine, fine_lost = hit_probability(e.cev_model, start, targets, width)
-        coarse, _ = hit_probability(e.cev_model, start, targets, 2.0 * width)
+        fine, fine_lost = hit_probability(e.cev_model, start, targets, CELL_WIDTH)
+        coarse, _ = hit_probability(e.cev_model, start, targets, 2.0 * CELL_WIDTH)
         p.append(fine)
         error, lost = max(error, float(np.max(np.abs(fine - coarse)))), max(lost, float(np.max(fine_lost)))
     rate = np.array([e.cluster_set.month_cluster_counts for e in emulators], dtype=np.float64)
@@ -391,9 +390,7 @@ def law_estimate(sampler: MarginalSampler | ChainLaw, config: SimulationConfig) 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     s = np.minimum(np.searchsorted(cdf, rng.random(config.n_sim), side="right"), last)
     return EstimateResult(point=float(ebar @ law), ci_low=float(ebar[lo]), ci_high=float(ebar[hi]),
-                          ebar_samples=ebar[s], mc_se=0.0, law_tail_mass=max(0.0, 1.0 - float(cdf[-1])),
-                          quadrature_error=sampler.quadrature_error,
-                          quadrature_lost_mass=sampler.quadrature_lost_mass)
+                          ebar_samples=ebar[s], mc_se=0.0, law_tail_mass=max(0.0, 1.0 - float(cdf[-1])))
 
 
 def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
@@ -406,7 +403,9 @@ def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
     if other := sorted({e.question for e in emulators} - {config.question}):
         raise ValueError(f"emulators fitted for question {', '.join(other)} cannot estimate {config.question}")
     if QUESTIONS[config.question].uses_chain:
-        return law_estimate(chain_law(emulators, config.target), config)
+        law = chain_law(emulators, config.target)
+        return replace(law_estimate(law, config), quadrature_error=law.quadrature_error,
+                       quadrature_lost_mass=law.quadrature_lost_mass)
     return law_estimate(marginal_sampler(emulators, combined.pi_hat, config.target, config.n_days), config)
 
 

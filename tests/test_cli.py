@@ -387,6 +387,21 @@ class TestEstimateCommand:
                 else:
                     assert 0.0 < d["quadrature_error"] <= 1e-3 and 0.0 <= d["quadrature_lost_mass"] <= 1e-9
 
+    def test_mass_lost_above_the_cells_warns(self, tmp_path, capsys):
+        # with beta1 = -5 a chain near 0 steps far above the cells, so P reads low
+        # by up to the lost mass; estimate still writes its files but says so
+        d = json.loads(GOLDEN_ARTIFACT.read_text())
+        d["cev"].update(beta0=0.5, beta1=-5.0)
+        path = tmp_path / "run_1.json"
+        path.write_text(json.dumps(d))
+        for artifact, out in ((GOLDEN_ARTIFACT, tmp_path / "golden"), (path, tmp_path / "steep")):
+            assert run_cli("estimate", "--out", out, "--question", "q3", artifact) == 0
+        err = capsys.readouterr().err
+        golden, steep = (json.loads((tmp_path / name / "estimate_q3.json").read_text()) for name in ("golden", "steep"))
+        assert golden["quadrature_lost_mass"] <= golden["quadrature_error"]
+        assert steep["quadrature_lost_mass"] > 0.1 > steep["quadrature_error"]
+        assert err.count("warning: the chain quadrature lost mass") == 1 and "may read low" in err
+
     def test_alpha_nesting(self, workspace, tmp_path):
         _, _, fits = workspace
         widths = {}
