@@ -30,7 +30,6 @@ from .ensemble import (
     laplace_targets,
     marginal_sampler,
     monte_carlo_estimate,
-    run_question,
 )
 from .gpd import (
     GPModel,
@@ -45,7 +44,7 @@ from .gpd import (
     qq_envelope,
     qq_exponential,
 )
-from .ingest import Calendar, EnsembleRun, load_run, read_blocks, save_run, validate_ensemble
+from .ingest import Calendar, EnsembleRun, read_blocks, save_run
 from .summarise import SummarySeries, read_series, spatial_order_statistic
 from .synth import SynthSpec, event_truth, generate_ensemble, generate_run, per_day_probability
 from .threshold import ThresholdModel, ald_negloglik, fit_threshold

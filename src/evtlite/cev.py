@@ -205,8 +205,11 @@ def hit_probability(model: CEVModel, start_floor: float, targets, width: float =
     The chain starts at start_floor + Exp(1), counts only from above the
     threshold, steps by Y' = beta0 Y + Y**beta1 Z and ends at Y <= 0, which is
     still compared with t. Its law moves over cells of (0, Y_MAX] cut every
-    width and at the threshold, start_floor and each t: a cell steps above c
-    w.p. 1 - F(z), z = (c - beta0 y) / y**beta1, at its midpoint y, or, where
+    width and at the threshold, start_floor and each t, and, at zero bandwidth,
+    at width / 2**j, j = 1..40: the first cell keeps its midpoint, but the point
+    masses of an unsmoothed pool can hold mass far below that midpoint or make
+    it leap from anywhere in the cell (beta1 < 0). A cell steps above
+    c w.p. 1 - F(z), z = (c - beta0 y) / y**beta1, at its midpoint y, or, where
     the kernel is narrower than the cell (y**beta1 h < width) and a midpoint
     would pin mass that moves less, averaged over the cell by U's difference
     quotient. Mass above t stepping above t counts and leaves; all targets
@@ -216,11 +219,14 @@ def hit_probability(model: CEVModel, start_floor: float, targets, width: float =
     targets = np.asarray(targets, dtype=np.float64)
     n, (cdf, excess), b0, b1 = targets.size, residual_law(model), model.beta0, model.beta1
     cuts = [v for v in (model.q_threshold, start_floor, *targets) if 0.0 < v < Y_MAX]
+    if model.kde_bandwidth == 0.0:
+        cuts += list(width * 0.5 ** np.arange(1, 41))
     edges = np.unique(np.concatenate([np.linspace(0.0, Y_MAX, int(round(Y_MAX / width)) + 1), cuts]))
     points, cells = np.concatenate([edges, targets]), edges.size - 1
 
     def arg(y, c):  # z of each source y (rows) and point c (columns)
-        return np.subtract.outer(c, b0 * y).T * (y ** -b1)[:, None]
+        # y**-beta1 overflows only next to 0; capped, it keeps z = 0 where c = beta0 y
+        return np.subtract.outer(c, b0 * y).T * np.minimum(y ** -b1, np.finfo(np.float64).max)[:, None]
 
     def exceed(first, last, c):
         """P(Y' > c) from cells first..last - 1."""
@@ -232,8 +238,9 @@ def hit_probability(model: CEVModel, start_floor: float, targets, width: float =
             narrow = np.flatnonzero(~(model.kde_bandwidth * mid ** b1 >= width) & (lower > 0.0))
             zl, zu = arg(lower[narrow], c), arg(upper[narrow], c)
             mean = (excess(zl) - excess(zu)) / (zu - zl)
-        # where z barely moves over the cell, the quotient would be rounding
-        up[narrow] = np.where(np.abs(zu - zl) > 1e-6 * (1.0 + np.abs(zu)), mean, up[narrow])
+        # where z barely moves over the cell, the quotient would be rounding; where z
+        # overflows at an edge next to 0, it is inf / inf or U(inf) is 0 * inf
+        up[narrow] = np.where((np.abs(zu - zl) > 1e-6 * (1.0 + np.abs(zu))) & np.isfinite(mean), mean, up[narrow])
         return up
 
     # cells from top on lie above every target: their mass only leaves or

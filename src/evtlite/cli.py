@@ -186,7 +186,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "point": result.point,
         "ci_low": result.ci_low,
         "ci_high": result.ci_high,
-        "mc_se": result.mc_se,
         "n_sim": config.n_sim,
         "n_srun": config.n_srun,
         "seed": config.seed,

@@ -28,8 +28,8 @@ from . import decluster
 from .cev import CELL_WIDTH, CEVModel, fit_cev, hit_probability, to_laplace
 from .decluster import ClusterSet, run_decluster
 from .gpd import GPModel, MixedDistribution, build_mixed, fit_gp, gp_cdf
-from .ingest import Calendar, EnsembleRun, validate_ensemble
-from .summarise import SummarySeries, spatial_order_statistic
+from .ingest import Calendar
+from .summarise import SummarySeries
 from .threshold import ThresholdModel, fit_threshold
 
 ARTIFACT_SCHEMA = "evtlite-emulator-v2"
@@ -206,7 +206,7 @@ class SimulationConfig:
 @dataclass(frozen=True)
 class EstimateResult:
     """Point and interval estimate of e_bar with n_sim draws of it, from an exact
-    law: mc_se is 0.0 and law_tail_mass what the law's table leaves out. q3 also
+    law: law_tail_mass is what the law's table leaves out. q3 also
     reports the largest change of a counting probability P[r, m] from cells twice
     as wide, and the largest mass lost above the cells (ChainLaw)."""
 
@@ -214,7 +214,6 @@ class EstimateResult:
     ci_low: float
     ci_high: float
     ebar_samples: np.ndarray
-    mc_se: float
     law_tail_mass: float
     quadrature_error: float | None = None
     quadrature_lost_mass: float | None = None
@@ -390,7 +389,7 @@ def law_estimate(sampler: MarginalSampler | ChainLaw, config: SimulationConfig) 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     s = np.minimum(np.searchsorted(cdf, rng.random(config.n_sim), side="right"), last)
     return EstimateResult(point=float(ebar @ law), ci_low=float(ebar[lo]), ci_high=float(ebar[hi]),
-                          ebar_samples=ebar[s], mc_se=0.0, law_tail_mass=max(0.0, 1.0 - float(cdf[-1])))
+                          ebar_samples=ebar[s], law_tail_mass=max(0.0, 1.0 - float(cdf[-1])))
 
 
 def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
@@ -430,16 +429,3 @@ def build_emulator(series: SummarySeries, question: str, tau: float = 0.95, run_
         series_values=series.values, threshold_model=tm, gp_model=gp, mixed=mixed, cluster_set=cs,
         cev_model=cev,
     )
-
-
-def run_question(question: str, runs: list[EnsembleRun], config: SimulationConfig,
-                 order_k: int | None = None, **fit_kwargs) -> EstimateResult:
-    """Full pipeline for one question: reduce each run to its order statistic (by
-    default the question's), fit per-run emulators, combine, estimate."""
-    validate_ensemble(runs)
-    if config.question != question:
-        config = replace(config, question=question)
-    k = QUESTIONS[question].order_k if order_k is None else order_k
-    emulators = [build_emulator(spatial_order_statistic(run, k), question, **fit_kwargs) for run in runs]
-    combined = combine_rates(emulators)
-    return monte_carlo_estimate(emulators, config, combined)

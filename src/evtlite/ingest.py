@@ -159,15 +159,6 @@ def read_blocks(path, skip_header: bool = False) -> Iterator[tuple[int, np.ndarr
         raise ValueError("file contains no data rows")
 
 
-def load_run(path, run_id: int, calendar: Calendar = Calendar(), skip_header: bool = False) -> EnsembleRun:
-    """Load one run from CSV, the blocks of read_blocks, and attach month labels from the calendar."""
-    try:
-        values = np.concatenate([block for _, block in read_blocks(path, skip_header)])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return EnsembleRun(run_id=run_id, values=values, months=calendar.months_for(values.shape[0]))
-
-
 # save_run renders each value into a 48-byte slot: an unused byte, "0.000", 17 (digit, ".")
 # pairs and, at byte 40, the separator. A mask row per (decimal exponent X in -4..16,
 # significant digit count 1..17), and one each for +0 and a fallback, keeps its "%.17g" bytes.
@@ -264,17 +255,3 @@ def save_run(run: EnsembleRun, path) -> None:
             x = run.values[start:start + SAVE_BLOCK_ROWS].ravel()
             fh.write(_format_block(x, slots[:x.size]))
 
-
-def validate_ensemble(runs: list[EnsembleRun]) -> None:
-    """Check that all runs share day count, site count and calendar."""
-    if not runs:
-        raise ValueError("ensemble is empty")
-    ref = runs[0]
-    for run in runs[1:]:
-        if run.n_days != ref.n_days or run.n_sites != ref.n_sites:
-            raise ValueError(
-                f"run {run.run_id}: shape ({run.n_days}, {run.n_sites}) does not match "
-                f"run {ref.run_id} ({ref.n_days}, {ref.n_sites})"
-            )
-        if not np.array_equal(run.months, ref.months):
-            raise ValueError(f"run {run.run_id}: calendar differs from run {ref.run_id}")

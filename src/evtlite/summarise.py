@@ -53,8 +53,8 @@ def spatial_order_statistic(run: EnsembleRun, k: int) -> SummarySeries:
 
 def read_series(path, k: int, run_id: int = 1, calendar: Calendar = Calendar(),
                 skip_header: bool = False) -> SummarySeries:
-    """spatial_order_statistic(load_run(path, run_id, calendar, skip_header), k), bit for bit,
-    reduced block by block as read_blocks yields them, so the run's values are never held.
-    Its errors are those of read_blocks and the k check, without the path."""
+    """The summary series of a run CSV: spatial_order_statistic's per-day k-th smallest
+    site value, reduced block by block as read_blocks yields them, so the run's values
+    are never held. Its errors are those of read_blocks and the k check, without the path."""
     values = np.concatenate([_kth_smallest(block, k) for _, block in read_blocks(path, skip_header)])
     return SummarySeries(run_id=run_id, order_k=k, values=values, months=calendar.months_for(values.size))

@@ -153,11 +153,12 @@ def closed_form_case(criterion: str, rho: float, run_length: int) -> None:
     sim_days = 1000
     truth = ev.event_truth(spec, target, n_days=sim_days)["expected_count_per_run"]
 
-    runs = ev.generate_ensemble(spec, seed=606)
     config = ev.SimulationConfig(question="q1", target_level=float(target),
                                  n_sim=2000, n_srun=50, seed=909, n_days=sim_days)
-    result = ev.run_question("q1", runs, config,
-                             tau=0.99, run_length=run_length, shape_mode="constant")
+    emulators = [ev.build_emulator(ev.spatial_order_statistic(run, 1), "q1", tau=0.99,
+                                   run_length=run_length, shape_mode="constant")
+                 for run in ev.generate_ensemble(spec, seed=606)]
+    result = ev.monte_carlo_estimate(emulators, config, ev.combine_rates(emulators))
     rel_err = abs(result.point - truth) / truth
     covered = result.ci_low <= truth <= result.ci_high
     ok = rel_err <= 0.10 and covered
@@ -196,9 +197,10 @@ def test_criterion_7_estimate_determinism(tmp_path):
     q1 = ("--target", "5.0", "--sim-days", "1000")
     j1, c1 = estimate(tmp_path / "est1", "q1", 1, fits, *q1)
     j2, c2 = estimate(tmp_path / "est1", "q1", 1, fits, *q1)  # same directory, rerun
-    # q1 reads its estimate off an exact law; q3 simulates, so the worker pool serves q3
+    # every question reads its estimate off an exact law, so --workers, which has
+    # no effect, leaves q3's output as it is
     k1, d1 = estimate(tmp_path / "est_q3", "q3", 1, fits_q3, "--target", "2.0")
-    k3, d3 = estimate(tmp_path / "est3", "q3", 2, fits_q3, "--target", "2.0")  # parallel
+    k3, d3 = estimate(tmp_path / "est3", "q3", 2, fits_q3, "--target", "2.0")  # --workers 2
     repeat_ok = j1 == j2 and c1 == c2
     parallel_ok = d1 == d3 and json.loads(k1)["point"] == json.loads(k3)["point"]
     ok = repeat_ok and parallel_ok
@@ -227,11 +229,13 @@ def test_criterion_8_reference_data_if_present():
     paths = sorted(os.path.join(data_dir, p) for p in os.listdir(data_dir)
                    if p.endswith(".csv"))
     assert len(paths) >= 1, "no CSV files found in EVTLITE_REFERENCE_DATA"
-    runs = [ev.load_run(p, run_id=i + 1) for i, p in enumerate(paths)]
     reference = {"q1": (0.207, 0.03), "q2": (0.072, 0.02), "q3": (0.067, 0.02)}
     for question, (ref_point, tol) in reference.items():
         config = ev.SimulationConfig(question=question, n_sim=2000, n_srun=50, seed=1)
-        result = ev.run_question(question, runs, config)
+        k = ev.QUESTIONS[question].order_k
+        emulators = [ev.build_emulator(ev.read_series(p, k, run_id=i + 1), question)
+                     for i, p in enumerate(paths)]
+        result = ev.monte_carlo_estimate(emulators, config, ev.combine_rates(emulators))
         within = abs(result.point - ref_point) <= tol
         # reported, not gating: fitting choices the reference leaves open
         # (optimiser, bandwidth) move these numbers

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evtlite as ev
@@ -346,12 +346,32 @@ class TestHitProbability:
         got = oracle_hit_fraction(model, pi, t, n, seed=5)
         assert abs(got - p[0]) <= 5.0 * np.sqrt(p[0] * (1.0 - p[0]) / n) + lost[0]
 
+    @pytest.mark.parametrize("beta0, beta1, bandwidth", [(0.0, 0.96875, 0.0), (0.0, 0.96875, 0.3),
+                                                         (1.0, 1.0 - 1e-6, 0.3), (0.5, -5.0, 0.3)])
+    @pytest.mark.parametrize("cut", ["target", "threshold", "start"])
+    def test_cut_at_the_smallest_double_keeps_p_finite(self, beta0, beta1, bandwidth, cut):
+        # a cut at 5e-324 leaves a cell whose midpoint is 0 and whose edges' y**-beta1 overflows;
+        # P and the lost mass stay finite, within the quadrature error of their values at 1e-300
+        def run(v, width=CELL_WIDTH):
+            model = make_cev(beta0, beta1, [-1.5, 0.0, 0.5, 2.0], bandwidth=bandwidth,
+                             q=v if cut == "threshold" else self.Q)
+            start = v if cut == "start" else -np.log(2 * 0.25)
+            targets = [v if cut == "target" else 1.0, -2.0, 0.0, 2.0]
+            return ev.hit_probability(model, start, targets, width)
+        p, lost = run(5e-324)
+        want, want_lost = run(1e-300)
+        error = np.max(np.abs(want - run(1e-300, 2 * CELL_WIDTH)[0]))
+        assert np.all(np.isfinite(p)) and np.all(np.isfinite(lost))
+        assert np.max(np.abs(p - want)) <= error and np.max(np.abs(lost - want_lost)) <= 1e-12
+
     @settings(max_examples=30, deadline=None)
     @given(beta0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
            beta1=st.one_of(st.sampled_from([-5.0, 0.0]), st.floats(-5.0, 1.0 - 1e-6)),
            residuals=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=50),
            bandwidth=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
            pi=st.floats(0.01, 0.3), target=st.floats(-1.0, 6.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(beta0=0.0, beta1=0.96875, residuals=[0.0], bandwidth=0.0, pi=0.25, target=5e-324, seed=0)
+    @example(beta0=0.0, beta1=0.5625, residuals=[1.5, 0.0625], bandwidth=0.0, pi=0.25, target=1.0, seed=0)
     def test_agrees_with_the_chain_oracle(self, beta0, beta1, residuals, bandwidth, pi, target, seed):
         # the oracle's fraction lies within 5 standard errors of P, widened by twice the
         # quadrature error and, upwards only, by the mass the quadrature loses above its cells

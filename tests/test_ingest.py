@@ -48,51 +48,51 @@ class TestCalendar:
 class TestLoadRun:
     def test_four_day_zero_file(self, tmp_path):
         path = write_csv(tmp_path, [[0.0, 0.0]] * 4)
-        run = ev.load_run(path, run_id=1)
-        assert run.n_days == 4 and run.n_sites == 2
-        assert np.array_equal(run.months, np.array([1, 1, 1, 1]))
+        series = ev.read_series(path, 1)
+        assert series.n_days == 4 and series.run_id == 1 and series.order_k == 1
+        assert np.array_equal(series.months, np.array([1, 1, 1, 1]))
+        assert [(first, block.shape) for first, block in ev.read_blocks(path)] == [(0, (4, 2))]
 
     def test_negative_value_names_row(self, tmp_path):
         path = write_csv(tmp_path, [[0.1, 0.2], [0.3, 0.4], [-0.1, 0.5], [0.0, 0.0]])
         with pytest.raises(ValueError, match="row 3"):
-            ev.load_run(path, run_id=1)
+            ev.read_series(path, 1)
 
     def test_nan_rejected(self, tmp_path):
         path = write_csv(tmp_path, [[0.1, 0.2], [float("nan"), 0.4]])
         with pytest.raises(ValueError, match="row 2"):
-            ev.load_run(path, run_id=1)
+            ev.read_series(path, 1)
 
     def test_malformed_cell_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.1,0.2\n0.3,oops\n")
         with pytest.raises(ValueError, match="row 2"):
-            ev.load_run(path, run_id=1)
+            ev.read_series(path, 1)
 
     def test_ragged_row_names_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("0.1,0.2\n0.3,0.4\n0.5,0.6,0.7\n")
         with pytest.raises(ValueError, match="row 3"):
-            ev.load_run(path, run_id=1)
+            ev.read_series(path, 1)
 
     def test_header_flag(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("site_a,site_b\n0.1,0.2\n0.3,0.4\n")
-        run = ev.load_run(path, run_id=1, skip_header=True)
-        assert run.n_days == 2
+        series = ev.read_series(path, 2, skip_header=True)
+        assert series.values.tolist() == [0.2, 0.4]
         with pytest.raises(ValueError):
-            ev.load_run(path, run_id=1)
+            ev.read_series(path, 1)
 
     def test_roundtrip_identity(self, tmp_path):
         rng = np.random.default_rng(3)
         values = rng.gamma(2.0, 1.5, size=(40, 3))
         path = write_csv(tmp_path, values.tolist())
-        run = ev.load_run(path, run_id=2)
+        read = np.concatenate([block for _, block in ev.read_blocks(path)])
+        assert np.array_equal(read, values)
         out = tmp_path / "copy.csv"
-        ev.save_run(run, out)
-        again = ev.load_run(out, run_id=2)
-        assert np.array_equal(run.values, again.values)
-        assert np.array_equal(run.months, again.months)
-
+        ev.save_run(ev.EnsembleRun(2, read, ev.Calendar().months_for(40)), out)
+        again = np.concatenate([block for _, block in ev.read_blocks(out)])
+        assert read.tobytes() == again.tobytes()
 
     @pytest.mark.parametrize("cell", ["oops", "1_000", '"1"', "0x10", "", "\udcff"],
                              ids=["word", "underscore", "quoted", "hex", "empty", "undecodable-byte"])
@@ -102,8 +102,8 @@ class TestLoadRun:
         path.write_bytes(f"0.1,0.2\n0.3,{cell}\n".encode(errors="surrogateescape"))
         shown = "\ufffd" if cell == "\udcff" else cell  # as the ASCII reader replaces the byte
         with pytest.raises(ValueError) as info:
-            ev.load_run(path, run_id=1)
-        assert str(info.value) == f"{path}: row 2: non-numeric value {shown!r} in column 2"
+            ev.read_series(path, 1)
+        assert str(info.value) == f"row 2: non-numeric value {shown!r} in column 2"
 
     @pytest.mark.parametrize("text, skip_header, message", [
         ("", False, "file contains no data rows"),
@@ -117,9 +117,6 @@ class TestLoadRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
-                ev.load_run(path, run_id=1, skip_header=skip_header)
-            assert str(info.value) == f"{path}: {message}"
-            with pytest.raises(ValueError) as info:
                 ev.read_series(path, 1, skip_header=skip_header)
             assert str(info.value) == message
 
@@ -129,10 +126,11 @@ class TestLoadRun:
         np.savetxt(path, values, delimiter=",", fmt="%.17g")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run = ev.load_run(path, run_id=1)
+            blocks = list(ev.read_blocks(path))
             series = ev.read_series(path, 2)
-        assert np.array_equal(run.values, values) and np.array_equal(series.values, values[:, 1])
-        assert [first for first, _ in ev.read_blocks(path)] == [0, READ_BLOCK_ROWS]
+        assert [first for first, _ in blocks] == [0, READ_BLOCK_ROWS]
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), values)
+        assert np.array_equal(series.values, values[:, 1])
 
 
 B = READ_BLOCK_ROWS
@@ -152,9 +150,12 @@ def test_streamed_series_and_errors_equal_the_loaded_runs(tmp_path_factory, data
                header=",".join(f"site_{j}" for j in range(n_sites)) if header else "", comments="")
     k = data.draw(st.integers(1, n_sites), label="k")
     series = ev.read_series(path, k, run_id=3, skip_header=header)
-    expected = ev.spatial_order_statistic(ev.load_run(path, run_id=3, skip_header=header), k)
-    assert series.values.tobytes() == expected.values.tobytes()
-    assert np.array_equal(series.months, expected.months) and series.run_id == 3 and series.order_k == k
+    # the reference reads the whole file at once, with the parser the blocks use
+    loaded = np.loadtxt(path, delimiter=",", skiprows=int(header), ndmin=2)
+    expected = np.partition(loaded, k - 1, axis=1)[:, k - 1]
+    assert series.values.tobytes() == expected.tobytes()
+    assert np.array_equal(series.months, ev.Calendar().months_for(n_days))
+    assert series.run_id == 3 and series.order_k == k
 
     # one fault on either side of the first block edge is named by its row and column in the file
     row = data.draw(st.sampled_from(sorted({min(B, n_days), min(B + 1, n_days)})), label="row")
@@ -180,9 +181,6 @@ def test_streamed_series_and_errors_equal_the_loaded_runs(tmp_path_factory, data
     with pytest.raises(ValueError) as info:
         ev.read_series(path, k, skip_header=header)
     assert str(info.value) == message
-    with pytest.raises(ValueError) as info:
-        ev.load_run(path, run_id=1, skip_header=header)
-    assert str(info.value) == f"{path}: {message}"
 
 
 class TestEnsembleRun:
@@ -197,29 +195,6 @@ class TestEnsembleRun:
         values[4, 0] = -1.0
         with pytest.raises(ValueError, match=message):
             ev.EnsembleRun(1, values, ev.Calendar().months_for(5))
-
-    def test_load_run_prefixes_its_path(self, tmp_path):
-        path = write_csv(tmp_path, [[0.1, 0.2], [0.3, -0.4]])
-        with pytest.raises(ValueError) as info:
-            ev.load_run(path, run_id=1)
-        assert str(info.value) == f"{path}: row 2: negative value -0.4 in column 2"
-
-
-class TestValidateEnsemble:
-    def _run(self, run_id, n_days=30, n_sites=2):
-        months = ev.Calendar().months_for(n_days)
-        return ev.EnsembleRun(run_id, np.ones((n_days, n_sites)), months)
-
-    def test_matching_runs_ok(self):
-        ev.validate_ensemble([self._run(1), self._run(2)])
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            ev.validate_ensemble([])
-
-    def test_shape_mismatch_names_run(self):
-        with pytest.raises(ValueError, match="run 2"):
-            ev.validate_ensemble([self._run(1, n_days=100), self._run(2, n_days=101)])
 
 
 _POWERS = np.array([float(f"1e{k}") for k in range(-5, 19)])  # where %g switches form, log10 is close
