@@ -44,9 +44,9 @@ from .gpd import (
     qq_envelope,
     qq_exponential,
 )
-from .ingest import Calendar, EnsembleRun, read_blocks, save_run
-from .summarise import SummarySeries, read_series, spatial_order_statistic
-from .synth import SynthSpec, event_truth, generate_ensemble, generate_run, per_day_probability
+from .ingest import Calendar, read_blocks, save_run
+from .summarise import SummarySeries, read_series
+from .synth import SynthSpec, event_truth, generate_run, iter_ensemble, per_day_probability
 from .threshold import ThresholdModel, ald_negloglik, fit_threshold
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ BETA1_MAX = 1.0 - 1e-6
 Y_MAX = 30.0       # the chain quadrature's cells cover (0, Y_MAX]
 CHAIN_STEPS = 30
 CELL_WIDTH = 0.05
+MIN_PAIRS = 100    # fit_cev refuses a series with fewer pairs above its threshold
 
 
 def laplace_quantile(p):
@@ -146,7 +147,7 @@ def fit_conditional_pairs(x: np.ndarray, y: np.ndarray, q: float) -> CEVModel:
     )
 
 
-def fit_cev(laplace: np.ndarray, q_prob: float = 0.90, min_pairs: int = 100) -> CEVModel:
+def fit_cev(laplace: np.ndarray, q_prob: float = 0.90) -> CEVModel:
     """Fit the conditional tail model to consecutive-day pairs of a series on
     standard Laplace margins.
 
@@ -160,8 +161,8 @@ def fit_cev(laplace: np.ndarray, q_prob: float = 0.90, min_pairs: int = 100) -> 
     x_all = laplace[:-1]
     y_all = laplace[1:]
     keep = x_all > q
-    if int(keep.sum()) < min_pairs:
-        raise RuntimeError(f"only {int(keep.sum())} pairs exceed the threshold; need {min_pairs}")
+    if int(keep.sum()) < MIN_PAIRS:
+        raise RuntimeError(f"only {int(keep.sum())} pairs exceed the threshold; need {MIN_PAIRS}")
     return fit_conditional_pairs(x_all[keep], y_all[keep], q)
 
 

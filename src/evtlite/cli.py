@@ -219,8 +219,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         xi=args.xi, rho=args.rho, calendar=args.calendar,
     )
     out.mkdir(parents=True, exist_ok=True)
-    for run in iter_ensemble(spec, seed=args.seed):  # each run is written before the next is drawn
-        save_run(run, out / f"run_{run.run_id}.csv")
+    for run_id, values in enumerate(iter_ensemble(spec, seed=args.seed), start=1):  # written before the next is drawn
+        save_run(values, out / f"run_{run_id}.csv")
     truth = {"seed": args.seed, "spec": spec.to_dict(),
              "events": [event_truth(spec, target) for target in args.targets or ()]}
     _write_json(out / "truth.json", truth)

@@ -144,6 +144,8 @@ def emulator_from_dict(d: dict) -> RunEmulator:
         raise ValueError(f"malformed artifact: {exc!r}") from None
     if question not in QUESTIONS:
         raise ValueError(f"malformed artifact: question {question!r} is not one of {sorted(QUESTIONS)}")
+    if (cev is None) == QUESTIONS[question].uses_chain:
+        raise ValueError(f"malformed artifact: question {question} {'needs a' if cev is None else 'takes no'} cev")
     # through the module: perfbench traces this module's run_decluster as the fit's stage
     cs = decluster.run_decluster(series, tm, l=run_length)
     if cs.n_clusters == 0:

@@ -25,6 +25,7 @@ from .threshold import ThresholdModel
 XI_ZERO_EPS = 1e-10
 XI_MIN = -0.9
 XI_MAX = 2.0
+QQ_LEVEL = 0.95  # central coverage of qq_envelope's pointwise band
 
 SHAPE_MODES = ("constant", "by_month")
 
@@ -323,13 +324,12 @@ def qq_exponential(model: GPModel, cs: ClusterSet) -> np.ndarray:
     return np.column_stack([theoretical, empirical])
 
 
-def qq_envelope(model: GPModel, cs: ClusterSet, n_boot: int = 200, level: float = 0.95,
-                seed: int = 0) -> np.ndarray:
+def qq_envelope(model: GPModel, cs: ClusterSet, n_boot: int = 200, seed: int = 0) -> np.ndarray:
     """Known-parameter envelope for the exponential QQ plot.
 
     If the fitted parameters were the true ones, the transformed excesses
     of qq_exponential would be n = cs.n_clusters independent Exp(1) values.
-    The envelope is the pointwise central level-quantiles of the sorted
+    The envelope is the pointwise central QQ_LEVEL-quantiles of the sorted
     values of n_boot simulated Exp(1) samples of size n. The model's
     parameters are not used and nothing is refitted, so the envelope leaves
     out estimation error and is narrower than a parametric-bootstrap one.
@@ -340,7 +340,7 @@ def qq_envelope(model: GPModel, cs: ClusterSet, n_boot: int = 200, level: float 
     n = cs.n_clusters
     rng = np.random.default_rng(seed)
     sims = np.sort(-np.log1p(-rng.random((n_boot, n))), axis=1)
-    alpha = 1.0 - level
+    alpha = 1.0 - QQ_LEVEL
     lower = np.quantile(sims, alpha / 2.0, axis=0)
     upper = np.quantile(sims, 1.0 - alpha / 2.0, axis=0)
     theoretical = -np.log1p(-np.arange(1, n + 1) / (n + 1.0))

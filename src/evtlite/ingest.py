@@ -54,38 +54,6 @@ class Calendar:
         return np.searchsorted(bounds, day_of_year, side="right").astype(np.int64) + 1
 
 
-@dataclass(frozen=True)
-class EnsembleRun:
-    """One climate run: daily site values plus per-day month labels."""
-
-    run_id: int
-    values: np.ndarray  # (n_days, n_sites), finite and >= 0
-    months: np.ndarray  # (n_days,), in 1..12
-
-    def __post_init__(self) -> None:
-        if self.run_id < 1:
-            raise ValueError(f"run_id must be >= 1, got {self.run_id}")
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        months = np.ascontiguousarray(self.months, dtype=np.int64)
-        if values.ndim != 2 or values.shape[1] < 1:
-            raise ValueError(f"values must be 2-D with >= 1 site, got shape {values.shape}")
-        _check_values(values)
-        if months.shape != (values.shape[0],):
-            raise ValueError("months length must equal the number of days")
-        if months.size and (months.min() < 1 or months.max() > 12):
-            raise ValueError("months must lie in 1..12")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "months", months)
-
-    @property
-    def n_days(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_sites(self) -> int:
-        return self.values.shape[1]
-
-
 def _check_values(values: np.ndarray, first_row: int = 0) -> None:
     """Refuse the first negative or non-finite value of a (rows, sites) block,
     naming its 1-based row (counted from first_row + 1) and column."""
@@ -236,22 +204,28 @@ def _format_block(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return text
 
 
-def save_run(run: EnsembleRun, path) -> None:
-    """Write a run back to CSV with full float precision (round-trip safe).
+def save_run(values: np.ndarray, path) -> None:
+    """Write a run's (n_days, n_sites) values to CSV with full float precision (round-trip safe).
 
-    The bytes are those of np.savetxt(path, run.values, delimiter=",", fmt="%.17g"),
-    rendered in numpy float64 a block of SAVE_BLOCK_ROWS rows at a time. The 17
-    digits of x are the integer nearest x * 10**(16 - X), X its decimal exponent,
-    which _nearest_scaled finds exactly, ties to even as "%.17g" rounds. Values
-    printed in exponent form (below 1e-4, subnormals included, or from 1e17), -0
-    and the rare ones that carry into the next decade or where log10 is one off
-    next to a power of ten are formatted by Python's % and spliced in.
+    Refuses values that are not 2-D with >= 1 site and, as read_blocks does, the
+    first negative or non-finite one. The bytes are those of np.savetxt(path,
+    values, delimiter=",", fmt="%.17g"), rendered in numpy float64 a block of
+    SAVE_BLOCK_ROWS rows at a time. The 17 digits of x are the integer nearest
+    x * 10**(16 - X), X its decimal exponent, which _nearest_scaled finds exactly,
+    ties to even as "%.17g" rounds. Values printed in exponent form (below 1e-4,
+    subnormals included, or from 1e17), -0 and the rare ones that carry into the
+    next decade or where log10 is one off next to a power of ten are formatted by
+    Python's % and spliced in.
     """
-    rows = min(run.n_days, SAVE_BLOCK_ROWS)
-    slots = np.empty((rows * run.n_sites, 6), dtype=np.uint64)
-    slots.view(np.uint8)[:, 40] = np.tile(np.frombuffer(b"," * (run.n_sites - 1) + b"\n", dtype=np.uint8), rows)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] < 1:
+        raise ValueError(f"values must be 2-D with >= 1 site, got shape {values.shape}")
+    _check_values(values)
+    n_days, n_sites = values.shape
+    rows = min(n_days, SAVE_BLOCK_ROWS)
+    slots = np.empty((rows * n_sites, 6), dtype=np.uint64)
+    slots.view(np.uint8)[:, 40] = np.tile(np.frombuffer(b"," * (n_sites - 1) + b"\n", dtype=np.uint8), rows)
     with open(path, "wb") as fh:
-        for start in range(0, run.n_days, SAVE_BLOCK_ROWS):
-            x = run.values[start:start + SAVE_BLOCK_ROWS].ravel()
+        for start in range(0, n_days, SAVE_BLOCK_ROWS):
+            x = values[start:start + SAVE_BLOCK_ROWS].ravel()
             fh.write(_format_block(x, slots[:x.size]))
-

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Calendar, EnsembleRun, read_blocks
+from .ingest import Calendar, read_blocks
 
 
 @dataclass(frozen=True)
@@ -40,21 +40,12 @@ def _kth_smallest(values: np.ndarray, k: int) -> np.ndarray:
     return np.partition(values, k - 1, axis=1)[:, k - 1].copy()
 
 
-def spatial_order_statistic(run: EnsembleRun, k: int) -> SummarySeries:
-    """Per-day k-th smallest site value (k=1 is the spatial minimum).
-
-    The k-th smallest exceeding a level v is equivalent to at least
-    n_sites - k + 1 sites exceeding v, which is what makes a single
-    order statistic sufficient for joint-exceedance events.
-    """
-    values = _kth_smallest(run.values, k)
-    return SummarySeries(run_id=run.run_id, order_k=k, values=values, months=run.months)
-
-
 def read_series(path, k: int, run_id: int = 1, calendar: Calendar = Calendar(),
                 skip_header: bool = False) -> SummarySeries:
-    """The summary series of a run CSV: spatial_order_statistic's per-day k-th smallest
-    site value, reduced block by block as read_blocks yields them, so the run's values
-    are never held. Its errors are those of read_blocks and the k check, without the path."""
+    """The summary series of a run CSV: each day's k-th smallest site value (k=1 is the
+    spatial minimum), reduced block by block as read_blocks yields them, so the run's
+    values are never held. The k-th smallest exceeds a level v exactly when at least
+    n_sites - k + 1 sites do, which makes one order statistic sufficient for joint-exceedance
+    events. Its errors are those of read_blocks and the k check, without the path."""
     values = np.concatenate([_kth_smallest(block, k) for _, block in read_blocks(path, skip_header)])
     return SummarySeries(run_id=run_id, order_k=k, values=values, months=calendar.months_for(values.size))

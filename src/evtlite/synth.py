@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from .gpd import gp_cdf, gp_quantile
-from .ingest import Calendar, EnsembleRun
+from .ingest import Calendar
 
 
 @dataclass
@@ -98,8 +98,8 @@ def _scalar_series(spec: SynthSpec, months: np.ndarray, rng: np.random.Generator
     return x
 
 
-def generate_run(spec: SynthSpec, run_id: int, rng: np.random.Generator) -> EnsembleRun:
-    """One synthetic run whose k-th order statistic equals the scalar series."""
+def generate_run(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
+    """One synthetic run's (n_days, n_sites) values, whose per-day k-th smallest equals the scalar series."""
     months = spec.calendar.months_for(spec.n_days)
     x = _scalar_series(spec, months, rng)
     n, s, k = spec.n_days, spec.n_sites, spec.order_k
@@ -111,19 +111,14 @@ def generate_run(spec: SynthSpec, run_id: int, rng: np.random.Generator) -> Ense
         bump = 0.01 + rng.uniform(0.0, 1.0, size=(n, s - k)) * (0.5 + 0.25 * x[:, None])
         cols[:, k:] = x[:, None] + bump
     order = np.argsort(rng.random((n, s)), axis=1)
-    values = np.take_along_axis(cols, order, axis=1)
-    return EnsembleRun(run_id=run_id, values=values, months=months)
+    return np.take_along_axis(cols, order, axis=1)
 
 
-def iter_ensemble(spec: SynthSpec, seed: int) -> Iterator[EnsembleRun]:
-    """Runs 1..n_runs, drawn in turn from one default_rng(seed) stream as they are asked for."""
+def iter_ensemble(spec: SynthSpec, seed: int) -> Iterator[np.ndarray]:
+    """The values of runs 1..n_runs, drawn in turn from one default_rng(seed) stream as they are asked for."""
     rng = np.random.default_rng(seed)
-    for run_id in range(1, spec.n_runs + 1):
-        yield generate_run(spec, run_id, rng)
-
-
-def generate_ensemble(spec: SynthSpec, seed: int) -> list[EnsembleRun]:
-    return list(iter_ensemble(spec, seed))
+    for _ in range(spec.n_runs):
+        yield generate_run(spec, rng)
 
 
 def per_day_probability(spec: SynthSpec, target: float, month: int) -> float:

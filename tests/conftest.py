@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
@@ -10,6 +12,15 @@ from scipy.optimize import minimize
 import evtlite as ev
 from evtlite.cev import PROB_CLIP
 from evtlite.decluster import ClusterSet
+
+
+def series_of(values, k, run_id=1):
+    """The summary series that fit reads from a run with these (n_days, n_sites)
+    values: the run written by save_run, then reduced by read_series."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.csv"
+        ev.save_run(values, path)
+        return ev.read_series(path, k, run_id=run_id)
 
 
 def oracle_decluster(values, u, l):

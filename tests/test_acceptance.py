@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import brentq
 
 import evtlite as ev
-from conftest import oracle_decluster
+from conftest import oracle_decluster, series_of
 from evtlite.cli import main as cli_main
 
 
@@ -67,8 +67,7 @@ def seasonal_ensemble():
     spec = ev.SynthSpec(n_runs=4, n_days=60225, n_sites=4, order_k=1, pi=0.05,
                         u0_by_month=np.linspace(1.0, 2.0, 12),
                         sigma_by_month=np.full(12, 0.5), xi=0.1)
-    runs = ev.generate_ensemble(spec, seed=2301)
-    series = [ev.spatial_order_statistic(r, 1) for r in runs]
+    series = [series_of(values, 1, run_id=i) for i, values in enumerate(ev.iter_ensemble(spec, 2301), start=1)]
     models = [ev.fit_threshold(s, tau=0.95) for s in series]
     return spec, series, models
 
@@ -155,9 +154,9 @@ def closed_form_case(criterion: str, rho: float, run_length: int) -> None:
 
     config = ev.SimulationConfig(question="q1", target_level=float(target),
                                  n_sim=2000, n_srun=50, seed=909, n_days=sim_days)
-    emulators = [ev.build_emulator(ev.spatial_order_statistic(run, 1), "q1", tau=0.99,
+    emulators = [ev.build_emulator(series_of(values, 1, run_id=i), "q1", tau=0.99,
                                    run_length=run_length, shape_mode="constant")
-                 for run in ev.generate_ensemble(spec, seed=606)]
+                 for i, values in enumerate(ev.iter_ensemble(spec, seed=606), start=1)]
     result = ev.monte_carlo_estimate(emulators, config, ev.combine_rates(emulators))
     rel_err = abs(result.point - truth) / truth
     covered = result.ci_low <= truth <= result.ci_high

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import evtlite as ev
 from conftest import (count_chains, oracle_hit_fraction, oracle_working_negloglik, sample_residuals,
-                      stack_cev, working_negloglik)
+                      series_of, stack_cev, working_negloglik)
 from evtlite.cev import CELL_WIDTH, Y_MAX, CEVModel, laplace_cdf, residual_law, silverman_bandwidth
 
 
@@ -47,8 +47,7 @@ def homogeneous_fit():
     """Month-homogeneous synthetic run, so the pooled bulk is month-exact."""
     spec = ev.SynthSpec(n_runs=1, n_days=54750, n_sites=4, order_k=1, pi=0.05,
                         u0_by_month=np.full(12, 1.5), sigma_by_month=np.full(12, 0.6), xi=0.05)
-    run = ev.generate_run(spec, 1, np.random.default_rng(303))
-    series = ev.spatial_order_statistic(run, 1)
+    series = series_of(ev.generate_run(spec, np.random.default_rng(303)), 1)
     tm = ev.fit_threshold(series)
     cs = ev.run_decluster(series, tm, 3)
     gp = ev.fit_gp(cs, tm, "constant")
@@ -118,11 +117,11 @@ class TestFitCev:
         model = ev.fit_conditional_pairs(x, y, q)
         assert model.beta0 == 0.0 and model.at_bound == ("beta0",)
 
-    def test_fit_cev_pair_floor(self, homogeneous_fit):
-        series, mixed = homogeneous_fit
-        ls = ev.to_laplace(mixed, series.values, series.months)
-        with pytest.raises(RuntimeError, match="pairs"):
-            ev.fit_cev(ls, q_prob=0.90, min_pairs=10 ** 9)
+    def test_fit_cev_pair_floor(self):
+        # 100 of 1000 Laplace quantiles lie above the 0.9 one, and the last starts no pair
+        ls = ev.laplace_quantile((np.arange(1000) + 0.5) / 1000)
+        with pytest.raises(RuntimeError, match="only 99 pairs exceed the threshold; need 100"):
+            ev.fit_cev(ls, q_prob=0.90)
         with pytest.raises(ValueError):
             ev.fit_cev(ls, q_prob=0.4)
 

@@ -706,6 +706,10 @@ class TestDiagnoseCommand:
         ("cev kde_bandwidth -1", "kde_bandwidth must be non-negative and finite, got -1.0"),
         ("cev residual nan", "the residual pool must be a non-empty 1-D array of finite values"),
         ("cev residuals empty", "the residual pool must be a non-empty 1-D array of finite values"),
+        # estimate used to exit 2 without the path or 0 with a stray cev, diagnose to
+        # exit 0 and skip the cev files or write them for a question that fits none
+        ("q3 without cev", "malformed artifact: question q3 needs a cev"),
+        ("q1 with cev", "malformed artifact: question q1 takes no cev"),
     ])
     def test_malformed_artifact_exit_2(self, tmp_path, capsys, breakage, message):
         d = self.artifact(np.linspace(0.0, 2.0, 400), 1.0)
@@ -719,6 +723,11 @@ class TestDiagnoseCommand:
                 d["cev"]["residuals"] = pack_floats(np.empty(0))
             else:
                 d["cev"][name] = float(value)
+        elif breakage == "q3 without cev":
+            d, question = json.loads(GOLDEN_ARTIFACT.read_text()), "q3"
+            d["cev"] = None
+        elif breakage == "q1 with cev":
+            d["cev"] = json.loads(GOLDEN_ARTIFACT.read_text())["cev"]
         elif breakage == "values nan":
             d["values"] = pack_floats(np.r_[np.nan, np.linspace(0.0, 2.0, 399)])
         elif breakage == "threshold null":

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import binom, ks_2samp
 
 import evtlite as ev
-from conftest import chain_starts, count_chains, daily_marginal_count, make_marginal_emulator, stack_cev
+from conftest import (chain_starts, count_chains, daily_marginal_count, make_marginal_emulator, series_of,
+                      stack_cev)
 from evtlite.cev import CELL_WIDTH, PROB_CLIP, CEVModel
 from evtlite.ensemble import ChainLaw, MarginalSampler, law_estimate
 
@@ -541,13 +542,14 @@ class TestRunQuestion:
         spec = ev.SynthSpec(n_runs=2, n_days=10950, n_sites=5, order_k=3, pi=0.05,
                             u0_by_month=np.full(12, 1.2), sigma_by_month=np.full(12, 0.6),
                             xi=0.0, rho=0.6)
-        runs = ev.generate_ensemble(spec, seed=88)
+        runs = list(ev.iter_ensemble(spec, seed=88))
         config = ev.SimulationConfig(question="q3", target_level=4.0,
                                      n_sim=40, n_srun=5, seed=13)
 
         def estimate():  # the path of fit and estimate: reduce, fit, combine, estimate
             # third largest of 5 sites: k = 3
-            emulators = [ev.build_emulator(ev.spatial_order_statistic(run, 3), "q3") for run in runs]
+            emulators = [ev.build_emulator(series_of(values, 3, run_id=i), "q3")
+                         for i, values in enumerate(runs, start=1)]
             return ev.monte_carlo_estimate(emulators, config, ev.combine_rates(emulators))
         result = estimate()
         assert result.point >= 0.0

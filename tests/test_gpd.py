@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import evtlite as ev
 from conftest import (constant_threshold_model, gp_group_negloglik, make_cluster_set,
-                      oracle_gp_negloglik)
+                      oracle_gp_negloglik, series_of)
 
 
 class TestGpCdf:
@@ -209,8 +209,7 @@ def fitted():
     spec = ev.SynthSpec(n_runs=1, n_days=36500, n_sites=4, order_k=1, pi=0.05,
                         u0_by_month=np.linspace(1.0, 2.0, 12),
                         sigma_by_month=np.full(12, 0.5), xi=0.1)
-    run = ev.generate_run(spec, 1, rng)
-    series = ev.spatial_order_statistic(run, 1)
+    series = series_of(ev.generate_run(spec, rng), 1)
     tm = ev.fit_threshold(series)
     cs = ev.run_decluster(series, tm, 3)
     gp = ev.fit_gp(cs, tm, "constant")

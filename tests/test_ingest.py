@@ -90,7 +90,7 @@ class TestLoadRun:
         read = np.concatenate([block for _, block in ev.read_blocks(path)])
         assert np.array_equal(read, values)
         out = tmp_path / "copy.csv"
-        ev.save_run(ev.EnsembleRun(2, read, ev.Calendar().months_for(40)), out)
+        ev.save_run(read, out)
         again = np.concatenate([block for _, block in ev.read_blocks(out)])
         assert read.tobytes() == again.tobytes()
 
@@ -183,18 +183,25 @@ def test_streamed_series_and_errors_equal_the_loaded_runs(tmp_path_factory, data
     assert str(info.value) == message
 
 
-class TestEnsembleRun:
+class TestSaveRun:
     @pytest.mark.parametrize("bad, message", [
         (np.nan, "row 3: non-finite value nan in column 2"),
         (-np.inf, "row 3: non-finite value -inf in column 2"),
         (-0.5, "row 3: negative value -0.5 in column 2"),
     ])
-    def test_first_bad_value_named_by_row_column_and_value(self, bad, message):
+    def test_first_bad_value_named_by_row_column_and_value(self, tmp_path, bad, message):
         values = np.ones((5, 3))
         values[2, 1] = bad
         values[4, 0] = -1.0
         with pytest.raises(ValueError, match=message):
-            ev.EnsembleRun(1, values, ev.Calendar().months_for(5))
+            ev.save_run(values, tmp_path / "run.csv")
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 0), (2, 3, 4)], ids=["1-D", "no-sites", "3-D"])
+    def test_values_not_2d_with_a_site_refused(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=rf"2-D with >= 1 site, got shape \({shape[0]}"):
+            ev.save_run(np.ones(shape), tmp_path / "run.csv")
+        assert not (tmp_path / "run.csv").exists()
 
 
 _POWERS = np.array([float(f"1e{k}") for k in range(-5, 19)])  # where %g switches form, log10 is close
@@ -217,8 +224,7 @@ _POWERS = np.array([float(f"1e{k}") for k in range(-5, 19)])  # where %g switche
         "powers-of-ten-and-neighbours", "17th-digit-carries", "integers-above-2**53", "ties-and-signed-zero",
         "25-sites-across-a-block"])
 def test_save_run_bytes_equal_savetxt(tmp_path, values):
-    run = ev.EnsembleRun(1, values, ev.Calendar().months_for(values.shape[0]))
-    ev.save_run(run, tmp_path / "run.csv")
+    ev.save_run(values, tmp_path / "run.csv")
     np.savetxt(tmp_path / "ref.csv", values, delimiter=",", fmt="%.17g")
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -228,7 +234,6 @@ def test_save_run_bytes_equal_savetxt(tmp_path, values):
               elements=st.floats(min_value=0, allow_nan=False, allow_infinity=False)))
 def test_save_run_bytes_equal_savetxt_on_any_values(tmp_path_factory, values):
     out = tmp_path_factory.mktemp("save")
-    run = ev.EnsembleRun(1, values, ev.Calendar().months_for(values.shape[0]))
-    ev.save_run(run, out / "run.csv")
+    ev.save_run(values, out / "run.csv")
     np.savetxt(out / "ref.csv", values, delimiter=",", fmt="%.17g")
     assert (out / "run.csv").read_bytes() == (out / "ref.csv").read_bytes()

@@ -2,25 +2,29 @@ import numpy as np
 import pytest
 
 import evtlite as ev
+from conftest import series_of
 from evtlite.synth import _ar1
+
+
+def first_run(spec, seed):
+    return next(ev.iter_ensemble(spec, seed))
 
 
 def test_same_seed_identical_runs():
     spec = ev.SynthSpec(n_runs=2, n_days=500, n_sites=5, order_k=2)
-    a = ev.generate_ensemble(spec, seed=9)
-    b = ev.generate_ensemble(spec, seed=9)
+    a = list(ev.iter_ensemble(spec, seed=9))
+    b = list(ev.iter_ensemble(spec, seed=9))
+    assert len(a) == 2
     for ra, rb in zip(a, b):
-        assert np.array_equal(ra.values, rb.values)
-    c = ev.generate_ensemble(spec, seed=10)
-    assert not np.array_equal(a[0].values, c[0].values)
+        assert np.array_equal(ra, rb)
+    assert not np.array_equal(a[0], first_run(spec, seed=10))
 
 
 def test_order_statistic_marginal_is_exact():
     spec = ev.SynthSpec(n_runs=1, n_days=60225, n_sites=6, order_k=3, pi=0.05,
                         u0_by_month=np.linspace(1.0, 2.0, 12),
                         sigma_by_month=np.full(12, 0.5), xi=0.0)
-    run = ev.generate_ensemble(spec, seed=4)[0]
-    series = ev.spatial_order_statistic(run, 3)
+    series = series_of(first_run(spec, seed=4), 3)
     for m in (1, 6, 12):
         mask = series.months == m
         frac_below = float(np.mean(series.values[mask] <= spec.u0_by_month[m - 1]))
@@ -34,8 +38,7 @@ def test_event_frequency_matches_truth():
     target = 1.0 + 0.8 * np.log(100.0)  # tail survival 0.01, per-day 5e-4
     truth = ev.event_truth(spec, target)
     assert truth["mean_per_day"] == pytest.approx(5e-4, rel=1e-12)
-    run = ev.generate_ensemble(spec, seed=21)[0]
-    series = ev.spatial_order_statistic(run, 1)
+    series = series_of(first_run(spec, seed=21), 1)
     count = int(np.sum(series.values > target))
     expected = truth["expected_count_per_run"]
     assert abs(count - expected) <= 4 * np.sqrt(expected)
@@ -59,8 +62,7 @@ def test_independent_days_give_near_unit_extremal_index():
     spec = ev.SynthSpec(n_runs=1, n_days=60225, n_sites=3, order_k=1, pi=0.02,
                         u0_by_month=np.full(12, 1.0), sigma_by_month=np.full(12, 0.5),
                         xi=0.0, rho=0.0)
-    run = ev.generate_ensemble(spec, seed=3)[0]
-    series = ev.spatial_order_statistic(run, 1)
+    series = series_of(first_run(spec, seed=3), 1)
     tm = ev.ThresholdModel(0.98, spec.u0_by_month, np.zeros(12), 0.0)
     cs = ev.run_decluster(series, tm, l=1)
     assert 0.95 <= cs.theta_hat <= 1.0
@@ -74,8 +76,7 @@ def test_dependence_knob_creates_clusters_but_keeps_margins():
     tm = ev.ThresholdModel(0.95, np.full(12, 1.0), np.zeros(12), 0.0)
     thetas = {}
     for name, spec in (("indep", indep), ("dep", dep)):
-        run = ev.generate_ensemble(spec, seed=17)[0]
-        series = ev.spatial_order_statistic(run, 1)
+        series = series_of(first_run(spec, seed=17), 1)
         # marginal untouched by the copula
         assert float(np.mean(series.values > 1.0)) == pytest.approx(0.05, abs=0.005)
         thetas[name] = ev.run_decluster(series, tm, l=3).theta_hat
