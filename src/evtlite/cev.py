@@ -30,6 +30,7 @@ BETA1_MAX = 1.0 - 1e-6
 Y_MAX = 30.0       # the chain quadrature's cells cover (0, Y_MAX]
 CHAIN_STEPS = 30
 CELL_WIDTH = 0.05
+LOST_MASS_TOLERANCE = 1e-9  # estimate warns only of more lost mass; start mass above Y_MAX is ~1e-12
 MIN_PAIRS = 100    # fit_cev refuses a series with fewer pairs above its threshold
 
 

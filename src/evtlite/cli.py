@@ -1,17 +1,19 @@
 """Batch command line: fit, estimate, synth, diagnose.
 
 build_parser is the one place that names an option, its type, its choices
-and its default. An optional flat key = value config file (--config) sets
-options by their dest, the flag name with _ for -: each value is converted
-and checked by the flag's own argparse Action and becomes a default of the
-command, so flags beat config values, which beat built-in defaults. One
-file may serve every command; keys of the other commands are skipped. All
-randomness in a command derives from its --seed and fits are exact or
-profiled, with no random restarts, so every command is idempotent given
-identical inputs.
+and its default. An argument @FILE stands for the arguments in FILE, one per
+line, such as --tau=0.9 or a run path (argparse's fromfile_prefix_chars).
+Each line is one whole argument, so a file holds no comments or blank
+lines, and it serves the one command whose flags it holds. A flag given
+after @FILE wins over the file's, as a later flag always does. argparse
+checks a file's arguments as it checks typed ones and exits 2 on a bad one
+or a missing file, naming no line. Any argument that starts with @ is read
+as a file. All randomness in a command derives from its --seed and fits
+are exact or profiled, with no random restarts, so every command is
+idempotent given identical inputs.
 
 Exit codes: 0 success, 1 statistical failure (non-convergence, degenerate
-data), 2 I/O or configuration error.
+data), 2 I/O or usage error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cev import to_laplace
+from .cev import LOST_MASS_TOLERANCE, to_laplace
 from .ensemble import (
     QUESTIONS,
     RunEmulator,
@@ -39,9 +41,6 @@ from .gpd import SHAPE_MODES, qq_envelope, qq_exponential
 from .ingest import Calendar, save_run
 from .summarise import read_series
 from .synth import SynthSpec, event_truth, iter_ensemble
-
-_BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-                  "0": False, "false": False, "no": False, "off": False}
 
 
 def calendar(spec: str) -> Calendar:
@@ -61,46 +60,6 @@ def monthly_floats(spec: str) -> list[float]:
     values = float_list(spec)
     if len(values) not in (1, 12):
         raise argparse.ArgumentTypeError(f"expected 1 or 12 comma-separated values, got {len(values)}")
-    return values
-
-
-def _config_value(action: argparse.Action, text: str):
-    """A config value converted and checked as the flag's Action would: a
-    true/false word for a store_true flag, comma-separated items for a list
-    positional, else the Action's type and choices."""
-    if action.required:
-        raise ValueError("must be given on the command line")
-    if action.nargs == 0:
-        if text.lower() not in _BOOLEAN_WORDS:
-            raise ValueError(f"expected true or false, got {text!r}")
-        return _BOOLEAN_WORDS[text.lower()]
-    items = [tok.strip() for tok in text.split(",")] if action.nargs == "*" else [text]
-    values = [action.type(tok) for tok in items] if action.type else items
-    for value in values:
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"invalid choice {value!r} (choose from {', '.join(action.choices)})")
-    return values if action.nargs == "*" else values[0]
-
-
-def _config_defaults(path: str, actions: dict, known: set) -> dict:
-    """Checked values of a flat key = value config file for the command whose
-    Actions are given by dest; keys of the other commands (in known) are skipped."""
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, text = (part.strip() for part in line.partition("="))
-        where = f"{path}:{lineno}"
-        if not eq:
-            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
-        if key not in known:
-            raise ValueError(f"{where}: unknown config key {key!r}")
-        if key in actions:
-            try:
-                values[key] = _config_value(actions[key], text)
-            except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
-                raise ValueError(f"{where}: {key}: {exc}") from None
     return values
 
 
@@ -200,7 +159,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     }
     if result.quadrature_error is not None:  # q3: how far its chain quadrature may be off
         payload.update(quadrature_error=result.quadrature_error, quadrature_lost_mass=result.quadrature_lost_mass)
-        if result.quadrature_lost_mass > result.quadrature_error:
+        if result.quadrature_lost_mass > max(result.quadrature_error, LOST_MASS_TOLERANCE):
             print(f"warning: the chain quadrature lost mass {result.quadrature_lost_mass:.3g} above its "
                   f"cells, more than its quadrature error {result.quadrature_error:.3g}, so the point "
                   "may read low", file=sys.stderr)
@@ -231,7 +190,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     emulator = _read_emulator(args.emulator)
     cs = emulator.cluster_set
-    env = qq_envelope(emulator.gp_model, cs, n_boot=args.n_boot, seed=args.seed)
+    env = qq_envelope(cs, n_boot=args.n_boot, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -263,26 +222,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and, for each command, its subparser and the Actions of the
-    options a config file may set, by dest. The only place an option is named."""
-    parser = argparse.ArgumentParser(prog="evtlite",
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: the only place an option is named."""
+    parser = argparse.ArgumentParser(prog="evtlite", fromfile_prefix_chars="@",
                                      description="exceedance-probability estimation for climate ensembles")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     def command(name: str, summary: str):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="flat key = value config file; flags win")
-        actions = {}
-        commands[name] = (p, actions)
-
-        def add(*flags, **kwargs):
-            action = p.add_argument(*flags, **kwargs)
-            actions[action.dest] = action
-
-        add("--out", help="output directory (required, as a flag or a config key)")
-        return add
+        p.add_argument("--out", required=True, help="output directory")
+        return p.add_argument
 
     fit = command("fit", "fit per-run emulators from run CSVs")
     estimate = command("estimate", "combine emulator artifacts into an estimate")
@@ -331,22 +280,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     diagnose("emulator", help="emulator JSON artifact")
     diagnose("--n-boot", type=int, default=200)
-    return parser, commands
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {"fit": cmd_fit, "estimate": cmd_estimate, "synth": cmd_synth,
                 "diagnose": cmd_diagnose}
     try:
-        if args.config:
-            subparser, actions = commands[args.command]
-            known = {dest for _, command_actions in commands.values() for dest in command_actions}
-            subparser.set_defaults(**_config_defaults(args.config, actions, known))
-            args = parser.parse_args(argv)  # flags win over the new defaults
-        if args.out is None:
-            raise ValueError("no output directory: give --out or out in the config file")
         return handlers[args.command](args)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

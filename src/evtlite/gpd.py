@@ -324,15 +324,15 @@ def qq_exponential(model: GPModel, cs: ClusterSet) -> np.ndarray:
     return np.column_stack([theoretical, empirical])
 
 
-def qq_envelope(model: GPModel, cs: ClusterSet, n_boot: int = 200, seed: int = 0) -> np.ndarray:
+def qq_envelope(cs: ClusterSet, n_boot: int = 200, seed: int = 0) -> np.ndarray:
     """Known-parameter envelope for the exponential QQ plot.
 
     If the fitted parameters were the true ones, the transformed excesses
     of qq_exponential would be n = cs.n_clusters independent Exp(1) values.
     The envelope is the pointwise central QQ_LEVEL-quantiles of the sorted
-    values of n_boot simulated Exp(1) samples of size n. The model's
-    parameters are not used and nothing is refitted, so the envelope leaves
-    out estimation error and is narrower than a parametric-bootstrap one.
+    values of n_boot simulated Exp(1) samples of size n. It needs no
+    parameters and nothing is refitted, so the envelope leaves out
+    estimation error and is narrower than a parametric-bootstrap one.
     Returns (n, 3) columns (theoretical, lower, upper).
     """
     if n_boot < 1:

@@ -228,8 +228,11 @@ def count_chains(models: StackedCEV, j, y0, target, rng, steps=30):
     Chain i follows model j[i] from y0[i] by Y_{k+1} = beta0 Y_k + Y_k**beta1 Z.
     A chain starting at or below its conditioning threshold never counts. A
     chain ends at a non-positive or non-finite value, which is still compared
-    with the target (the power term is undefined there).
+    with the target (the power term is undefined there). A step whose exact
+    value is positive (beta0 Y > 0 or Z > 0, and Z >= 0) but rounds to 0
+    continues at the smallest positive double instead of ending the chain.
     """
+    tiny = np.nextafter(0.0, 1.0)
     counted = np.zeros(y0.size, dtype=bool)
     live = np.flatnonzero((y0 > models.q_threshold[j]) & (y0 > 0.0))
     y, j, t = y0[live], j[live], target[live]
@@ -240,6 +243,7 @@ def count_chains(models: StackedCEV, j, y0, target, rng, steps=30):
         z = sample_residuals(models, j, rng)
         with np.errstate(invalid="ignore", over="ignore"):
             y = models.beta0[j] * y + y ** models.beta1[j] * z
+        y[(y == 0.0) & (z >= 0.0) & ((models.beta0[j] > 0.0) | (z > 0.0))] = tiny
         cur = y > t  # NaN compares False
         hit = prev & cur
         counted[live[hit]] = True

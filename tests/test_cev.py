@@ -324,6 +324,14 @@ class TestHitProbability:
         p, _ = ev.hit_probability(make_cev(0.0, 0.0, [-0.3, -1.0, 2.0]), a, [-0.5, 0.0])
         assert p == pytest.approx(start_mass(a, self.Q) * np.array([2.0, 1.0]) / 3.0, abs=1e-12)
 
+    def test_vanishing_persistence_counts_two_draws_of_one_in_a_row(self):
+        # Y' = beta0 Y + Z, Z from {0, 1}, with beta0 so small that beta0**2 Y underflows:
+        # from a start above the target 0.5 the chain counts unless Z_1 = 0 and no two of
+        # Z_2..Z_30 in a row are 1, which F(31) = 1,346,269 of the 2**29 strings avoid
+        a = -np.log(2 * 0.25)
+        p, _ = ev.hit_probability(make_cev(2.8405818881275877e-165, 0.0, [0.0, 1.0]), a, [0.5])
+        assert p[0] == pytest.approx(start_mass(a, self.Q) * (1.0 - 1_346_269 / 2 ** 30), abs=1e-12)
+
     def test_start_below_the_threshold_never_counts(self):
         # no cell lies above a threshold of 40, so only the lost start mass could count
         p, lost = ev.hit_probability(make_cev(1.0, 0.0, [0.0], q=40.0), 3.0, [-10.0, 2.0])
@@ -371,6 +379,8 @@ class TestHitProbability:
            pi=st.floats(0.01, 0.3), target=st.floats(-1.0, 6.0), seed=st.integers(0, 2 ** 32 - 1))
     @example(beta0=0.0, beta1=0.96875, residuals=[0.0], bandwidth=0.0, pi=0.25, target=5e-324, seed=0)
     @example(beta0=0.0, beta1=0.5625, residuals=[1.5, 0.0625], bandwidth=0.0, pi=0.25, target=1.0, seed=0)
+    @example(beta0=2.8405818881275877e-165, beta1=0.0, residuals=[0.0, 1.0], bandwidth=0.0, pi=0.25,
+             target=0.5, seed=0)
     def test_agrees_with_the_chain_oracle(self, beta0, beta1, residuals, bandwidth, pi, target, seed):
         # the oracle's fraction lies within 5 standard errors of P, widened by twice the
         # quadrature error and, upwards only, by the mass the quadrature loses above its cells

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import glob
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 import evtlite as ev
 from evtlite import cli
+from evtlite.cev import LOST_MASS_TOLERANCE
 from evtlite.cli import emulator_from_dict, emulator_to_dict, main
 from evtlite.ensemble import ARTIFACT_SCHEMA, pack_floats
 
@@ -237,38 +239,33 @@ class TestFitCommand:
         assert f"question {question} fits no conditional tail model" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_config_file_with_flag_override(self, tmp_path, workspace):
+    def test_args_file_with_flag_override(self, tmp_path, workspace):
         _, data, _ = workspace
-        conf = tmp_path / "pipeline.conf"
-        conf.write_text(f"question = q1\ntau = 0.90\nrun_length = 2\nbulk = monthly\n"
-                        f"runs = {tmp_path / 'nope.csv'}\n")
+        args = tmp_path / "fit.args"
+        args.write_text("--question=q1\n--tau=0.90\n--run-length=2\n--bulk=monthly\n")
         out = tmp_path / "fits"
-        rc = run_cli("fit", "--config", conf, "--tau", 0.95, "--bulk", "pooled", "--out", out,
+        rc = run_cli("fit", "--out", out, f"@{args}", "--tau", 0.95, "--bulk", "pooled",
                      data / "run_1.csv")
         assert rc == 0
         d = json.loads((out / "run_1.json").read_text())
-        assert d["threshold"]["tau"] == 0.95  # flag wins over config file
-        assert d["month_conditional_bulk"] is False  # so do choices and positional lists
-        assert d["run_length_l"] == 2  # config key applies
+        assert d["threshold"]["tau"] == 0.95  # a flag after the file wins
+        assert d["month_conditional_bulk"] is False  # so does a choice
+        assert d["run_length_l"] == 2  # the file's argument applies
 
-    @pytest.mark.parametrize("command, line", [
-        ("fit", "no_such_key = 1"),
-        ("fit", "tau 0.9"),
-        ("fit", "bulk = Monthly"),
-        ("fit", "shape = foo"),
-        ("fit", "question = q9"),
-        ("fit", "tau = abc"),
-        ("fit", "header = maybe"),
-        ("fit", "config = other.conf"),
-        ("diagnose", "emulator = run_1.json"),
-    ])
-    def test_unknown_config_key_exit_2(self, tmp_path, workspace, capsys, command, line):
-        _, data, fits = workspace
-        conf = tmp_path / "bad.conf"
-        conf.write_text(line + "\n")
-        given = data / "run_1.csv" if command == "fit" else fits / "run_1.json"
-        assert run_cli(command, "--config", conf, "--out", tmp_path / "out", given) == 2
-        assert f"{conf}:1: " in capsys.readouterr().err
+    @pytest.mark.parametrize("case", ["unknown option", "missing file", "no --out"])
+    def test_bad_args_file_exit_2(self, tmp_path, workspace, capsys, case):
+        # argparse refuses these as it refuses a bad flag: exit 2 through SystemExit
+        message = {"unknown option": "unrecognized arguments: --no-such-option=1",
+                   "missing file": "No such file or directory",
+                   "no --out": "the following arguments are required: --out"}[case]
+        _, data, _ = workspace
+        args = tmp_path / "fit.args"
+        args.write_text("--no-such-option=1\n" if case == "unknown option" else "--tau=0.9\n")
+        at = tmp_path / "missing.args" if case == "missing file" else args
+        out = [] if case == "no --out" else ["--out", tmp_path / "out"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", *out, f"@{at}", data / "run_1.csv")
+        assert exc.value.code == 2 and message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_fit_idempotent(self, tmp_path, workspace):
@@ -402,6 +399,19 @@ class TestEstimateCommand:
         assert steep["quadrature_lost_mass"] > 0.1 > steep["quadrature_error"]
         assert err.count("warning: the chain quadrature lost mass") == 1 and "may read low" in err
 
+    def test_mass_lost_at_rounding_level_is_silent(self, tmp_path, capsys):
+        # a 10-year 3-site run fits a q3 model whose estimate is exactly 0 with a quadrature
+        # error of 0; the ~1e-12 start mass above the cells is not worth a warning
+        data, fits, out = tmp_path / "data", tmp_path / "fits", tmp_path / "est"
+        assert run_cli("synth", "--out", data, "--n-runs", 1, "--n-days", 3650, "--n-sites", 3) == 0
+        assert run_cli("fit", "--out", fits, "--question", "q3", "--order-k", 1, data / "run_1.csv") == 0
+        capsys.readouterr()
+        assert run_cli("estimate", "--out", out, "--question", "q3", fits / "run_1.json") == 0
+        d = json.loads((out / "estimate_q3.json").read_text())
+        assert d["point"] == d["quadrature_error"] == 0.0
+        assert d["quadrature_error"] < d["quadrature_lost_mass"] <= LOST_MASS_TOLERANCE
+        assert "warning" not in capsys.readouterr().err
+
     def test_alpha_nesting(self, workspace, tmp_path):
         _, _, fits = workspace
         widths = {}
@@ -422,7 +432,7 @@ class TestEstimateCommand:
         assert rc == 2
 
     def test_correction_and_rate_mode_flags(self, workspace, tmp_path, capsys):
-        # the extremal-index correction is gone as a flag and as a config key
+        # the extremal-index correction is gone
         _, _, fits = workspace
         out = tmp_path / "alt"
         args = ("estimate", "--out", out, "--question", "q1", "--target", 5.0,
@@ -431,10 +441,6 @@ class TestEstimateCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(*args, "--correction", "power")
         assert exc.value.code == 2 and "unrecognized arguments: --correction power" in capsys.readouterr().err
-        conf = tmp_path / "correction.conf"
-        conf.write_text("correction = power\n")
-        assert run_cli(*args, "--config", conf) == 2
-        assert "unknown config key 'correction'" in capsys.readouterr().err
         assert not out.exists()
         assert run_cli(*args) == 0
         d = json.loads((out / "estimate_q1.json").read_text())
@@ -500,19 +506,18 @@ class TestEstimateCommand:
         assert "target_level must be a number, got nan" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_one_config_file_serves_fit_and_estimate(self, workspace, tmp_path):
-        # out, runs and emulators come from the file too; each command skips the
-        # other's keys
+    def test_args_files_serve_fit_and_estimate(self, workspace, tmp_path):
+        # out, runs and emulators come from the files too, one file per command
         _, data, _ = workspace
-        out = tmp_path / "conf"
-        conf = tmp_path / "pipeline.conf"
-        conf.write_text(f"out = {out}\nruns = {data / 'run_1.csv'}, {data / 'run_2.csv'}\n"
-                        f"emulators = {out / 'run_1.json'}, {out / 'run_2.json'}\n"
-                        "question = q1  # both commands\nshape = constant\nrun_length = 2\n"
-                        "target = 5.0\nn_sim = 40\nn_srun = 50\nseed = 8\nsim_days = 1000\n"
-                        "c_samples = yes\n")
-        assert run_cli("fit", "--config", conf) == 0
-        assert run_cli("estimate", "--config", conf) == 0
+        out = tmp_path / "files"
+        fit_args, estimate_args = tmp_path / "fit.args", tmp_path / "estimate.args"
+        fit_args.write_text(f"--out={out}\n--question=q1\n--shape=constant\n--run-length=2\n"
+                            f"{data / 'run_1.csv'}\n{data / 'run_2.csv'}\n")
+        estimate_args.write_text(f"--out={out}\n--question=q1\n--target=5.0\n--n-sim=40\n--n-srun=50\n"
+                                 f"--seed=8\n--sim-days=1000\n--c-samples\n"
+                                 f"{out / 'run_1.json'}\n{out / 'run_2.json'}\n")
+        assert run_cli("fit", f"@{fit_args}") == 0
+        assert run_cli("estimate", f"@{estimate_args}") == 0
         flags = tmp_path / "flags"
         assert run_cli("fit", "--out", flags, "--question", "q1", "--shape", "constant",
                        "--run-length", 2, data / "run_1.csv", data / "run_2.csv") == 0
@@ -521,57 +526,47 @@ class TestEstimateCommand:
                        "--c-samples", flags / "run_1.json", flags / "run_2.json") == 0
         for name in ("run_1.json", "run_2.json", "c_samples_q1.csv"):
             assert (out / name).read_bytes() == (flags / name).read_bytes(), name
-        from_conf, from_flags = (json.loads((d / "estimate_q1.json").read_text()) for d in (out, flags))
-        assert from_conf.pop("c_samples_path") != from_flags.pop("c_samples_path")
-        assert from_conf == from_flags and from_conf["n_sim"] == 40
+        from_files, from_flags = (json.loads((d / "estimate_q1.json").read_text()) for d in (out, flags))
+        assert from_files.pop("c_samples_path") != from_flags.pop("c_samples_path")
+        assert from_files == from_flags and from_files["n_sim"] == 40
 
 
-CONFIG_SAMPLES = {
-    "out": "o", "runs": "a.csv, b.csv", "emulators": "a.json, b.json", "question": "q2",
-    "calendar": "30,30,30,30,30,30,30,30,30,30,30,31", "seed": "7", "tau": "0.9",
-    "run_length": "2", "q_prob": "0.8", "shape": "by_month", "bulk": "monthly", "order_k": "2",
-    "header": "true", "min_month_obs": "9", "min_month_maxima": "4", "target": "6.5",
-    "n_sim": "12", "n_srun": "3", "alpha": "0.1", "rate_mode": "on",
-    "sim_days": "100", "workers": "2", "c_samples": "1",
-    "n_runs": "2", "n_days": "400", "n_sites": "3", "pi": "0.1", "xi": "0.2",
-    "sigma": "0.7", "u0": "1,1,1,1,1,1.5,1.5,1.5,1,1,1,1", "rho": "0.3", "targets": "4,5",
-    "n_boot": "20",
+OPTION_SAMPLES = {
+    "out": ["o"], "runs": ["a.csv", "b.csv"], "emulators": ["a.json", "b.json"], "emulator": ["a.json"],
+    "question": ["q2"], "calendar": ["30,30,30,30,30,30,30,30,30,30,30,31"], "seed": ["7"],
+    "tau": ["0.9"], "run_length": ["2"], "q_prob": ["0.8"], "shape": ["by_month"], "bulk": ["monthly"],
+    "order_k": ["2"], "header": [], "min_month_obs": ["9"], "min_month_maxima": ["4"],
+    "target": ["6.5"], "n_sim": ["12"], "n_srun": ["3"], "alpha": ["0.1"], "rate_mode": [],
+    "sim_days": ["100"], "workers": ["2"], "c_samples": [],
+    "n_runs": ["2"], "n_days": ["400"], "n_sites": ["3"], "pi": ["0.1"], "xi": ["0.2"],
+    "sigma": ["0.7"], "u0": ["1,1,1,1,1,1.5,1.5,1.5,1,1,1,1"], "rho": ["0.3"], "targets": ["4,5"],
+    "n_boot": ["20"],
 }
 
 
 @pytest.mark.parametrize("command", ["fit", "estimate", "synth", "diagnose"])
-def test_every_config_key_takes_effect(tmp_path, monkeypatch, command):
-    # no accepted key is a silent no-op: each lands in the command's arguments as
-    # its flag would, and differs from the default; the one required positional
-    # (diagnose's emulator) is refused in a config file instead
-    actions = cli.build_parser()[1][command][1]
-    keys = [dest for dest, action in actions.items() if not action.required]
-    assert set(keys) <= set(CONFIG_SAMPLES)
-    assert [dest for dest in actions if dest not in keys] == (["emulator"] if command == "diagnose" else [])
-    parsed = []
-    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: parsed.append(vars(args)) or 0)
-    conf = tmp_path / "all.conf"
-    conf.write_text("".join(f"{dest} = {CONFIG_SAMPLES[dest]}\n" for dest in keys))
+def test_every_option_takes_effect(tmp_path, command):
+    # no option is a silent no-op: each sample value lands in the command's arguments,
+    # differs from the default, and reads the same from an @FILE as from the command line
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in subparsers.choices[command]._actions if a.dest != "help"]
+    assert {a.dest for a in actions} <= set(OPTION_SAMPLES)
+    argv = [token for a in actions for token in a.option_strings[:1] + OPTION_SAMPLES[a.dest]]
+    path = tmp_path / f"{command}.args"
+    path.write_text("".join(f"{token}\n" for token in argv))
     required = ["e.json"] if command == "diagnose" else []
-    options, positionals = [], []
-    for dest in keys:
-        action, text = actions[dest], CONFIG_SAMPLES[dest]
-        if not action.option_strings:
-            positionals += [tok.strip() for tok in text.split(",")]
-        else:
-            options += [action.option_strings[0]] + ([] if action.nargs == 0 else [text])
-    assert main([command, "--out", "d", *required]) == 0
-    assert main([command, "--config", str(conf), *required]) == 0
-    assert main([command, *options, *positionals, *required]) == 0
-    defaults, from_config, from_flags = parsed
-    for dest in keys:
-        assert from_config[dest] == from_flags[dest] != defaults[dest], dest
+    defaults = vars(parser.parse_args([command, "--out", "d", *required]))
+    from_flags = vars(parser.parse_args([command, *argv]))
+    assert vars(parser.parse_args([command, f"@{path}"])) == from_flags
+    for a in actions:
+        assert from_flags[a.dest] != defaults[a.dest], a.dest
 
 
 def test_cli_defaults_equal_the_library_defaults():
     # each default is declared in argparse and in a library signature; they must agree
     def parsed(command, *extra):
-        return vars(cli.build_parser()[0].parse_args([command, "--out", "o", *extra]))
+        return vars(cli.build_parser().parse_args([command, "--out", "o", *extra]))
 
     def default(func, name):
         return inspect.signature(func).parameters[name].default

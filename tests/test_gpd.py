@@ -314,7 +314,7 @@ class TestQqDiagnostics:
         tm = constant_threshold_model(0.0)
         gp = ev.GPModel(np.full(12, np.log(1.2)), "constant", np.full(12, 0.15), tm, 0.0)
         qq = ev.qq_exponential(gp, cs)
-        env = ev.qq_envelope(gp, cs, n_boot=200, seed=5)
+        env = ev.qq_envelope(cs, n_boot=200, seed=5)
         outside = np.mean((qq[:, 1] < env[:, 1]) | (qq[:, 1] > env[:, 2]))
         assert outside <= 0.05
         assert np.all(env[:, 1] <= env[:, 2])
