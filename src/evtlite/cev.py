@@ -214,9 +214,13 @@ def hit_probability(model: CEVModel, start_floor: float, targets, width: float =
     c w.p. 1 - F(z), z = (c - beta0 y) / y**beta1, at its midpoint y, or, where
     the kernel is narrower than the cell (y**beta1 h < width) and a midpoint
     would pin mass that moves less, averaged over the cell by U's difference
-    quotient. Mass above t stepping above t counts and leaves; all targets
-    move in one matrix product per step. Mass stepping above Y_MAX from below
-    t, and start mass above Y_MAX, is lost: P reads low by up to it.
+    quotient. Mass above t stepping above t counts and leaves. All targets
+    move in two block products per step: cells from the highest target up lie
+    above every target, so mass not above a target, 0 there, needs only the
+    kernel's rows below them, and mass above a target only its columns below
+    them, as what steps into them counts and leaves. Mass stepping above
+    Y_MAX from below t, and start mass above Y_MAX, is lost: P reads low by up
+    to it.
     """
     targets = np.asarray(targets, dtype=np.float64)
     n, (cdf, excess), b0, b1 = targets.size, residual_law(model), model.beta0, model.beta1
@@ -245,22 +249,24 @@ def hit_probability(model: CEVModel, start_floor: float, targets, width: float =
         up[narrow] = np.where((np.abs(zu - zl) > 1e-6 * (1.0 + np.abs(zu))) & np.isfinite(mean), mean, up[narrow])
         return up
 
-    # cells from top on lie above every target: their mass only leaves or
-    # steps below a target, so they need no columns above top, which keeps
-    # the temporaries of this table, the estimate's peak memory, small
+    # cells from top on lie above every target; forming only the kernel's rows and columns
+    # below top keeps these tables' temporaries, the estimate's peak memory, small
     top = min(int(np.searchsorted(edges, targets.max())), cells)
-    up, cols = np.zeros((cells, points.size)), np.r_[:top + 1, cells + 1:points.size]
-    up[:top], up[top:, cols] = exceed(0, top, points), exceed(top, cells, points[cols])
-    overflow, counts, kernel = up[:, cells].copy(), up[:, cells + 1:].T.copy(), up[:, :cells] - up[:, 1:cells + 1]
-    del up  # the estimate's peak memory is these two tables
+    head = exceed(0, top, points)
+    tail = exceed(top, cells, np.concatenate([edges[:top + 1], targets]))
+    rows = head[:, :cells] - head[:, 1:cells + 1]  # kernel[:top, :]
+    cols = np.vstack([rows[:, :top], tail[:, :top] - tail[:, 1:top + 1]])  # kernel[:, :top]
+    overflow, counts = head[:, cells].copy(), np.hstack([head[:, cells + 1:].T, tail[:, top + 1:].T])
     surv = np.exp(np.minimum(0.0, start_floor - edges))
     above = edges[:-1] >= targets[:, None]
-    split = np.vstack([above, ~above])  # mass rows: above each target, then not above it
-    mass = np.where(split, np.where(edges[:-1] >= model.q_threshold, surv[:-1] - surv[1:], 0.0), 0.0)
+    above_top = above[:, :top]
+    start = np.where(edges[:-1] >= model.q_threshold, surv[:-1] - surv[1:], 0.0)
+    hi, lo = np.where(above, start, 0.0), np.where(above_top, 0.0, start[:top])  # above, not above each target
     p, lost = np.zeros(n), np.full(n, surv[-1])
     for _ in range(CHAIN_STEPS):
-        p += np.einsum("mj,mj->m", mass[:n], counts)
-        lost += mass[n:] @ overflow
-        moved = mass @ kernel
-        mass = np.where(split, np.tile(np.where(above, 0.0, moved[:n]) + moved[n:], (2, 1)), 0.0)
+        p += np.einsum("mj,mj->m", hi, counts)
+        lost += lo @ overflow
+        moved = lo @ rows
+        moved[:, :top] += np.where(above_top, 0.0, hi @ cols)
+        hi, lo = np.where(above, moved, 0.0), np.where(above_top, 0.0, moved[:, :top])
     return p, lost

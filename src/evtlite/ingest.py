@@ -49,9 +49,8 @@ class Calendar:
         """
         if n_days < 1:
             raise ValueError("n_days must be >= 1")
-        bounds = np.cumsum(self.month_lengths)
-        day_of_year = np.arange(n_days, dtype=np.int64) % self.days_per_year
-        return np.searchsorted(bounds, day_of_year, side="right").astype(np.int64) + 1
+        year = np.repeat(np.arange(1, 13, dtype=np.int64), self.month_lengths)
+        return np.tile(year, -(-n_days // year.size))[:n_days]
 
 
 def _check_values(values: np.ndarray, first_row: int = 0) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 import evtlite as ev
-from evtlite.cev import PROB_CLIP
+from evtlite.cev import CELL_WIDTH, CHAIN_STEPS, PROB_CLIP, Y_MAX, residual_law
 from evtlite.decluster import ClusterSet
 
 
@@ -264,3 +264,50 @@ def oracle_hit_fraction(model, pi, target, n, seed=0):
     y0 = chain_starts(rng.random(n), pi)
     return float(np.mean(count_chains(stack_cev([model]), np.zeros(n, dtype=np.int64), y0,
                                       np.full(n, float(target)), rng)))
+
+
+# ------------------------------------------------------------ dense quadrature
+# The chain quadrature as it was before it skipped the kernel's blocks that are
+# always zero or always discarded: every step multiplies all mass rows, above and
+# not above each target, by the full (cells, cells) kernel. Kept as the oracle of
+# evtlite.cev.hit_probability's block products.
+
+def dense_hit_probability(model, start_floor, targets, width=CELL_WIDTH):
+    """(P, lost) of hit_probability, from one product of 2n mass rows and the dense kernel per step."""
+    targets = np.asarray(targets, dtype=np.float64)
+    n, (cdf, excess), b0, b1 = targets.size, residual_law(model), model.beta0, model.beta1
+    cuts = [v for v in (model.q_threshold, start_floor, *targets) if 0.0 < v < Y_MAX]
+    if model.kde_bandwidth == 0.0:
+        cuts += list(width * 0.5 ** np.arange(1, 41))
+    edges = np.unique(np.concatenate([np.linspace(0.0, Y_MAX, int(round(Y_MAX / width)) + 1), cuts]))
+    points, cells = np.concatenate([edges, targets]), edges.size - 1
+
+    def arg(y, c):
+        return np.subtract.outer(c, b0 * y).T * np.minimum(y ** -b1, np.finfo(np.float64).max)[:, None]
+
+    def exceed(first, last, c):
+        lower, upper = edges[first:last], edges[first + 1:last + 1]
+        mid = 0.5 * (lower + upper)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            up = 1.0 - cdf(arg(mid, c))
+            narrow = np.flatnonzero(~(model.kde_bandwidth * mid ** b1 >= width) & (lower > 0.0))
+            zl, zu = arg(lower[narrow], c), arg(upper[narrow], c)
+            mean = (excess(zl) - excess(zu)) / (zu - zl)
+        up[narrow] = np.where((np.abs(zu - zl) > 1e-6 * (1.0 + np.abs(zu))) & np.isfinite(mean), mean, up[narrow])
+        return up
+
+    top = min(int(np.searchsorted(edges, targets.max())), cells)
+    up, cols = np.zeros((cells, points.size)), np.r_[:top + 1, cells + 1:points.size]
+    up[:top], up[top:, cols] = exceed(0, top, points), exceed(top, cells, points[cols])
+    overflow, counts, kernel = up[:, cells].copy(), up[:, cells + 1:].T.copy(), up[:, :cells] - up[:, 1:cells + 1]
+    surv = np.exp(np.minimum(0.0, start_floor - edges))
+    above = edges[:-1] >= targets[:, None]
+    split = np.vstack([above, ~above])  # mass rows: above each target, then not above it
+    mass = np.where(split, np.where(edges[:-1] >= model.q_threshold, surv[:-1] - surv[1:], 0.0), 0.0)
+    p, lost = np.zeros(n), np.full(n, surv[-1])
+    for _ in range(CHAIN_STEPS):
+        p += np.einsum("mj,mj->m", mass[:n], counts)
+        lost += mass[n:] @ overflow
+        moved = mass @ kernel
+        mass = np.where(split, np.tile(np.where(above, 0.0, moved[:n]) + moved[n:], (2, 1)), 0.0)
+    return p, lost

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evtlite as ev
-from conftest import (count_chains, oracle_hit_fraction, oracle_working_negloglik, sample_residuals,
-                      series_of, stack_cev, working_negloglik)
+from conftest import (count_chains, dense_hit_probability, oracle_hit_fraction, oracle_working_negloglik,
+                      sample_residuals, series_of, stack_cev, working_negloglik)
 from evtlite.cev import CELL_WIDTH, Y_MAX, CEVModel, laplace_cdf, residual_law, silverman_bandwidth
 
 
@@ -370,6 +370,28 @@ class TestHitProbability:
         error = np.max(np.abs(want - run(1e-300, 2 * CELL_WIDTH)[0]))
         assert np.all(np.isfinite(p)) and np.all(np.isfinite(lost))
         assert np.max(np.abs(p - want)) <= error and np.max(np.abs(lost - want_lost)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(beta0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           beta1=st.one_of(st.sampled_from([-5.0, 0.0]), st.floats(-5.0, 1.0 - 1e-6)),
+           residuals=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=50),
+           bandwidth=st.one_of(st.just(0.0), st.floats(0.05, 1.0)), pi=st.floats(0.01, 0.3),
+           targets=st.one_of(*(st.lists(st.one_of(st.floats(-1.0, 6.0), st.sampled_from([0.0, 31.0])),
+                                         min_size=size, max_size=size) for size in (1, 12))))
+    @example(beta0=0.5, beta1=-5.0, residuals=[-1.0, 0.5, 2.0], bandwidth=0.0, pi=0.25, targets=[-0.5, 0.0])
+    @example(beta0=0.5, beta1=0.5, residuals=[-1.0, 0.5, 2.0], bandwidth=0.3, pi=0.25, targets=[2.0, 31.0])
+    def test_block_products_match_the_dense_kernel(self, beta0, beta1, residuals, bandwidth, pi, targets):
+        # the two examples are the corners of the blocks: every target at or below 0 puts
+        # every cell above them all (top = 0, no mass below any target), and a target
+        # above Y_MAX puts no cell above them all (top = cells, the kernel's full rows).
+        # The forms add in another order (other matrix shapes, other BLAS blocking): at
+        # twelve targets each reads up to about 1e-15 from a long-double run of the dense
+        # steps, and they differ by up to 2.7e-15, so 1e-14 bounds their rounding
+        model = make_cev(beta0, beta1, residuals, bandwidth=bandwidth)
+        for width in (CELL_WIDTH, 2 * CELL_WIDTH):
+            p, lost = ev.hit_probability(model, -np.log(2 * pi), targets, width)
+            want, want_lost = dense_hit_probability(model, -np.log(2 * pi), targets, width)
+            assert np.max(np.abs(p - want)) <= 1e-14 and np.max(np.abs(lost - want_lost)) <= 1e-14
 
     @settings(max_examples=30, deadline=None)
     @given(beta0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),

@@ -360,6 +360,18 @@ class TestEstimateCommand:
         assert payload["c_samples_path"].endswith("c_samples_q1.csv")
         assert 0.0 <= payload["law_tail_mass"] <= 1e-12
 
+    def test_golden_q3_estimate_is_pinned(self, tmp_path):
+        # the golden artifact's q3 estimate at the defaults (target 5), as the dense chain
+        # quadrature gave it, so that no change to the quadrature moves it unseen; the last
+        # bits differ across CPUs and summation orders, so the figures hold to 1e-12
+        # relative, and quadrature_error, a difference of two P of 0.035, to 1e-14 in P
+        assert run_cli("estimate", "--out", tmp_path, "--question", "q3", GOLDEN_ARTIFACT) == 0
+        d = json.loads((tmp_path / "estimate_q3.json").read_text())
+        assert d["point"] == pytest.approx(0.14638281721835106, rel=1e-12)
+        assert (d["ci_low"], d["ci_high"]) == pytest.approx((0.06, 0.26), rel=1e-12)
+        assert d["quadrature_lost_mass"] == pytest.approx(5.347213125051525e-13, rel=1e-12)
+        assert d["quadrature_error"] == pytest.approx(7.98290461990342e-06, rel=0.0, abs=1e-14)
+
     def test_mc_se_reported(self, workspace, tmp_path):
         # every point comes from the exact law of e_bar, so it has no Monte Carlo
         # error to report (no mc_se); q3 reports how far its chain quadrature may be off

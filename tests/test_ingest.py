@@ -44,6 +44,22 @@ class TestCalendar:
         counts = np.bincount(cal.months_for(365), minlength=13)[1:]
         assert np.array_equal(counts, np.array(NO_LEAP_MONTH_LENGTHS))
 
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(28, 31), min_size=12, max_size=12),
+           n_days=st.integers(1, 1500))
+    def test_fold_equals_the_day_of_year_arithmetic(self, lengths, n_days):
+        # day i (from 0) falls in the first month whose cumulative length exceeds i mod the year
+        cal = ev.Calendar(tuple(lengths))
+        day_of_year = np.arange(n_days, dtype=np.int64) % cal.days_per_year
+        want = np.searchsorted(np.cumsum(lengths), day_of_year, side="right").astype(np.int64) + 1
+        got = cal.months_for(n_days)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_days", [0, -1])
+    def test_no_days_refused(self, n_days):
+        with pytest.raises(ValueError, match="n_days must be >= 1"):
+            ev.Calendar().months_for(n_days)
+
 
 class TestLoadRun:
     def test_four_day_zero_file(self, tmp_path):
