@@ -12,7 +12,6 @@ from .cev import (
     fit_cev,
     fit_conditional_pairs,
     hit_probability,
-    laplace_cdf,
     laplace_quantile,
     to_laplace,
 )
@@ -27,7 +26,6 @@ from .ensemble import (
     chain_law,
     combine_rates,
     count_law,
-    laplace_targets,
     marginal_sampler,
     monte_carlo_estimate,
 )

@@ -44,14 +44,6 @@ def laplace_quantile(p):
     return float(out) if scalar else out
 
 
-def laplace_cdf(y):
-    scalar = np.ndim(y) == 0
-    y = np.asarray(y, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        out = np.where(y < 0.0, 0.5 * np.exp(y), 1.0 - 0.5 * np.exp(-y))
-    return float(out) if scalar else out
-
-
 def to_laplace(md: MixedDistribution, y, month) -> np.ndarray:
     """Standard Laplace image of values y in months 1..12 (broadcast together):
     the mixed distribution's CDF, clipped to [1e-10, 1 - 1e-10], then the

@@ -8,9 +8,9 @@ lines, and it serves the one command whose flags it holds. A flag given
 after @FILE wins over the file's, as a later flag always does. argparse
 checks a file's arguments as it checks typed ones and exits 2 on a bad one
 or a missing file, naming no line. Any argument that starts with @ is read
-as a file. All randomness in a command derives from its --seed and fits
-are exact or profiled, with no random restarts, so every command is
-idempotent given identical inputs.
+as a file. synth and estimate's --c-samples draw from --seed, diagnose's QQ
+envelope from a fixed stream, and fits are exact or profiled, with no random
+restarts, so every command is idempotent given identical inputs.
 
 Exit codes: 0 success, 1 statistical failure (non-convergence, degenerate
 data), 2 I/O or usage error.
@@ -190,7 +190,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     emulator = _read_emulator(args.emulator)
     cs = emulator.cluster_set
-    env = qq_envelope(cs, n_boot=args.n_boot, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -201,7 +200,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 for m in range(1, 13)])
 
     _write_csv(out / "qq.csv", ["theoretical", "empirical"], qq_exponential(emulator.gp_model, cs))
-    _write_csv(out / "qq_envelope.csv", ["theoretical", "lower", "upper"], env)
+    _write_csv(out / "qq_envelope.csv", ["theoretical", "lower", "upper"], qq_envelope(cs.n_clusters))
 
     cev = emulator.cev_model
     if cev is not None:
@@ -228,21 +227,22 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="exceedance-probability estimation for climate ensembles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str):
+    def command(name: str, summary: str, handler):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--out", required=True, help="output directory")
         return p.add_argument
 
-    fit = command("fit", "fit per-run emulators from run CSVs")
-    estimate = command("estimate", "combine emulator artifacts into an estimate")
-    synth = command("synth", "generate a synthetic ensemble with known truth")
-    diagnose = command("diagnose", "export QQ and dependence diagnostics")
+    fit = command("fit", "fit per-run emulators from run CSVs", cmd_fit)
+    estimate = command("estimate", "combine emulator artifacts into an estimate", cmd_estimate)
+    synth = command("synth", "generate a synthetic ensemble with known truth", cmd_synth)
+    diagnose = command("diagnose", "export QQ and dependence diagnostics", cmd_diagnose)
     for add in (fit, estimate):
         add("--question", choices=sorted(QUESTIONS), default="q1")
     for add in (fit, synth):
         add("--calendar", type=calendar, default="noleap",
             help='"noleap" or 12 comma-separated month lengths')
-    for add in (estimate, synth, diagnose):
+    for add in (estimate, synth):
         add("--seed", type=int, default=0)
 
     fit("runs", nargs="*", default=[], help="run CSV files, one per climate run")
@@ -279,16 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     synth("--targets", type=float_list, help="comma-separated target levels for truth.json")
 
     diagnose("emulator", help="emulator JSON artifact")
-    diagnose("--n-boot", type=int, default=200)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"fit": cmd_fit, "estimate": cmd_estimate, "synth": cmd_synth,
-                "diagnose": cmd_diagnose}
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

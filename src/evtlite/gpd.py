@@ -26,6 +26,7 @@ XI_ZERO_EPS = 1e-10
 XI_MIN = -0.9
 XI_MAX = 2.0
 QQ_LEVEL = 0.95  # central coverage of qq_envelope's pointwise band
+QQ_SAMPLES = 200  # simulated samples behind qq_envelope, drawn from default_rng(0)
 
 SHAPE_MODES = ("constant", "by_month")
 
@@ -199,7 +200,7 @@ def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "consta
     if cs.n_clusters == 0:
         raise RuntimeError("cannot fit a GP model: the cluster set is empty")
     months = cs.maxima_months
-    counts = np.bincount(months, minlength=13)[1:]
+    counts = cs.month_cluster_counts
     floor = min_month_maxima if shape_mode == "by_month" else 1
     short = [m + 1 for m in range(12) if counts[m] < floor]
     if short:
@@ -324,22 +325,18 @@ def qq_exponential(model: GPModel, cs: ClusterSet) -> np.ndarray:
     return np.column_stack([theoretical, empirical])
 
 
-def qq_envelope(cs: ClusterSet, n_boot: int = 200, seed: int = 0) -> np.ndarray:
-    """Known-parameter envelope for the exponential QQ plot.
+def qq_envelope(n: int) -> np.ndarray:
+    """Known-parameter envelope for the exponential QQ plot of n cluster maxima.
 
     If the fitted parameters were the true ones, the transformed excesses
-    of qq_exponential would be n = cs.n_clusters independent Exp(1) values.
-    The envelope is the pointwise central QQ_LEVEL-quantiles of the sorted
-    values of n_boot simulated Exp(1) samples of size n. It needs no
-    parameters and nothing is refitted, so the envelope leaves out
-    estimation error and is narrower than a parametric-bootstrap one.
-    Returns (n, 3) columns (theoretical, lower, upper).
+    of qq_exponential would be n independent Exp(1) values. The envelope is
+    the pointwise central QQ_LEVEL-quantiles of the sorted values of
+    QQ_SAMPLES simulated Exp(1) samples of size n, drawn from the fixed
+    stream default_rng(0). It needs no parameters and nothing is refitted,
+    so the envelope leaves out estimation error and is narrower than a
+    parametric-bootstrap one. Returns (n, 3) columns (theoretical, lower, upper).
     """
-    if n_boot < 1:
-        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
-    n = cs.n_clusters
-    rng = np.random.default_rng(seed)
-    sims = np.sort(-np.log1p(-rng.random((n_boot, n))), axis=1)
+    sims = np.sort(-np.log1p(-np.random.default_rng(0).random((QQ_SAMPLES, n))), axis=1)
     alpha = 1.0 - QQ_LEVEL
     lower = np.quantile(sims, alpha / 2.0, axis=0)
     upper = np.quantile(sims, 1.0 - alpha / 2.0, axis=0)

@@ -37,15 +37,11 @@ class Calendar:
             raise ValueError(f"month lengths must lie in [28, 31]: {lengths}")
         object.__setattr__(self, "month_lengths", lengths)
 
-    @property
-    def days_per_year(self) -> int:
-        return int(sum(self.month_lengths))
-
     def months_for(self, n_days: int) -> np.ndarray:
         """Months (1..12) for day indices 1..n_days.
 
-        The yearly pattern repeats and the final year may be partial, so day
-        k * days_per_year + 1 is always the first day of month 1.
+        The yearly pattern repeats and the final year may be partial, so the
+        day after every whole number of years is the first day of month 1.
         """
         if n_days < 1:
             raise ValueError("n_days must be >= 1")

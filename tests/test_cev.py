@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 import evtlite as ev
 from conftest import (count_chains, dense_hit_probability, oracle_hit_fraction, oracle_working_negloglik,
                       sample_residuals, series_of, stack_cev, working_negloglik)
-from evtlite.cev import CELL_WIDTH, Y_MAX, CEVModel, laplace_cdf, residual_law, silverman_bandwidth
+from evtlite.cev import CELL_WIDTH, Y_MAX, CEVModel, residual_law, silverman_bandwidth
+
+
+def laplace_cdf(y):
+    """Standard Laplace distribution function, the inverse of ev.laplace_quantile."""
+    return np.where(y < 0.0, 0.5 * np.exp(y), 1.0 - 0.5 * np.exp(-y))
 
 
 def make_cev(beta0, beta1, residuals, bandwidth=0.0, q=1.6094379124341003):

@@ -552,7 +552,6 @@ OPTION_SAMPLES = {
     "sim_days": ["100"], "workers": ["2"], "c_samples": [],
     "n_runs": ["2"], "n_days": ["400"], "n_sites": ["3"], "pi": ["0.1"], "xi": ["0.2"],
     "sigma": ["0.7"], "u0": ["1,1,1,1,1,1.5,1.5,1.5,1,1,1,1"], "rho": ["0.3"], "targets": ["4,5"],
-    "n_boot": ["20"],
 }
 
 
@@ -607,16 +606,12 @@ def test_cli_defaults_equal_the_library_defaults():
     for name, field in (("sigma", "sigma_by_month"), ("u0", "u0_by_month")):
         assert np.array_equal(np.broadcast_to(synth[name], (12,)), getattr(spec, field)), name
 
-    diagnose = parsed("diagnose", "e.json")
-    for name in ("n_boot", "seed"):
-        assert diagnose[name] == default(ev.qq_envelope, name), name
-
 
 class TestDiagnoseCommand:
     def test_outputs(self, workspace, tmp_path):
         _, _, fits = workspace
         out = tmp_path / "diag"
-        assert run_cli("diagnose", "--out", out, "--n-boot", 50, fits / "run_1.json") == 0
+        assert run_cli("diagnose", "--out", out, fits / "run_1.json") == 0
         thresholds = (out / "thresholds.csv").read_text().strip().splitlines()
         assert len(thresholds) == 13  # header + 12 months
         qq = np.loadtxt(out / "qq.csv", delimiter=",", skiprows=1)
@@ -624,13 +619,6 @@ class TestDiagnoseCommand:
         env = np.loadtxt(out / "qq_envelope.csv", delimiter=",", skiprows=1)
         assert env.shape[1] == 3
         assert np.all(env[:, 1] <= env[:, 2])
-
-    @pytest.mark.parametrize("n_boot", [0, -1])
-    def test_no_bootstrap_samples_exit_2(self, workspace, tmp_path, capsys, n_boot):
-        out = tmp_path / "diag"
-        assert run_cli("diagnose", "--out", out, "--n-boot", n_boot, workspace[2] / "run_1.json") == 2
-        assert f"n_boot must be >= 1, got {n_boot}" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_envelope_calibration_well_specified(self, tmp_path):
         # cluster maxima drawn exactly from the stored model, on isolated days
@@ -651,7 +639,7 @@ class TestDiagnoseCommand:
         path = tmp_path / "well_specified.json"
         path.write_text(json.dumps(emulator_to_dict(em, ev.Calendar())))
         out = tmp_path / "diag"
-        assert run_cli("diagnose", "--out", out, "--n-boot", 200, path) == 0
+        assert run_cli("diagnose", "--out", out, path) == 0
         qq = np.loadtxt(out / "qq.csv", delimiter=",", skiprows=1)
         env = np.loadtxt(out / "qq_envelope.csv", delimiter=",", skiprows=1)
         assert qq.shape == (600, 2)
@@ -779,7 +767,7 @@ class TestQ3Pipeline:
         payload = json.loads((out / "estimate_q3.json").read_text())
         assert payload["point"] >= 0.0
         diag = tmp_path / "diag"
-        assert run_cli("diagnose", "--out", diag, "--n-boot", 30, fits / "run_1.json") == 0
+        assert run_cli("diagnose", "--out", diag, fits / "run_1.json") == 0
         band = np.loadtxt(diag / "cev_band.csv", delimiter=",", skiprows=1)
         assert band.shape[1] == 3
         assert np.all(band[:, 1] <= band[:, 2])
@@ -814,8 +802,8 @@ def test_import_leaves_out_scipy_signal_and_stats(tmp_path):
          "--n-sim", 30, "--n-srun", 50, fits / "q1" / "run_1.json"),
         ("estimate", "--out", out / "q3", "--question", "q3", "--target", 4.0, "--n-sim", 10, "--n-srun", 5,
          fits / "q3" / "run_1.json"),
-        ("diagnose", "--out", out / "diag1", "--n-boot", 10, fits / "q1" / "run_1.json"),
-        ("diagnose", "--out", out / "diag3", "--n-boot", 10, fits / "q3" / "run_1.json"),
+        ("diagnose", "--out", out / "diag1", fits / "q1" / "run_1.json"),
+        ("diagnose", "--out", out / "diag3", fits / "q3" / "run_1.json"),
     ]
     assert fresh("import sys, evtlite\n" + run_main(*commands) + loaded) == "[]"
     assert (out / "q3" / "estimate_q3.json").exists() and (out / "diag3" / "cev_band.csv").exists()

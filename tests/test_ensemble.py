@@ -292,7 +292,7 @@ class TestSimulateClusterRun:
         # the raw target 1.1 maps to start_floor + 0.1 = 2.91, between the residuals 1 and 3
         p = ev.chain_law([em], 1.1).p[0]
         assert np.all(p >= rho * np.exp(-0.1)) and np.all(p < 1.0)
-        alone, _ = ev.hit_probability(em.cev_model, start_floor(em), ev.laplace_targets(em, 1.1))
+        alone, _ = ev.hit_probability(em.cev_model, start_floor(em), ev.to_laplace(em.mixed, 1.1, np.arange(1, 13)))
         assert np.array_equal(p, alone)
 
     def test_start_below_conditioning_threshold_never_counts(self):
@@ -304,7 +304,7 @@ class TestSimulateClusterRun:
         # month's Laplace-scale target, which the month's GP scale sets
         em = with_cev(month_varying_emulator(np.full(12, 1.0), np.geomspace(0.3, 3.0, 12), np.zeros(12),
                                              n_days=1000), 1.0, 0.0, [0.0])
-        targets = ev.laplace_targets(em, 3.0)
+        targets = ev.to_laplace(em.mixed, 3.0, np.arange(1, 13))
         assert np.all(np.diff(targets) < 0.0)
         lam = {}
         for month in (1, 7):
@@ -354,6 +354,48 @@ def test_chain_count_law_is_a_poisson_mixture(lam, n_srun):
     hit = float(np.mean(1.0 - np.exp(-lam)))
     rate_law = ev.count_law(law_table, n_srun, rate_mode=True)
     assert np.max(np.abs(rate_law - binomial_pmf(n_srun, hit))) <= 1e-12
+
+
+def bernstein_exponent(t, var):
+    """Bernstein's bound P(X - mean >= t) <= exp(-exponent) for a sum of independent
+    Bernoulli counts, or a Poisson count, of variance var."""
+    return t * t / (2.0 * (var + t / 3.0))
+
+
+@st.composite
+def count_tables(draw):
+    """A MarginalSampler (binomial days) or a ChainLaw (Poisson clusters) of 1-3 emulators."""
+    n_emulators = draw(st.integers(1, 3))
+    size = (n_emulators, 12)
+    p = np.reshape(draw(st.lists(st.floats(0.0, 1.0), min_size=12 * n_emulators, max_size=12 * n_emulators)),
+                   size)
+    if draw(st.booleans()):
+        days = draw(st.lists(st.integers(0, 400), min_size=12 * n_emulators, max_size=12 * n_emulators))
+        return MarginalSampler(days=np.reshape(days, size), p=p)
+    rate = draw(st.lists(st.floats(0.0, 300.0), min_size=12 * n_emulators, max_size=12 * n_emulators))
+    return ChainLaw(month_rate=np.reshape(rate, size), p=p, quadrature_error=0.0, quadrature_lost_mass=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@example(tables=MarginalSampler(days=np.full((1, 12), 30), p=np.zeros((1, 12))), n_srun=3)
+@example(tables=ChainLaw(month_rate=np.zeros((2, 12)), p=np.ones((2, 12)), quadrature_error=0.0,
+                         quadrature_lost_mass=0.0), n_srun=3)
+@given(tables=count_tables(), n_srun=st.integers(1, 10))
+def test_the_run_cut_drops_at_most_e_to_the_minus_45(tables, n_srun):
+    # a run's pmf stops at K = max_r (mean_r + 12 sd_r) + 30: for each emulator K either
+    # covers the whole support (a binomial sum of at most K days) or sits t = K - mean_r
+    # >= 12 sd_r + 30 above its mean, where Bernstein's exponent is at least 45 (equal
+    # at sd 0); so law_tail_mass, what the law's table leaves out, is FFT rounding only
+    k_max = tables.run_pmf().size - 1
+    if isinstance(tables, MarginalSampler):
+        mean, var = np.sum(tables.days * tables.p, axis=1), np.sum(tables.days * tables.p * (1 - tables.p), axis=1)
+        covered = tables.days.sum(axis=1) <= k_max
+    else:
+        mean = var = np.sum(tables.month_rate * tables.p, axis=1)
+        covered = np.zeros(mean.size, dtype=bool)
+    assert np.all(covered | (bernstein_exponent(k_max - mean, var) >= 45.0))
+    # and the ensemble's FFT is long enough to hold all n_srun K + 1 counts without wrapping
+    assert ev.count_law(tables, n_srun).size == n_srun * k_max + 1
 
 
 @pytest.mark.parametrize("xi", [-0.3, 0.0, 0.2, 0.8])
@@ -434,7 +476,7 @@ class TestMonteCarloEstimate:
         assert np.array_equal(res.ebar_samples, again.ebar_samples) and res.ebar_samples.size == 40
         assert 0.0 <= res.law_tail_mass <= 1e-12
         fine = ev.chain_law(ems, 2.0)
-        coarse = [ev.hit_probability(e.cev_model, start_floor(e), ev.laplace_targets(e, 2.0),
+        coarse = [ev.hit_probability(e.cev_model, start_floor(e), ev.to_laplace(e.mixed, 2.0, np.arange(1, 13)),
                                      width=2 * CELL_WIDTH)[0] for e in ems]
         assert res.quadrature_error == fine.quadrature_error == np.max(np.abs(fine.p - coarse)) > 0.0
         assert 0.0 <= res.quadrature_lost_mass == fine.quadrature_lost_mass <= 1e-6
@@ -531,8 +573,9 @@ class TestMonteCarloEstimate:
 class TestLaplaceTargets:
     def test_monotone_in_target(self):
         em = make_marginal_emulator(n_days=2000, pi_mixed=0.04)
-        low = ev.laplace_targets(em, 2.0)
-        high = ev.laplace_targets(em, 3.0)
+        # chain_law's month targets: a raw level on the emulator's own Laplace scale
+        low = ev.to_laplace(em.mixed, 2.0, np.arange(1, 13))
+        high = ev.to_laplace(em.mixed, 3.0, np.arange(1, 13))
         assert np.all(high > low)
         assert low.shape == (12,)
 

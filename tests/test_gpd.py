@@ -314,10 +314,20 @@ class TestQqDiagnostics:
         tm = constant_threshold_model(0.0)
         gp = ev.GPModel(np.full(12, np.log(1.2)), "constant", np.full(12, 0.15), tm, 0.0)
         qq = ev.qq_exponential(gp, cs)
-        env = ev.qq_envelope(cs, n_boot=200, seed=5)
+        env = ev.qq_envelope(cs.n_clusters)
         outside = np.mean((qq[:, 1] < env[:, 1]) | (qq[:, 1] > env[:, 2]))
         assert outside <= 0.05
         assert np.all(env[:, 1] <= env[:, 2])
+
+    @pytest.mark.parametrize("n", [1, 2, 600])
+    def test_envelope_draws_the_fixed_stream(self, n):
+        # the band of QQ_SAMPLES sorted Exp(1) samples from default_rng(0), written out
+        sims = np.sort(-np.log1p(-np.random.default_rng(0).random((200, n))), axis=1)
+        alpha = 1.0 - 0.95
+        want = np.column_stack([-np.log1p(-np.arange(1, n + 1) / (n + 1.0)), np.quantile(sims, alpha / 2.0, axis=0),
+                                np.quantile(sims, 1.0 - alpha / 2.0, axis=0)])
+        assert ev.gpd.QQ_SAMPLES == 200 and ev.gpd.QQ_LEVEL == 0.95
+        assert ev.qq_envelope(n).tobytes() == want.tobytes()
 
     def test_misspecified_heavy_tail_departs_upwards(self):
         rng = np.random.default_rng(77)
