@@ -45,6 +45,6 @@ from .gpd import (
 from .ingest import Calendar, read_blocks, save_run
 from .summarise import SummarySeries, read_series
 from .synth import SynthSpec, event_truth, generate_run, iter_ensemble, per_day_probability
-from .threshold import ThresholdModel, ald_negloglik, fit_threshold
+from .threshold import ThresholdModel, fit_threshold
 
 __version__ = "0.1.0"

@@ -88,21 +88,15 @@ def _read_emulator(path) -> RunEmulator:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    if not args.runs:
-        raise ValueError("no run CSV files given")
     out = Path(args.out)
     k = QUESTIONS[args.question].order_k if args.order_k is None else args.order_k
     print(f"question {args.question}: fitting {len(args.runs)} run(s)")
     for i, path in enumerate(args.runs, start=1):
         try:
             series = read_series(path, k, run_id=i, calendar=args.calendar, skip_header=args.header)
-            emulator = build_emulator(
-                series, args.question, tau=args.tau,
-                run_length=args.run_length, q_prob=args.q_prob,
-                shape_mode=args.shape, min_month_obs=args.min_month_obs,
-                min_month_maxima=args.min_month_maxima,
-                month_conditional_bulk=args.bulk == "monthly",
-            )
+            emulator = build_emulator(series, args.question, tau=args.tau, run_length=args.run_length,
+                                      q_prob=args.q_prob, shape_mode=args.shape,
+                                      month_conditional_bulk=args.bulk == "monthly")
         except (ValueError, RuntimeError) as exc:
             raise type(exc)(f"run {i} ({path}): {exc}") from exc
         artifact = out / f"run_{i}.json"
@@ -245,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     for add in (estimate, synth):
         add("--seed", type=int, default=0)
 
-    fit("runs", nargs="*", default=[], help="run CSV files, one per climate run")
+    fit("runs", nargs="+", help="run CSV files, one per climate run")
     fit("--tau", type=float, default=0.95)
     fit("--run-length", type=int, default=3)
     fit("--q-prob", type=float, default=0.90)
@@ -253,10 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit("--bulk", choices=["pooled", "monthly"], default="pooled")
     fit("--order-k", type=int, help="default: the question's")
     fit("--header", action="store_true", help="skip one header line in each CSV")
-    fit("--min-month-obs", type=int, default=50)
-    fit("--min-month-maxima", type=int, default=10)
 
-    estimate("emulators", nargs="*", default=[], help="emulator JSON artifacts")
+    estimate("emulators", nargs="+", help="emulator JSON artifacts")
     estimate("--target", type=float, help="default: the question's")
     estimate("--n-sim", type=int, default=10_000, help="draws of e_bar for --c-samples; estimates are exact")
     estimate("--n-srun", type=int, default=50)

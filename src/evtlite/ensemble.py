@@ -408,8 +408,8 @@ def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
 
 
 def build_emulator(series: SummarySeries, question: str, tau: float = 0.95, run_length: int = 3,
-                   q_prob: float = 0.90, shape_mode: str | None = None, min_month_obs: int = 50,
-                   min_month_maxima: int = 10, month_conditional_bulk: bool = False) -> RunEmulator:
+                   q_prob: float = 0.90, shape_mode: str | None = None,
+                   month_conditional_bulk: bool = False) -> RunEmulator:
     """Fit every model component of one run's summary series for the given question."""
     spec = QUESTIONS.get(question)
     if spec is None:
@@ -418,9 +418,9 @@ def build_emulator(series: SummarySeries, question: str, tau: float = 0.95, run_
         raise ValueError(f"question {question} fits no conditional tail model, so it takes no "
                          "q_prob but 0.90 and no month-conditional bulk")
     mode = spec.shape_mode if shape_mode is None else shape_mode
-    tm = fit_threshold(series, tau=tau, min_month_obs=min_month_obs)
+    tm = fit_threshold(series, tau=tau)
     cs = run_decluster(series, tm, l=run_length)
-    gp = fit_gp(cs, tm, shape_mode=mode, min_month_maxima=min_month_maxima)
+    gp = fit_gp(cs, tm, shape_mode=mode)
     mixed = build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=month_conditional_bulk)
     cev = fit_cev(to_laplace(mixed, series.values, series.months), q_prob=q_prob) if spec.uses_chain else None
     return RunEmulator(

@@ -27,6 +27,7 @@ XI_MIN = -0.9
 XI_MAX = 2.0
 QQ_LEVEL = 0.95  # central coverage of qq_envelope's pointwise band
 QQ_SAMPLES = 200  # simulated samples behind qq_envelope, drawn from default_rng(0)
+MIN_MONTH_MAXIMA = 10  # fit_gp's by_month shape refuses a month with fewer cluster maxima
 
 SHAPE_MODES = ("constant", "by_month")
 
@@ -182,26 +183,23 @@ def fit_gp_excesses(z: np.ndarray) -> tuple[float, float, float]:
     return float(sigma[0]), xi, -nll
 
 
-def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "constant",
-           min_month_maxima: int = 10) -> GPModel:
+def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "constant") -> GPModel:
     """Maximum-likelihood GP fit to cluster-maximum excesses.
 
     Each month has its own scale. "constant" shares one xi across the twelve
     months and needs at least one maximum per month; "by_month" fits each
-    month alone and needs at least min_month_maxima maxima in every month.
+    month alone and needs at least MIN_MONTH_MAXIMA maxima in every month.
     Either way each block of months that shares a shape is one profiled fit.
     The shape is box-constrained to [-0.9, 2.0] to avoid the irregular-MLE
     region.
     """
     if shape_mode not in SHAPE_MODES:
         raise ValueError(f"shape_mode must be one of {SHAPE_MODES}")
-    if min_month_maxima < 1:
-        raise ValueError(f"min_month_maxima must be >= 1, got {min_month_maxima}")
     if cs.n_clusters == 0:
         raise RuntimeError("cannot fit a GP model: the cluster set is empty")
     months = cs.maxima_months
     counts = cs.month_cluster_counts
-    floor = min_month_maxima if shape_mode == "by_month" else 1
+    floor = MIN_MONTH_MAXIMA if shape_mode == "by_month" else 1
     short = [m + 1 for m in range(12) if counts[m] < floor]
     if short:
         raise RuntimeError(f"months {short} have fewer than {floor} cluster maxima for shape_mode={shape_mode}")

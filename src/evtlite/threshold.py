@@ -15,6 +15,8 @@ import numpy as np
 
 from .summarise import SummarySeries
 
+MIN_MONTH_OBS = 50  # fit_threshold refuses a series with a month of fewer days
+
 
 @dataclass(frozen=True)
 class ThresholdModel:
@@ -44,31 +46,7 @@ def pinball(t, tau: float):
     return t * (tau - (t < 0.0))
 
 
-def ald_negloglik(params, series: SummarySeries, tau: float) -> float:
-    """Negative log-likelihood of the month-indexed asymmetric Laplace model.
-
-    params holds the 12 locations followed by the 12 log-scales. Returns
-    +inf for non-finite parameters or underflowing scales.
-    """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    params = np.asarray(params, dtype=np.float64)
-    if params.shape != (24,):
-        raise ValueError(f"expected 24 parameters, got shape {params.shape}")
-    if not np.all(np.isfinite(params)):
-        return float("inf")
-    u = params[:12]
-    log_zeta = params[12:]
-    zeta = np.exp(log_zeta)
-    if not np.all(np.isfinite(zeta)) or np.any(zeta <= 0.0):
-        return float("inf")
-    idx = series.months - 1
-    t = (series.values - u[idx]) / zeta[idx]
-    nll = np.sum(log_zeta[idx] - np.log(tau * (1.0 - tau)) + pinball(t, tau))
-    return float(nll) if np.isfinite(nll) else float("inf")
-
-
-def fit_threshold(series: SummarySeries, tau: float = 0.95, min_month_obs: int = 50) -> ThresholdModel:
+def fit_threshold(series: SummarySeries, tau: float = 0.95) -> ThresholdModel:
     """Fit the month-varying tau-quantile threshold to a summary series.
 
     The asymmetric-Laplace MLE of a month is exact (Yu & Moyeed 2001). For a
@@ -76,22 +54,25 @@ def fit_threshold(series: SummarySeries, tau: float = 0.95, min_month_obs: int =
     location minimises that loss: the k-th order statistic, k = ceil(n tau).
     When n tau is an integer (to within 1e-9) the loss is flat between the
     k-th and (k+1)-th order statistics and the lower one is taken. A month
-    with zero loss (all values equal) gets the smallest positive scale.
+    with zero loss (all values equal) gets the smallest positive scale. A
+    month of n days with loss L and scale zeta = max(L, tiny) adds
+    n (log zeta - log tau(1 - tau) + L / zeta) to the negative log-likelihood.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    if min_month_obs < 1:
-        raise ValueError(f"min_month_obs must be >= 1, got {min_month_obs}")
     counts = np.bincount(series.months, minlength=13)[1:]
-    short = [m + 1 for m in range(12) if counts[m] < min_month_obs]
+    short = [m + 1 for m in range(12) if counts[m] < MIN_MONTH_OBS]
     if short:
-        raise RuntimeError(f"months {short} have fewer than {min_month_obs} observations")
+        raise RuntimeError(f"months {short} have fewer than {MIN_MONTH_OBS} observations")
     u = np.empty(12)
     log_zeta = np.empty(12)
+    nll = 0.0
     for m in range(12):
         x = series.values[series.months == m + 1]
         k = int(np.ceil(x.size * tau - 1e-9))
         u[m] = np.partition(x, k - 1)[k - 1]
-        log_zeta[m] = np.log(max(float(np.mean(pinball(x - u[m], tau))), np.finfo(np.float64).tiny))
-    nll = ald_negloglik(np.concatenate([u, log_zeta]), series, tau)
+        loss = float(np.mean(pinball(x - u[m], tau)))
+        zeta = max(loss, np.finfo(np.float64).tiny)
+        log_zeta[m] = np.log(zeta)
+        nll += x.size * (log_zeta[m] - np.log(tau * (1.0 - tau)) + loss / zeta)
     return ThresholdModel(tau=tau, u_by_month=u, log_zeta_by_month=log_zeta, loglik=-nll)

@@ -12,6 +12,7 @@ from scipy.optimize import minimize
 import evtlite as ev
 from evtlite.cev import CELL_WIDTH, CHAIN_STEPS, PROB_CLIP, Y_MAX, residual_law
 from evtlite.decluster import ClusterSet
+from evtlite.threshold import pinball
 
 
 def series_of(values, k, run_id=1):
@@ -46,6 +47,20 @@ def oracle_decluster(values, u, l):
         if values[i] > u[i]:
             clusters.setdefault(labels[i], []).append(i + 1)
     return [clusters[key] for key in sorted(clusters)]
+
+
+def ald_negloglik(params, series, tau):
+    """Negative log-likelihood of the month-indexed asymmetric Laplace model, summed
+    day by day. params holds the 12 locations, then the 12 log-scales; non-finite
+    parameters or a scale that underflows to 0 read +inf."""
+    params = np.asarray(params, dtype=np.float64)
+    u, log_zeta = params[:12], params[12:]
+    zeta = np.exp(log_zeta)
+    if not np.all(np.isfinite(params)) or np.any(zeta == 0.0):
+        return float("inf")
+    idx = series.months - 1
+    t = (series.values - u[idx]) / zeta[idx]
+    return float(np.sum(log_zeta[idx] - np.log(tau * (1.0 - tau)) + pinball(t, tau)))
 
 
 def constant_threshold_model(u, tau=0.95):

@@ -297,6 +297,23 @@ class TestResidualLaw:
         assert excess(np.array([1e9]))[0] == 0.0
 
 
+def assert_agrees_with_the_chain_oracle(beta0, beta1, residuals, bandwidth, pi, target, seed):
+    """The fraction of 40,000 oracle chains that hit the target lies within 5 standard
+    errors of P, widened by twice the quadrature error and, upwards only, by the mass
+    the quadrature loses above its cells."""
+    model = make_cev(beta0, beta1, residuals, bandwidth=bandwidth)
+    a = -np.log(2 * pi)
+    p, lost = ev.hit_probability(model, a, [target])
+    coarse, _ = ev.hit_probability(model, a, [target], width=2 * CELL_WIDTH)
+    n = 40_000
+    got = oracle_hit_fraction(model, pi, target, n, seed=seed)
+
+    def slack(q):
+        return 5.0 * np.sqrt(max(q * (1.0 - q), 1.0 / n) / n) + 2.0 * abs(p[0] - coarse[0])
+    high = min(p[0] + lost[0], 1.0)
+    assert p[0] - slack(p[0]) <= got <= high + slack(high)
+
+
 class TestHitProbability:
     """The quadrature of the chain kernel against exact answers and the chain oracle."""
 
@@ -409,16 +426,11 @@ class TestHitProbability:
     @example(beta0=2.8405818881275877e-165, beta1=0.0, residuals=[0.0, 1.0], bandwidth=0.0, pi=0.25,
              target=0.5, seed=0)
     def test_agrees_with_the_chain_oracle(self, beta0, beta1, residuals, bandwidth, pi, target, seed):
-        # the oracle's fraction lies within 5 standard errors of P, widened by twice the
-        # quadrature error and, upwards only, by the mass the quadrature loses above its cells
-        model = make_cev(beta0, beta1, residuals, bandwidth=bandwidth)
-        a = -np.log(2 * pi)
-        p, lost = ev.hit_probability(model, a, [target])
-        coarse, _ = ev.hit_probability(model, a, [target], width=2 * CELL_WIDTH)
-        n = 40_000
-        got = oracle_hit_fraction(model, pi, target, n, seed=seed)
+        assert_agrees_with_the_chain_oracle(beta0, beta1, residuals, bandwidth, pi, target, seed)
 
-        def slack(q):
-            return 5.0 * np.sqrt(max(q * (1.0 - q), 1.0 / n) / n) + 2.0 * abs(p[0] - coarse[0])
-        high = min(p[0] + lost[0], 1.0)
-        assert p[0] - slack(p[0]) <= got <= high + slack(high)
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+    def test_deterministic_kernel_reads_low(self):
+        # one residual at bandwidth 0 makes each step a fixed map, so no cell width converges:
+        # P reads 0.353 at cells of 0.05 and 0.1, and the oracle 0.398-0.402 at seeds 0, 1
+        # and 2, 13 to 15 of its standard errors above the bound's top, 0.365
+        assert_agrees_with_the_chain_oracle(0.0625, -1.0, [0.25], 0.0, 0.25, 0.5, 0)

@@ -19,6 +19,8 @@ from evtlite import cli
 from evtlite.cev import LOST_MASS_TOLERANCE
 from evtlite.cli import emulator_from_dict, emulator_to_dict, main
 from evtlite.ensemble import ARTIFACT_SCHEMA, pack_floats
+from evtlite.gpd import MIN_MONTH_MAXIMA
+from evtlite.threshold import MIN_MONTH_OBS
 
 GOLDEN_ARTIFACT = Path(__file__).parent / "data" / "emulator_v2_q3.json"
 
@@ -209,8 +211,8 @@ class TestFitCommand:
         (["--run-length", 0], 2),
         (["--question", "q3"], 2),  # its default k = 23 exceeds the 3 sites
         (["--question", "q3", "--order-k", 1, "--q-prob", 0.3], 2),
-        (["--min-month-obs", 1000], 1),
-        (["--min-month-maxima", 1000], 1),
+        (["--tau", 0.995], 1),  # about 3 cluster maxima a month, fewer than q1's by_month shape needs
+        (["--tau", 0.9995], 1),  # each month's threshold is its largest day: no cluster at all
     ])
     def test_configuration_errors_exit_2_and_data_errors_exit_1(self, three_site_run, tmp_path, capsys,
                                                                 flags, code):
@@ -219,14 +221,22 @@ class TestFitCommand:
         assert f"error: run 1 ({three_site_run}): " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", [0, -1])
-    @pytest.mark.parametrize("flag, n_days", [("--min-month-obs", 100), ("--min-month-maxima", 7300)])
-    def test_month_floors_below_one_exit_2(self, three_site_run, tmp_path, capsys, flag, n_days, value):
-        # a floor of 0 let a 100-day run's empty months reach np.partition, an IndexError
+    @pytest.mark.parametrize("n_days, refusal", [
+        (100, f"have fewer than {MIN_MONTH_OBS} observations"),  # months 5 to 12 have none
+        (730, f"have fewer than {MIN_MONTH_MAXIMA} cluster maxima for shape_mode=by_month"),
+    ])
+    def test_thin_months_exit_1(self, three_site_run, tmp_path, capsys, n_days, refusal):
         path = tmp_path / "run.csv"
         path.write_text("".join(three_site_run.read_text().splitlines(keepends=True)[:n_days]))
-        assert run_cli("fit", "--out", tmp_path / "out", flag, value, path) == 2
-        assert f"{flag[2:].replace('-', '_')} must be >= 1, got {value}" in capsys.readouterr().err
+        assert run_cli("fit", "--out", tmp_path / "out", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: run 1 ({path}): months [") and err.endswith(f"] {refusal}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_no_run_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", "--out", tmp_path / "out", "--question", "q1")
+        assert exc.value.code == 2 and "the following arguments are required: runs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("question", ["q1", "q2"])
@@ -317,9 +327,9 @@ class TestFitCommand:
         path.write_text("a,b,c\n" + body + "\n")
         # fit will fail statistically on tiny flat data, but ingestion must
         # succeed with --header and fail without it
-        rc_no_header = run_cli("fit", "--out", tmp_path / "x", "--min-month-obs", 1, path)
+        rc_no_header = run_cli("fit", "--out", tmp_path / "x", path)
         assert rc_no_header == 2
-        rc_header = run_cli("fit", "--header", "--out", tmp_path / "y", "--min-month-obs", 1, path)
+        rc_header = run_cli("fit", "--header", "--out", tmp_path / "y", path)
         assert rc_header == 1
 
     @pytest.mark.parametrize("line, message", [
@@ -335,10 +345,10 @@ class TestFitCommand:
         rows = ["0.1,0.2,0.3"] * 40
         path = tmp_path / "gap.csv"
         path.write_text("\n".join(rows[:2] + [line] + rows[2:]) + "\n")
-        assert run_cli("fit", "--out", tmp_path / "x", "--min-month-obs", 1, path) == 2
+        assert run_cli("fit", "--out", tmp_path / "x", path) == 2
         assert capsys.readouterr().err == f"error: run 1 ({path}): {message}\n"
         path.write_text("\n".join(rows) + "\n")  # one trailing newline is fine
-        assert run_cli("fit", "--out", tmp_path / "y", "--min-month-obs", 1, path) == 1
+        assert run_cli("fit", "--out", tmp_path / "y", path) == 1  # 40 days fail the month floor
 
 
 class TestEstimateCommand:
@@ -459,8 +469,11 @@ class TestEstimateCommand:
         assert d["rate_mode"] is True
         assert 0.0 <= d["point"] <= 1.0
 
-    def test_no_artifacts_exit_2(self, tmp_path):
-        assert run_cli("estimate", "--out", tmp_path, "--question", "q1") == 2
+    def test_no_artifacts_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:  # argparse refuses it, as it refuses a bad flag
+            run_cli("estimate", "--out", tmp_path, "--question", "q1")
+        assert exc.value.code == 2
+        assert "the following arguments are required: emulators" in capsys.readouterr().err
 
     def test_emulators_of_other_length_exit_2(self, workspace, tmp_path, capsys):
         # combine_rates refuses emulators of different run lengths, so the command does too
@@ -547,7 +560,7 @@ OPTION_SAMPLES = {
     "out": ["o"], "runs": ["a.csv", "b.csv"], "emulators": ["a.json", "b.json"], "emulator": ["a.json"],
     "question": ["q2"], "calendar": ["30,30,30,30,30,30,30,30,30,30,30,31"], "seed": ["7"],
     "tau": ["0.9"], "run_length": ["2"], "q_prob": ["0.8"], "shape": ["by_month"], "bulk": ["monthly"],
-    "order_k": ["2"], "header": [], "min_month_obs": ["9"], "min_month_maxima": ["4"],
+    "order_k": ["2"], "header": [],
     "target": ["6.5"], "n_sim": ["12"], "n_srun": ["3"], "alpha": ["0.1"], "rate_mode": [],
     "sim_days": ["100"], "workers": ["2"], "c_samples": [],
     "n_runs": ["2"], "n_days": ["400"], "n_sites": ["3"], "pi": ["0.1"], "xi": ["0.2"],
@@ -566,7 +579,7 @@ def test_every_option_takes_effect(tmp_path, command):
     argv = [token for a in actions for token in a.option_strings[:1] + OPTION_SAMPLES[a.dest]]
     path = tmp_path / f"{command}.args"
     path.write_text("".join(f"{token}\n" for token in argv))
-    required = ["e.json"] if command == "diagnose" else []
+    required = {"fit": ["r.csv"], "estimate": ["r.json"], "diagnose": ["e.json"]}.get(command, [])
     defaults = vars(parser.parse_args([command, "--out", "d", *required]))
     from_flags = vars(parser.parse_args([command, *argv]))
     assert vars(parser.parse_args([command, f"@{path}"])) == from_flags
@@ -582,18 +595,16 @@ def test_cli_defaults_equal_the_library_defaults():
     def default(func, name):
         return inspect.signature(func).parameters[name].default
 
-    fit = parsed("fit")
+    fit = parsed("fit", "r.csv")
     for name, stage, param in (("tau", ev.fit_threshold, "tau"), ("run_length", ev.run_decluster, "l"),
-                               ("q_prob", ev.fit_cev, "q_prob"),
-                               ("min_month_obs", ev.fit_threshold, "min_month_obs"),
-                               ("min_month_maxima", ev.fit_gp, "min_month_maxima")):
+                               ("q_prob", ev.fit_cev, "q_prob")):
         assert fit[name] == default(ev.build_emulator, name) == default(stage, param), name
     # no --order-k: fit reads each run at the question's own k, QUESTIONS[question].order_k
     assert (fit["shape"], fit["order_k"]) == (default(ev.build_emulator, "shape_mode"), None)
     for func in (ev.build_emulator, ev.build_mixed):
         assert (fit["bulk"] == "monthly") == default(func, "month_conditional_bulk")
 
-    estimate = parsed("estimate")
+    estimate = parsed("estimate", "r.json")
     fields = {f.name: f.default for f in dataclasses.fields(ev.SimulationConfig)}
     for name, field in (("target", "target_level"), ("n_sim", "n_sim"), ("n_srun", "n_srun"),
                         ("seed", "seed"), ("alpha", "alpha"), ("rate_mode", "rate_mode"),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import evtlite as ev
 from conftest import (constant_threshold_model, gp_group_negloglik, make_cluster_set,
                       oracle_gp_negloglik, series_of)
+from evtlite.gpd import MIN_MONTH_MAXIMA
 
 
 class TestGpCdf:
@@ -129,8 +130,15 @@ class TestFitGp:
             ev.GPModel(np.zeros(12), "constant", np.full(12, np.nan), tm, 0.0)
 
     def test_by_month_floor(self):
+        assert MIN_MONTH_MAXIMA == 10
         cs = make_cluster_set(np.linspace(1, 2, 24), np.tile(np.arange(1, 13), 2))
         with pytest.raises(RuntimeError, match="fewer than"):
+            ev.fit_gp(cs, constant_threshold_model(0.0), "by_month")
+        months = np.repeat(np.arange(1, 13), MIN_MONTH_MAXIMA)
+        z = np.tile(np.linspace(0.1, 1.0, MIN_MONTH_MAXIMA), 12)
+        ev.fit_gp(make_cluster_set(z, months), constant_threshold_model(0.0), "by_month")
+        cs = make_cluster_set(z[1:], months[1:])
+        with pytest.raises(RuntimeError, match=r"months \[1\] have fewer than 10 cluster maxima"):
             ev.fit_gp(cs, constant_threshold_model(0.0), "by_month")
 
     def test_local_optimum_property(self):

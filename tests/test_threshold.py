@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtlite as ev
-from evtlite.threshold import pinball
+from conftest import ald_negloglik
+from evtlite.threshold import MIN_MONTH_OBS, pinball
 
 
 def series_by_month(values_by_month):
@@ -39,7 +40,7 @@ class TestAldNegloglik:
         series = ev.SummarySeries(1, 1, np.array([2.0]), np.array([1]))
         params = np.concatenate([np.full(12, 2.0), np.zeros(12)])
         expected = -np.log(0.95 * 0.05)  # 3.0470...
-        assert ev.ald_negloglik(params, series, 0.95) == pytest.approx(expected, abs=1e-12)
+        assert ald_negloglik(params, series, 0.95) == pytest.approx(expected, abs=1e-12)
 
     def test_doubling_scale_adds_n_log2(self):
         n = 37
@@ -47,7 +48,7 @@ class TestAldNegloglik:
         base = np.concatenate([np.full(12, 5.0), np.zeros(12)])
         doubled = base.copy()
         doubled[12:] = np.log(2.0)
-        diff = ev.ald_negloglik(doubled, series, 0.95) - ev.ald_negloglik(base, series, 0.95)
+        diff = ald_negloglik(doubled, series, 0.95) - ald_negloglik(base, series, 0.95)
         assert diff == pytest.approx(n * np.log(2.0), rel=1e-12)
 
     def test_degenerate_scale_unbounded_then_barrier(self):
@@ -57,16 +58,11 @@ class TestAldNegloglik:
 
         def nll(log_zeta):
             params = np.concatenate([np.ones(12), np.full(12, log_zeta)])
-            return ev.ald_negloglik(params, series, 0.95)
+            return ald_negloglik(params, series, 0.95)
 
         assert nll(-10.0) > nll(-100.0) > nll(-500.0)
         assert nll(-800.0) == np.inf  # exp underflows to zero scale
-        assert ev.ald_negloglik(np.full(24, np.nan), series, 0.95) == np.inf
-
-    def test_param_shape_checked(self):
-        series = ev.SummarySeries(1, 1, np.array([1.0]), np.array([1]))
-        with pytest.raises(ValueError):
-            ev.ald_negloglik(np.zeros(10), series, 0.95)
+        assert ald_negloglik(np.full(24, np.nan), series, 0.95) == np.inf
 
 
 class TestFitThreshold:
@@ -88,8 +84,8 @@ class TestFitThreshold:
         series = series_by_month(base)
         shifted = [v + (10.0 if m == 6 else 0.0) for m, v in enumerate(base)]
         series_shift = series_by_month(shifted)
-        a = ev.fit_threshold(series, min_month_obs=100)
-        b = ev.fit_threshold(series_shift, min_month_obs=100)
+        a = ev.fit_threshold(series)
+        b = ev.fit_threshold(series_shift)
         assert b.u_by_month[6] - a.u_by_month[6] == pytest.approx(10.0, abs=1e-4)
         assert b.u_by_month[0] == pytest.approx(a.u_by_month[0], abs=1e-6)
 
@@ -99,9 +95,12 @@ class TestFitThreshold:
         assert np.allclose(model.u_by_month, 3.25, atol=1e-6)
 
     def test_month_floor_enforced(self):
-        series = series_by_month([np.random.default_rng(0).random(30) for _ in range(12)])
-        with pytest.raises(RuntimeError, match="fewer than 50"):
-            ev.fit_threshold(series)
+        assert MIN_MONTH_OBS == 50
+        samples = [np.random.default_rng(m).random(MIN_MONTH_OBS) for m in range(12)]
+        ev.fit_threshold(series_by_month(samples))
+        samples[3] = samples[3][1:]
+        with pytest.raises(RuntimeError, match=r"months \[4\] have fewer than 50 observations"):
+            ev.fit_threshold(series_by_month(samples))
 
     def test_joint_optimum_matches_closed_form(self):
         # the joint fit decomposes by month; compare against the exact
@@ -110,14 +109,14 @@ class TestFitThreshold:
         rng = np.random.default_rng(23)
         samples = [rng.gamma(2.0, 1.0, size=211) for _ in range(12)]
         series = series_by_month(samples)
-        model = ev.fit_threshold(series, tau=0.95, min_month_obs=100)
+        model = ev.fit_threshold(series, tau=0.95)
         for m, x in enumerate(samples):
             u_exact, zeta_exact = exact_ald_mle(x, 0.95)
             assert model.u_by_month[m] == pytest.approx(u_exact, abs=1e-6)
             assert np.exp(model.log_zeta_by_month[m]) == pytest.approx(zeta_exact, rel=1e-5)
         # and the 24-parameter objective agrees with the sum of month fits
         params = np.concatenate([model.u_by_month, model.log_zeta_by_month])
-        assert ev.ald_negloglik(params, series, 0.95) == pytest.approx(-model.loglik, rel=1e-12)
+        assert ald_negloglik(params, series, 0.95) == pytest.approx(-model.loglik, rel=1e-12)
 
     def test_exceedance_calibration(self):
         rng = np.random.default_rng(17)
@@ -150,28 +149,34 @@ def test_pinball_nonnegative_and_zero_at_origin(tau, values):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(50, 130), st.sampled_from([0.5, 0.75, 0.9, 0.95]),
-       st.booleans())
-def test_fit_is_the_exact_ald_mle(seed, n, tau, ties):
+       st.booleans(), st.booleans())
+def test_fit_is_the_exact_ald_mle(seed, n, tau, ties, flat):
     # months hold n, n + 1, ..., n + 11 values, so for tau = 0.5 or 0.75 some
-    # months always have an integer n * tau and a flat likelihood stretch
+    # months always have an integer n * tau and a flat likelihood stretch. With
+    # flat, January's values are all equal: its loss is 0 and its scale floored
+    # at the smallest positive double, below which the likelihood still grows
     rng = np.random.default_rng(seed)
     samples = [rng.gamma(2.0, 1.0, size=n + m) for m in range(12)]
     if ties:
         samples = [np.round(x, 1) for x in samples]
+    if flat:
+        samples[0] = np.full(n, 1.5)
     series = series_by_month(samples)
-    model = ev.fit_threshold(series, tau=tau, min_month_obs=50)
+    model = ev.fit_threshold(series, tau=tau)
     for m, x in enumerate(samples):
         u_exact, zeta_exact = exact_ald_mle(x, tau)
         assert model.u_by_month[m] == u_exact
         assert np.exp(model.log_zeta_by_month[m]) == pytest.approx(zeta_exact, rel=1e-12)
     params = np.concatenate([model.u_by_month, model.log_zeta_by_month])
-    best = ev.ald_negloglik(params, series, tau)
+    best = ald_negloglik(params, series, tau)
     assert best == pytest.approx(-model.loglik, rel=1e-12)
     for j in range(24):
         for step in (-1e-3, -1e-6, 1e-6, 1e-3):
+            if flat and j == 12 and step < 0:
+                continue  # a smaller scale fits January better still: the floor is no optimum
             moved = params.copy()
             moved[j] += step
-            assert ev.ald_negloglik(moved, series, tau) >= best - 1e-10 * abs(best)
+            assert ald_negloglik(moved, series, tau) >= best - 1e-10 * abs(best)
 
 
 def test_integer_n_tau_takes_the_lower_knot():
