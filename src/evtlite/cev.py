@@ -32,6 +32,7 @@ CHAIN_STEPS = 30
 CELL_WIDTH = 0.05
 LOST_MASS_TOLERANCE = 1e-9  # estimate warns only of more lost mass; start mass above Y_MAX is ~1e-12
 MIN_PAIRS = 100    # fit_cev refuses a series with fewer pairs above its threshold
+Q_PROB = 0.90      # fit_cev conditions on days above this standard Laplace quantile
 
 
 def laplace_quantile(p):
@@ -140,17 +141,11 @@ def fit_conditional_pairs(x: np.ndarray, y: np.ndarray, q: float) -> CEVModel:
     )
 
 
-def fit_cev(laplace: np.ndarray, q_prob: float = 0.90) -> CEVModel:
+def fit_cev(laplace: np.ndarray) -> CEVModel:
     """Fit the conditional tail model to consecutive-day pairs of a series on
-    standard Laplace margins.
-
-    The conditioning threshold is the q_prob quantile of the standard
-    Laplace distribution; q_prob must exceed 0.5 so the threshold is
-    positive (the power-law form needs positive conditioning values).
-    """
-    if not 0.5 < q_prob < 1.0:
-        raise ValueError(f"q_prob must lie in (0.5, 1), got {q_prob}")
-    q = float(laplace_quantile(q_prob))
+    standard Laplace margins, above the Q_PROB quantile of the standard
+    Laplace distribution."""
+    q = float(laplace_quantile(Q_PROB))
     x_all = laplace[:-1]
     y_all = laplace[1:]
     keep = x_all > q

@@ -51,8 +51,11 @@ def calendar(spec: str) -> Calendar:
 
 
 def float_list(spec: str) -> list[float]:
-    """Type of a comma-separated list of numbers."""
-    return [float(tok) for tok in spec.split(",")]
+    """Type of a comma-separated list of finite numbers."""
+    values = [float(tok) for tok in spec.split(",")]
+    if not np.all(np.isfinite(values)):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {spec}")
+    return values
 
 
 def monthly_floats(spec: str) -> list[float]:
@@ -95,8 +98,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         try:
             series = read_series(path, k, run_id=i, calendar=args.calendar, skip_header=args.header)
             emulator = build_emulator(series, args.question, tau=args.tau, run_length=args.run_length,
-                                      q_prob=args.q_prob, shape_mode=args.shape,
-                                      month_conditional_bulk=args.bulk == "monthly")
+                                      shape_mode=args.shape, month_conditional_bulk=args.bulk == "monthly")
         except (ValueError, RuntimeError) as exc:
             raise type(exc)(f"run {i} ({path}): {exc}") from exc
         artifact = out / f"run_{i}.json"
@@ -242,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit("runs", nargs="+", help="run CSV files, one per climate run")
     fit("--tau", type=float, default=0.95)
     fit("--run-length", type=int, default=3)
-    fit("--q-prob", type=float, default=0.90)
     fit("--shape", choices=SHAPE_MODES, help="default: the question's")
     fit("--bulk", choices=["pooled", "monthly"], default="pooled")
     fit("--order-k", type=int, help="default: the question's")

@@ -229,8 +229,8 @@ def combine_rates(emulators: list[RunEmulator], names: list[str] | None = None) 
     The one check of which emulators share an estimate: there must be at
     least one, and all must share their question, order statistic and per-day
     months (day count and calendar). names labels the emulators in its errors
-    (default: position and run id). Runs whose extremal index is undefined
-    (no exceedances) are excluded; at least one defined run is required.
+    (default: position and run id). Every emulator has a cluster, so its
+    extremal index is defined.
     """
     if not emulators:
         raise ValueError("nothing to combine: no emulators given")
@@ -242,11 +242,8 @@ def combine_rates(emulators: list[RunEmulator], names: list[str] | None = None) 
             fitted = [f"question {x.question}, k = {x.order_k}, {x.months.size} days" for x in (e, ref)]
             raise ValueError(f"{name} ({fitted[0]}) does not match {names[0]} ({fitted[1]}) in question, "
                              "order statistic k, length or calendar")
-    defined = [e for e in emulators if e.cluster_set.theta_hat is not None]
-    if not defined:
-        raise ValueError("extremal index is undefined for every run")
-    pi_hat = float(np.mean([e.cluster_set.pi_star_hat for e in defined]))
-    theta_hat = float(np.mean([e.cluster_set.theta_hat for e in defined]))
+    pi_hat = float(np.mean([e.cluster_set.pi_star_hat for e in emulators]))
+    theta_hat = float(np.mean([e.cluster_set.theta_hat for e in emulators]))
     return CombinedEstimates(pi_hat=pi_hat, theta_hat=theta_hat)
 
 
@@ -302,17 +299,16 @@ def marginal_sampler(emulators: list[RunEmulator], pi_hat: float, target: float,
                      n_days: int | None = None) -> MarginalSampler:
     """Tables for runs of n_days simulated days (None: the fitted length).
 
-    The target must sit above every monthly threshold, otherwise the GP
-    tail cannot express the event and the mixed distribution is needed.
+    The target must sit above every monthly threshold, where the GP tail
+    starts: the tables hold no law for the days below it.
     """
+    highest = max(float(np.max(e.threshold_model.u_by_month)) for e in emulators)
+    if target <= highest:
+        raise ValueError(f"target {target} is not above the highest fitted monthly threshold {highest:.4f}; "
+                         "estimate a higher --target, or refit at a lower --tau")
     days, p = [], []
     for e in emulators:
         u = e.threshold_model.u_by_month
-        if target <= float(np.max(u)):
-            raise ValueError(
-                f"target {target} is not above every monthly threshold (max {float(np.max(u)):.4f}); "
-                "use the mixed distribution for sub-threshold levels"
-            )
         if n_days is not None and n_days > e.months.size:
             raise ValueError(f"n_days={n_days} exceeds the fitted run length {e.months.size}")
         days.append(np.bincount(e.months[:n_days] - 1, minlength=12))
@@ -408,21 +404,20 @@ def monte_carlo_estimate(emulators: list[RunEmulator], config: SimulationConfig,
 
 
 def build_emulator(series: SummarySeries, question: str, tau: float = 0.95, run_length: int = 3,
-                   q_prob: float = 0.90, shape_mode: str | None = None,
-                   month_conditional_bulk: bool = False) -> RunEmulator:
+                   shape_mode: str | None = None, month_conditional_bulk: bool = False) -> RunEmulator:
     """Fit every model component of one run's summary series for the given question."""
     spec = QUESTIONS.get(question)
     if spec is None:
         raise ValueError(f"question must be one of {sorted(QUESTIONS)}, got {question!r}")
-    if not spec.uses_chain and (q_prob != 0.90 or month_conditional_bulk):
+    if not spec.uses_chain and month_conditional_bulk:
         raise ValueError(f"question {question} fits no conditional tail model, so it takes no "
-                         "q_prob but 0.90 and no month-conditional bulk")
+                         "month-conditional bulk")
     mode = spec.shape_mode if shape_mode is None else shape_mode
     tm = fit_threshold(series, tau=tau)
     cs = run_decluster(series, tm, l=run_length)
     gp = fit_gp(cs, tm, shape_mode=mode)
     mixed = build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=month_conditional_bulk)
-    cev = fit_cev(to_laplace(mixed, series.values, series.months), q_prob=q_prob) if spec.uses_chain else None
+    cev = fit_cev(to_laplace(mixed, series.values, series.months)) if spec.uses_chain else None
     return RunEmulator(
         run_id=series.run_id, question=question, order_k=series.order_k, months=series.months,
         series_values=series.values, threshold_model=tm, gp_model=gp, mixed=mixed, cluster_set=cs,

@@ -196,7 +196,8 @@ def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "consta
     if shape_mode not in SHAPE_MODES:
         raise ValueError(f"shape_mode must be one of {SHAPE_MODES}")
     if cs.n_clusters == 0:
-        raise RuntimeError("cannot fit a GP model: the cluster set is empty")
+        raise RuntimeError("cannot fit a GP model: no day lies above its month's threshold "
+                           f"at tau = {thresholds.tau}")
     months = cs.maxima_months
     counts = cs.month_cluster_counts
     floor = MIN_MONTH_MAXIMA if shape_mode == "by_month" else 1

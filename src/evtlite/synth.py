@@ -47,8 +47,11 @@ class SynthSpec:
             raise ValueError(f"order_k must lie in 1..{self.n_sites}")
         if not 0.0 < self.pi < 1.0:
             raise ValueError("pi must lie in (0, 1)")
-        if np.any(self.u0_by_month <= 0.0) or np.any(self.sigma_by_month <= 0.0):
-            raise ValueError("u0_by_month and sigma_by_month must be positive")
+        scales = np.concatenate([self.u0_by_month, self.sigma_by_month])
+        if not np.all(np.isfinite(scales) & (scales > 0.0)):
+            raise ValueError("u0_by_month and sigma_by_month must be positive and finite")
+        if not np.isfinite(self.xi):
+            raise ValueError(f"xi must be finite, got {self.xi}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
 

@@ -16,7 +16,7 @@ import pytest
 
 import evtlite as ev
 from evtlite import cli
-from evtlite.cev import LOST_MASS_TOLERANCE
+from evtlite.cev import LOST_MASS_TOLERANCE, Q_PROB
 from evtlite.cli import emulator_from_dict, emulator_to_dict, main
 from evtlite.ensemble import ARTIFACT_SCHEMA, pack_floats
 from evtlite.gpd import MIN_MONTH_MAXIMA
@@ -123,6 +123,17 @@ class TestSynthCommand:
             "truth.json": "e2826ac0d437ff856bb110687c2e605f49db91dc7b5a1a9e6dddebefb758964f",
         }
 
+    @pytest.mark.parametrize("flag", ["--u0", "--sigma", "--xi", "--targets"])
+    def test_non_finite_parameter_exit_2_before_writing(self, tmp_path, capsys, flag):
+        # argparse refuses a non-finite list value as it parses (SystemExit), SynthSpec a non-finite xi
+        try:
+            code = run_cli("synth", "--out", tmp_path / "out", "--n-runs", 1, "--n-days", 400,
+                           "--n-sites", 3, flag, "nan")
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2 and flag.lstrip("-") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFitCommand:
     def test_artifacts_written(self, workspace):
@@ -200,6 +211,11 @@ class TestFitCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert run_cli("fit", "--out", tmp_path, "--question", "q1", tmp_path / "nope.csv") == 2
 
+    def test_q3_conditions_above_the_Q_PROB_laplace_quantile(self, three_site_run, tmp_path):
+        assert run_cli("fit", "--out", tmp_path, "--question", "q3", "--order-k", 1, three_site_run) == 0
+        d = json.loads((tmp_path / "run_1.json").read_text())
+        assert d["cev"]["q_threshold"] == ev.laplace_quantile(Q_PROB)
+
     def test_degenerate_data_exit_1(self, tmp_path):
         path = tmp_path / "flat.csv"
         np.savetxt(path, np.full((7300, 3), 2.0), delimiter=",", fmt="%.3f")
@@ -210,7 +226,7 @@ class TestFitCommand:
         (["--tau", 1.5], 2),
         (["--run-length", 0], 2),
         (["--question", "q3"], 2),  # its default k = 23 exceeds the 3 sites
-        (["--question", "q3", "--order-k", 1, "--q-prob", 0.3], 2),
+        (["--order-k", 0], 2),  # below the smallest order statistic, k = 1
         (["--tau", 0.995], 1),  # about 3 cluster maxima a month, fewer than q1's by_month shape needs
         (["--tau", 0.9995], 1),  # each month's threshold is its largest day: no cluster at all
     ])
@@ -218,7 +234,10 @@ class TestFitCommand:
                                                                 flags, code):
         # flat data exits 1 too: test_degenerate_data_exit_1
         assert run_cli("fit", "--out", tmp_path / "out", *flags, three_site_run) == code
-        assert f"error: run 1 ({three_site_run}): " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: run 1 ({three_site_run}): " in err
+        if flags == ["--tau", 0.9995]:
+            assert err.endswith("no day lies above its month's threshold at tau = 0.9995\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n_days, refusal", [
@@ -240,10 +259,10 @@ class TestFitCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("question", ["q1", "q2"])
-    @pytest.mark.parametrize("flags", [["--q-prob", 0.8], ["--bulk", "monthly"]])
+    @pytest.mark.parametrize("flags", [["--bulk=monthly"], ["--bulk", "monthly"]])
     def test_marginal_questions_refuse_the_conditional_fit_options(self, three_site_run, tmp_path,
                                                                   capsys, question, flags):
-        # both set up q3's conditional tail model, which q1 and q2 do not fit
+        # in either spelling, it sets up q3's conditional tail model, which q1 and q2 do not fit
         assert run_cli("fit", "--out", tmp_path / "out", "--question", question, "--order-k", 1,
                        *flags, three_site_run) == 2
         assert f"question {question} fits no conditional tail model" in capsys.readouterr().err
@@ -559,7 +578,7 @@ class TestEstimateCommand:
 OPTION_SAMPLES = {
     "out": ["o"], "runs": ["a.csv", "b.csv"], "emulators": ["a.json", "b.json"], "emulator": ["a.json"],
     "question": ["q2"], "calendar": ["30,30,30,30,30,30,30,30,30,30,30,31"], "seed": ["7"],
-    "tau": ["0.9"], "run_length": ["2"], "q_prob": ["0.8"], "shape": ["by_month"], "bulk": ["monthly"],
+    "tau": ["0.9"], "run_length": ["2"], "shape": ["by_month"], "bulk": ["monthly"],
     "order_k": ["2"], "header": [],
     "target": ["6.5"], "n_sim": ["12"], "n_srun": ["3"], "alpha": ["0.1"], "rate_mode": [],
     "sim_days": ["100"], "workers": ["2"], "c_samples": [],
@@ -596,8 +615,7 @@ def test_cli_defaults_equal_the_library_defaults():
         return inspect.signature(func).parameters[name].default
 
     fit = parsed("fit", "r.csv")
-    for name, stage, param in (("tau", ev.fit_threshold, "tau"), ("run_length", ev.run_decluster, "l"),
-                               ("q_prob", ev.fit_cev, "q_prob")):
+    for name, stage, param in (("tau", ev.fit_threshold, "tau"), ("run_length", ev.run_decluster, "l")):
         assert fit[name] == default(ev.build_emulator, name) == default(stage, param), name
     # no --order-k: fit reads each run at the question's own k, QUESTIONS[question].order_k
     assert (fit["shape"], fit["order_k"]) == (default(ev.build_emulator, "shape_mode"), None)

@@ -44,14 +44,6 @@ class TestCombineRates:
         ems = [self._emulator_with(0.05, 1.0, run_id=i + 1) for i in range(3)]
         assert ev.combine_rates(ems).theta_hat == 1.0
 
-    def test_undefined_theta_excluded_or_error(self):
-        defined = self._emulator_with(0.05, 0.9, run_id=1)
-        undefined = self._emulator_with(0.0, None, run_id=2)
-        combined = ev.combine_rates([defined, undefined])
-        assert combined.theta_hat == pytest.approx(0.9)
-        with pytest.raises(ValueError):
-            ev.combine_rates([undefined])
-
     def test_nothing_to_combine(self):
         with pytest.raises(ValueError, match="nothing to combine"):
             ev.combine_rates([])
@@ -105,10 +97,10 @@ class TestSimulateMarginalRun:
     def test_target_below_threshold_rejected(self):
         em = make_marginal_emulator(u=1.0)
         for target in (0.9, 1.0):  # below and at the threshold
-            with pytest.raises(ValueError, match="mixed"):
+            with pytest.raises(ValueError, match="higher --target, or refit at a lower --tau"):
                 ev.marginal_sampler([em], 0.05, target)
         cfg = ev.SimulationConfig(question="q1", target_level=1.0, n_sim=5, n_srun=2, seed=1)
-        with pytest.raises(ValueError, match="mixed"):
+        with pytest.raises(ValueError, match="higher --target, or refit at a lower --tau"):
             ev.monte_carlo_estimate([em], cfg, ev.CombinedEstimates(pi_hat=0.05, theta_hat=1.0))
 
     def test_closed_form_expectation(self):
