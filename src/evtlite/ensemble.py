@@ -1,7 +1,7 @@
 """Per-run emulators and the combination of fitted models into estimates.
 
-Each run contributes a generative emulator (threshold + GP tail + mixed
-distribution, plus the conditional tail model for the persistence
+Each run contributes a generative emulator (threshold + GP tail, plus the
+mixed distribution and the conditional tail model for the persistence
 question). A synthetic ensemble has n_srun synthetic runs, each on an
 emulator picked uniformly; its statistic is the mean count per run, e_bar.
 Point and interval estimates are the mean and central quantiles of e_bar.
@@ -57,11 +57,11 @@ class RunEmulator:
     run_id: int
     question: str
     order_k: int
-    months: np.ndarray        # per-day month labels of the source run
+    months: np.ndarray        # per-day month labels of the source run, shared read-only
     series_values: np.ndarray  # summary series the models were fitted on
     threshold_model: ThresholdModel
     gp_model: GPModel
-    mixed: MixedDistribution
+    mixed: MixedDistribution | None  # the persistence question's alone: its Laplace margins
     cluster_set: ClusterSet
     cev_model: CEVModel | None = None
 
@@ -72,7 +72,7 @@ def pack_floats(a: np.ndarray) -> str:
 
 
 def unpack_floats(text: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64, copy=False)
 
 
 def emulator_to_dict(emulator: RunEmulator, calendar: Calendar) -> dict:
@@ -91,7 +91,7 @@ def emulator_to_dict(emulator: RunEmulator, calendar: Calendar) -> dict:
         "n_days": n_days,
         "month_lengths": list(calendar.month_lengths),
         "values": pack_floats(emulator.series_values),
-        "month_conditional_bulk": emulator.mixed.bulk_by_month is not None,
+        "month_conditional_bulk": emulator.mixed is not None and emulator.mixed.bulk_by_month is not None,
         "run_length_l": emulator.cluster_set.run_length_l,
         "threshold": {
             "tau": float(tm.tau),
@@ -144,14 +144,17 @@ def emulator_from_dict(d: dict) -> RunEmulator:
         raise ValueError(f"malformed artifact: {exc!r}") from None
     if question not in QUESTIONS:
         raise ValueError(f"malformed artifact: question {question!r} is not one of {sorted(QUESTIONS)}")
-    if (cev is None) == QUESTIONS[question].uses_chain:
+    uses_chain = QUESTIONS[question].uses_chain
+    if (cev is None) == uses_chain:
         raise ValueError(f"malformed artifact: question {question} {'needs a' if cev is None else 'takes no'} cev")
+    if bulk and not uses_chain:
+        raise ValueError(f"malformed artifact: question {question} takes no month-conditional bulk")
     # through the module: perfbench traces this module's run_decluster as the fit's stage
     cs = decluster.run_decluster(series, tm, l=run_length)
     if cs.n_clusters == 0:
         raise ValueError("the series never exceeds its thresholds, so the run has no clusters; "
                          "fit does not write such a run")
-    mixed = build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=bulk)
+    mixed = build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=bulk) if uses_chain else None
     return RunEmulator(run_id=series.run_id, question=question, order_k=series.order_k,
                        months=series.months, series_values=series.values, threshold_model=tm,
                        gp_model=gp, mixed=mixed, cluster_set=cs, cev_model=cev)
@@ -188,8 +191,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.question not in QUESTIONS:
             raise ValueError(f"question must be one of {sorted(QUESTIONS)}, got {self.question!r}")
-        if self.target_level is not None and np.isnan(self.target_level):
-            raise ValueError(f"target_level must be a number, got {self.target_level}")
+        if self.target_level is not None and not np.isfinite(self.target_level):
+            raise ValueError(f"target_level must be a finite number, got {self.target_level}")
         if self.n_sim < 1 or self.n_srun < 1:
             raise ValueError("n_sim and n_srun must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -416,8 +419,9 @@ def build_emulator(series: SummarySeries, question: str, tau: float = 0.95, run_
     tm = fit_threshold(series, tau=tau)
     cs = run_decluster(series, tm, l=run_length)
     gp = fit_gp(cs, tm, shape_mode=mode)
-    mixed = build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=month_conditional_bulk)
-    cev = fit_cev(to_laplace(mixed, series.values, series.months)) if spec.uses_chain else None
+    mixed = build_mixed(series, gp, pi=cs.pi_star_hat, month_conditional_bulk=month_conditional_bulk) \
+        if spec.uses_chain else None
+    cev = None if mixed is None else fit_cev(to_laplace(mixed, series.values, series.months))
     return RunEmulator(
         run_id=series.run_id, question=question, order_k=series.order_k, months=series.months,
         series_values=series.values, threshold_model=tm, gp_model=gp, mixed=mixed, cluster_set=cs,

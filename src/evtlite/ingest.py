@@ -37,8 +37,10 @@ class Calendar:
             raise ValueError(f"month lengths must lie in [28, 31]: {lengths}")
         object.__setattr__(self, "month_lengths", lengths)
 
+    @functools.lru_cache(maxsize=8)
     def months_for(self, n_days: int) -> np.ndarray:
-        """Months (1..12) for day indices 1..n_days.
+        """Months (1..12) for day indices 1..n_days, as one read-only array per
+        calendar and day count that every run of that length shares.
 
         The yearly pattern repeats and the final year may be partial, so the
         day after every whole number of years is the first day of month 1.
@@ -46,7 +48,9 @@ class Calendar:
         if n_days < 1:
             raise ValueError("n_days must be >= 1")
         year = np.repeat(np.arange(1, 13, dtype=np.int64), self.month_lengths)
-        return np.tile(year, -(-n_days // year.size))[:n_days]
+        months = np.tile(year, -(-n_days // year.size))[:n_days]
+        months.flags.writeable = False
+        return months
 
 
 def _check_values(values: np.ndarray, first_row: int = 0) -> None:

@@ -22,6 +22,8 @@ import numpy as np
 from .gpd import gp_cdf, gp_quantile
 from .ingest import Calendar
 
+U_CLIP = 1e-12  # driving uniforms are clipped to [U_CLIP, 1 - U_CLIP]
+
 
 @dataclass
 class SynthSpec:
@@ -52,6 +54,12 @@ class SynthSpec:
             raise ValueError("u0_by_month and sigma_by_month must be positive and finite")
         if not np.isfinite(self.xi):
             raise ValueError(f"xi must be finite, got {self.xi}")
+        # the largest tail draw: the top month's u0 plus the GP quantile at the clipped uniform
+        top_p = max(0.0, ((1.0 - U_CLIP) - (1.0 - self.pi)) / self.pi)
+        top = np.max(self.u0_by_month) + gp_quantile(top_p, np.max(self.sigma_by_month), self.xi)
+        if not np.isfinite(top):
+            raise ValueError(f"xi {self.xi} with sigma up to {np.max(self.sigma_by_month)} and u0 up to "
+                             f"{np.max(self.u0_by_month)} puts the largest tail draw at {top}; lower them")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
 
@@ -86,7 +94,7 @@ def _driving_uniforms(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     eps = rng.standard_normal(spec.n_days)
     g = eps if spec.rho == 0.0 else _ar1(eps, spec.rho)
     u = ndtr(g)
-    return np.clip(u, 1e-12, 1.0 - 1e-12)
+    return np.clip(u, U_CLIP, 1.0 - U_CLIP)
 
 
 def _scalar_series(spec: SynthSpec, months: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -47,11 +47,13 @@ def assert_same_emulator(loaded, fitted):
         assert same_bits(getattr(loaded.threshold_model, name), getattr(fitted.threshold_model, name))
     assert same_bits(loaded.gp_model.log_sigma_by_month, fitted.gp_model.log_sigma_by_month)
     assert same_bits(loaded.gp_model.xi_by_month, fitted.gp_model.xi_by_month)
-    assert loaded.mixed.pi == fitted.mixed.pi
-    assert same_bits(loaded.mixed.bulk_sorted, fitted.mixed.bulk_sorted)
-    assert (loaded.mixed.bulk_by_month is None) == (fitted.mixed.bulk_by_month is None)
-    for a, b in zip(loaded.mixed.bulk_by_month or (), fitted.mixed.bulk_by_month or ()):
-        assert same_bits(a, b)
+    assert (loaded.mixed is None) == (fitted.mixed is None)
+    if fitted.mixed is not None:
+        assert loaded.mixed.pi == fitted.mixed.pi
+        assert same_bits(loaded.mixed.bulk_sorted, fitted.mixed.bulk_sorted)
+        assert (loaded.mixed.bulk_by_month is None) == (fitted.mixed.bulk_by_month is None)
+        for a, b in zip(loaded.mixed.bulk_by_month or (), fitted.mixed.bulk_by_month or ()):
+            assert same_bits(a, b)
     assert (loaded.cev_model is None) == (fitted.cev_model is None)
     if fitted.cev_model is not None:
         assert same_bits(loaded.cev_model.residuals, fitted.cev_model.residuals)
@@ -134,6 +136,14 @@ class TestSynthCommand:
         assert code == 2 and flag.lstrip("-") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_tail_exit_2_before_writing(self, tmp_path, capsys):
+        # a finite xi whose largest tail draw overflows used to be blamed on a data row
+        assert run_cli("synth", "--out", tmp_path / "out", "--n-runs", 1, "--n-days", 400,
+                       "--n-sites", 3, "--xi", 1e308) == 2
+        assert "error: xi 1e+308 with sigma up to 0.5 and u0 up to 1.0 puts the largest tail draw " \
+               "at inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFitCommand:
     def test_artifacts_written(self, workspace):
@@ -162,6 +172,29 @@ class TestFitCommand:
         config = ev.SimulationConfig(question="q1", target_level=5.0, n_sim=50, n_srun=50,
                                      seed=4, n_days=1000)
         assert_same_estimate(loaded, fitted, config)
+
+    @pytest.mark.parametrize("question", ["q1", "q2"])
+    def test_marginal_emulators_hold_no_mixed_and_share_read_only_months(self, workspace, tmp_path,
+                                                                         monkeypatch, question):
+        # q1 and q2 read the GP tail alone, and every run of one fit and of one
+        # estimate shares a single month array that no run can write to
+        _, data, _ = workspace
+        fitted, loaded = [], []
+        build, combine = cli.build_emulator, cli.combine_rates
+        monkeypatch.setattr(cli, "build_emulator", lambda *a, **kw: fitted.append(build(*a, **kw)) or fitted[-1])
+        monkeypatch.setattr(cli, "combine_rates",
+                            lambda emulators, *a, **kw: loaded.extend(emulators) or combine(emulators, *a, **kw))
+        fits = tmp_path / "fits"
+        assert run_cli("fit", "--out", fits, "--question", question, "--order-k", 1, "--shape", "constant",
+                       data / "run_1.csv", data / "run_2.csv") == 0
+        assert run_cli("estimate", "--out", tmp_path / "est", "--question", question, "--target", 5.0,
+                       "--n-sim", 5, fits / "run_1.json", fits / "run_2.json") == 0
+        for emulators in (fitted, loaded):
+            assert len(emulators) == 2 and all(e.mixed is None for e in emulators)
+            months = emulators[0].months
+            assert emulators[1].months is months
+            with pytest.raises(ValueError, match="read-only"):
+                months[0] = 2
 
     def test_roundtrip_chain_model_custom_calendar(self, tmp_path):
         lengths = "30,30,30,30,30,30,30,30,30,30,30,31"
@@ -547,7 +580,18 @@ class TestEstimateCommand:
         out = tmp_path / "est"
         assert run_cli("estimate", "--out", out, "--question", question, "--target", "nan",
                        "--n-sim", 5, artifact) == 2
-        assert "target_level must be a number, got nan" in capsys.readouterr().err
+        assert "target_level must be a finite number, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["inf", "-inf"])
+    @pytest.mark.parametrize("question", ["q1", "q3"])
+    def test_infinite_target_exit_2(self, workspace, tmp_path, capsys, question, target):
+        # strict JSON has no Infinity, so estimate_<q>.json could not hold it
+        artifact = workspace[2] / "run_1.json" if question == "q1" else GOLDEN_ARTIFACT
+        out = tmp_path / "est"
+        assert run_cli("estimate", "--out", out, "--question", question, f"--target={target}",
+                       "--n-sim", 5, artifact) == 2
+        assert f"target_level must be a finite number, got {target}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_args_files_serve_fit_and_estimate(self, workspace, tmp_path):
@@ -663,8 +707,7 @@ class TestDiagnoseCommand:
         cs = ev.run_decluster(series, tm, l=3)
         assert cs.n_clusters == 600
         em = ev.RunEmulator(run_id=1, question="q1", order_k=1, months=series.months, series_values=values,
-                            threshold_model=tm, gp_model=gp,
-                            mixed=ev.build_mixed(series, gp, pi=cs.pi_star_hat), cluster_set=cs)
+                            threshold_model=tm, gp_model=gp, mixed=None, cluster_set=cs)
         path = tmp_path / "well_specified.json"
         path.write_text(json.dumps(emulator_to_dict(em, ev.Calendar())))
         out = tmp_path / "diag"
@@ -734,6 +777,9 @@ class TestDiagnoseCommand:
         # exit 0 and skip the cev files or write them for a question that fits none
         ("q3 without cev", "malformed artifact: question q3 needs a cev"),
         ("q1 with cev", "malformed artifact: question q1 takes no cev"),
+        # q1 and q2 build no mixed distribution, so the flag would be dropped unread
+        ("q1 with monthly bulk", "malformed artifact: question q1 takes no month-conditional bulk"),
+        ("q2 with monthly bulk", "malformed artifact: question q2 takes no month-conditional bulk"),
     ])
     def test_malformed_artifact_exit_2(self, tmp_path, capsys, breakage, message):
         d = self.artifact(np.linspace(0.0, 2.0, 400), 1.0)
@@ -752,6 +798,9 @@ class TestDiagnoseCommand:
             d["cev"] = None
         elif breakage == "q1 with cev":
             d["cev"] = json.loads(GOLDEN_ARTIFACT.read_text())["cev"]
+        elif breakage.endswith("with monthly bulk"):
+            question = d["question"] = breakage.split()[0]
+            d["month_conditional_bulk"] = True
         elif breakage == "values nan":
             d["values"] = pack_floats(np.r_[np.nan, np.linspace(0.0, 2.0, 399)])
         elif breakage == "threshold null":
