@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 NO_LEAP_MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-SAVE_BLOCK_ROWS = 4096  # rows per block in save_run: bounds its temporaries, about 40 MB at 25 sites
-READ_BLOCK_ROWS = 512  # rows per block in read_blocks: about 0.4 MB of lines and values at 25 sites
+SAVE_BLOCK_VALUES = 2 ** 15  # values per block in save_run: 1.3 MB each of slots and mask at any site count
+READ_BLOCK_VALUES = 12800  # values per block in read_blocks: 512 rows, about 0.4 MB of lines and values, at 25 sites
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def _first_bad_row(lines: list[str], n_cols: int | None):
 
 
 def read_blocks(path, skip_header: bool = False) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first_row, values) for each READ_BLOCK_ROWS-row block of a run CSV.
+    """Yield (first_row, values) for each block of READ_BLOCK_VALUES // n_cols rows of a run CSV.
 
     first_row counts the data rows before the block. Every block is checked
     before it is yielded: a malformed line (empty and "#" lines included,
@@ -100,12 +100,17 @@ def read_blocks(path, skip_header: bool = False) -> Iterator[tuple[int, np.ndarr
     the first row's, or a negative or non-finite value is refused, naming its
     1-based data row (header excluded when skip_header is set); the caller
     adds the path. A file without data rows is refused after its last line.
+    n_cols is counted on the first data line, so a block holds about
+    READ_BLOCK_VALUES values however wide the file is.
     """
     first_row, n_cols = 0, None
     with open(path, encoding="ascii", errors="replace") as fh:  # a byte no number holds is a bad cell
         if skip_header:
             next(fh, None)
-        while lines := list(itertools.islice(fh, READ_BLOCK_ROWS)):
+        head = fh.readline()
+        rows = max(1, READ_BLOCK_VALUES // (head.count(",") + 1))
+        data = itertools.chain([head] if head else [], fh)
+        while lines := list(itertools.islice(data, rows)):
             try:
                 if "\n" in lines:  # loadtxt would skip it, and warn if nothing else is left
                     raise ValueError("empty line")
@@ -126,9 +131,11 @@ def read_blocks(path, skip_header: bool = False) -> Iterator[tuple[int, np.ndarr
         raise ValueError("file contains no data rows")
 
 
-# save_run renders each value into a 48-byte slot: an unused byte, "0.000", 17 (digit, ".")
-# pairs and, at byte 40, the separator. A mask row per (decimal exponent X in -4..16,
-# significant digit count 1..17), and one each for +0 and a fallback, keeps its "%.17g" bytes.
+# save_run renders each value into a 40-byte slot: an unused byte, "0.000", 17 (digit, ".")
+# pairs and the separator, at byte 39 in place of the 17th digit's ".", which "%.17g" never
+# prints (at X = 16 there is no point; at X <= 15 it sits at byte 7 + 2X <= 37). A mask row per
+# (decimal exponent X in -4..16, significant digit count 1..17), and one each for +0 and a
+# fallback, keeps its "%.17g" bytes.
 _POW10 = np.array([float(10 ** s) for s in range(21)])  # exact doubles (up to 10**22)
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
@@ -142,8 +149,8 @@ def _slot_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     pairs = np.insert(digits + ord("0"), [1, 2, 3, 4], ord("."), axis=1).astype(np.uint8).view(np.uint64).ravel()
     heads = np.frombuffer(b"".join(b" 0.000%d." % d for d in range(10)), dtype=np.uint64)
-    masks = np.zeros((21 * 17 + 2, 48), dtype=bool)
-    masks[:, 40] = True
+    masks = np.zeros((21 * 17 + 2, 40), dtype=bool)
+    masks[:, 39] = True
     masks[_ZERO, 1] = True
     for x in range(-4, 17):
         for nd in range(1, 18):
@@ -172,8 +179,8 @@ def _nearest_scaled(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.minimum(p, 2e17).astype(np.int64) + np.rint(err).astype(np.int64)
 
 
-def _format_block(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """The "%.17g" text of the values x as uint8, each followed by the separator already in slots."""
+def _format_block(x: np.ndarray, seps: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The "%.17g" text of the values x as uint8, each followed by its separator in seps."""
     heads, pairs, trailing_zeros, masks = _slot_tables()
     xs = np.minimum(x, 1e18)  # all larger values print in exponent form; keeps the split finite
     exp10 = np.floor(np.log10(np.where(x > 0, xs, 1.0))).astype(np.int64).clip(-4, 16)
@@ -181,24 +188,29 @@ def _format_block(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     # false below 1e-4 and from 1e17 (exp10 was clipped), where log10 is one off next to
     # a power of ten, and where the 17th digit carries into the next decade
     ok = (digits >= 10 ** 16) & (digits < 10 ** 17)
-    q, g4 = np.divmod(np.where(ok, digits, 10 ** 16), 10 ** 4)
-    q, g3 = np.divmod(q, 10 ** 4)
-    q, g2 = np.divmod(q, 10 ** 4)
-    g0, g1 = np.divmod(q, 10 ** 4)
+    q = np.where(ok, digits, 10 ** 16)
+    groups = []
+    for _ in range(4):  # floor division by a scalar is libdivide's; np.divmod is not
+        r = q // 10 ** 4
+        groups.append(q - r * 10 ** 4)
+        q = r
+    g4, g3, g2, g1, g0 = *groups, q
     trailing = trailing_zeros[g4]
-    for k, g in enumerate((g3, g2, g1), start=1):
-        trailing = np.where(trailing == 4 * k, 4 * k + trailing_zeros[g], trailing)
+    for k, g in enumerate((g3, g2, g1), start=1):  # only values whose last 4k digits are zeros look further
+        more = np.flatnonzero(trailing == 4 * k)
+        trailing[more] += trailing_zeros[g[more]]
     codes = np.where(ok, (exp10 + 4) * 17 + 16 - trailing, _FALLBACK)
     codes[(x == 0) & ~np.signbit(x)] = _ZERO
     slots[:, 0] = heads[g0]
     for word, g in enumerate((g1, g2, g3, g4), start=1):
         slots[:, word] = pairs[g]
+    slots.view(np.uint8)[:, 39] = seps
     text = np.compress(masks.take(codes, axis=0).ravel(), slots.view(np.uint8).ravel())
     fallback = np.flatnonzero(codes == _FALLBACK)
     if fallback.size:  # exponent form (below 1e-4, from 1e17, subnormals), -0 and the rare carries
         pieces = ["%.17g" % v for v in x[fallback].tolist()]
-        seps = np.cumsum(masks.sum(axis=1)[codes])[fallback] - 1  # a fallback keeps its separator alone
-        text = np.insert(text, np.repeat(seps, [len(p) for p in pieces]),
+        at = np.cumsum(masks.sum(axis=1)[codes])[fallback] - 1  # a fallback keeps its separator alone
+        text = np.insert(text, np.repeat(at, [len(p) for p in pieces]),
                          np.frombuffer("".join(pieces).encode(), dtype=np.uint8))
     return text
 
@@ -209,7 +221,8 @@ def save_run(values: np.ndarray, path) -> None:
     Refuses values that are not 2-D with >= 1 site and, as read_blocks does, the
     first negative or non-finite one. The bytes are those of np.savetxt(path,
     values, delimiter=",", fmt="%.17g"), rendered in numpy float64 a block of
-    SAVE_BLOCK_ROWS rows at a time. The 17 digits of x are the integer nearest
+    SAVE_BLOCK_VALUES // n_sites rows (at least one) at a time, so that no
+    temporary grows with n_sites. The 17 digits of x are the integer nearest
     x * 10**(16 - X), X its decimal exponent, which _nearest_scaled finds exactly,
     ties to even as "%.17g" rounds. Values printed in exponent form (below 1e-4,
     subnormals included, or from 1e17), -0 and the rare ones that carry into the
@@ -221,10 +234,10 @@ def save_run(values: np.ndarray, path) -> None:
         raise ValueError(f"values must be 2-D with >= 1 site, got shape {values.shape}")
     _check_values(values)
     n_days, n_sites = values.shape
-    rows = min(n_days, SAVE_BLOCK_ROWS)
-    slots = np.empty((rows * n_sites, 6), dtype=np.uint64)
-    slots.view(np.uint8)[:, 40] = np.tile(np.frombuffer(b"," * (n_sites - 1) + b"\n", dtype=np.uint8), rows)
+    rows = max(1, SAVE_BLOCK_VALUES // n_sites)
+    seps = np.tile(np.frombuffer(b"," * (n_sites - 1) + b"\n", dtype=np.uint8), min(n_days, rows))
+    slots = np.empty((seps.size, 5), dtype=np.uint64)
     with open(path, "wb") as fh:
-        for start in range(0, n_days, SAVE_BLOCK_ROWS):
-            x = values[start:start + SAVE_BLOCK_ROWS].ravel()
-            fh.write(_format_block(x, slots[:x.size]))
+        for start in range(0, n_days, rows):
+            x = values[start:start + rows].ravel()
+            fh.write(_format_block(x, seps[:x.size], slots[:x.size]))

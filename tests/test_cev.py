@@ -432,3 +432,11 @@ class TestHitProbability:
         # P reads 0.353 at cells of 0.05 and 0.1, and the oracle 0.398-0.402 at seeds 0, 1
         # and 2, 13 to 15 of its standard errors above the bound's top, 0.365
         assert_agrees_with_the_chain_oracle(0.0625, -1.0, [0.25], 0.0, 0.25, 0.5, 0)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+    def test_narrow_kernel_reads_high(self):
+        # a positive but narrow bandwidth: two residuals at bandwidth 0.0625 and a slope
+        # of 0.875 nearly fix each step's map, and P reads 0.7037 at cells of 0.05 and
+        # of 0.1, so P less its slack, 0.0114, lies above the oracle's 0.6891 at seed 0
+        # (0.6921 and 0.6916 at seeds 1 and 2)
+        assert_agrees_with_the_chain_oracle(0.0, 0.875, [0.0, 2.0], 0.0625, 0.0625, 0.0625, 0)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import evtlite as ev
-from evtlite.ingest import NO_LEAP_MONTH_LENGTHS, READ_BLOCK_ROWS, SAVE_BLOCK_ROWS
+from evtlite.ingest import NO_LEAP_MONTH_LENGTHS, READ_BLOCK_VALUES, SAVE_BLOCK_VALUES
+
+
+def traced_peak_mb(call):
+    """The peak of what tracemalloc traces while call() runs, numpy's buffers included, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def write_csv(tmp_path, rows, name="run.csv"):
@@ -137,27 +148,35 @@ class TestLoadRun:
             assert str(info.value) == message
 
     def test_whole_blocks_read_without_a_warning(self, tmp_path):
-        values = np.arange(2 * READ_BLOCK_ROWS * 3, dtype=np.float64).reshape(-1, 3)
+        rows = READ_BLOCK_VALUES // 3
+        values = np.arange(2 * rows * 3, dtype=np.float64).reshape(-1, 3)
         path = tmp_path / "run.csv"
         np.savetxt(path, values, delimiter=",", fmt="%.17g")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             blocks = list(ev.read_blocks(path))
             series = ev.read_series(path, 2)
-        assert [first for first, _ in blocks] == [0, READ_BLOCK_ROWS]
+        assert [first for first, _ in blocks] == [0, rows]
         assert np.array_equal(np.concatenate([b for _, b in blocks]), values)
         assert np.array_equal(series.values, values[:, 1])
 
+    def test_wide_file_read_in_blocks_of_values(self, tmp_path):
+        # blocks of 512 rows held 2.56 million of this file's values at once, 41 MB traced
+        # (97 MB on a 1,200 x 5,000 run of 17-digit values)
+        path = tmp_path / "wide.csv"
+        path.write_text(("0.5," * 4999 + "0.5\n") * 700)
+        assert [first for first, _ in ev.read_blocks(path)] == list(range(0, 700, READ_BLOCK_VALUES // 5000))
+        assert traced_peak_mb(lambda: ev.read_series(path, 3)) <= 16
 
-B = READ_BLOCK_ROWS
+
 FAULTS = ("negative", "nan", "word", "underscore", "empty row", "extra column")
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n_days=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]),
-       n_sites=st.integers(1, 30), header=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_streamed_series_and_errors_equal_the_loaded_runs(tmp_path_factory, data, n_days, n_sites,
-                                                          header, seed):
+@given(data=st.data(), n_sites=st.integers(1, 30), header=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_streamed_series_and_errors_equal_the_loaded_runs(tmp_path_factory, data, n_sites, header, seed):
+    B = READ_BLOCK_VALUES // n_sites  # rows per block
+    n_days = data.draw(st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]), label="n_days")
     rng = np.random.default_rng(seed)
     values = np.round(rng.gamma(0.5, 2.0, size=(n_days, n_sites)), 1)  # rounded: ties and zeros
     values[rng.random(values.shape) < 0.1] = -0.0
@@ -213,6 +232,11 @@ class TestSaveRun:
             ev.save_run(values, tmp_path / "run.csv")
         assert not (tmp_path / "run.csv").exists()
 
+    def test_memory_bounded_by_a_block_of_values(self, tmp_path):
+        # 10.2 MB of values; blocks of 4,096 rows of 48-byte slots traced 464.5 MB here
+        values = np.random.default_rng(0).gamma(0.5, 2.0, size=(64, 20_000))
+        assert traced_peak_mb(lambda: ev.save_run(values, tmp_path / "run.csv")) <= 16
+
     @pytest.mark.parametrize("shape", [(5,), (5, 0), (2, 3, 4)], ids=["1-D", "no-sites", "3-D"])
     def test_values_not_2d_with_a_site_refused(self, tmp_path, shape):
         with pytest.raises(ValueError, match=rf"2-D with >= 1 site, got shape \({shape[0]}"):
@@ -223,22 +247,38 @@ class TestSaveRun:
 _POWERS = np.array([float(f"1e{k}") for k in range(-5, 19)])  # where %g switches form, log10 is close
 
 
+def block_rows(n_sites):
+    """Rows per save_run block at n_sites."""
+    return SAVE_BLOCK_VALUES // n_sites
+
+
+def fallbacks_across_a_block_edge(n_sites=25):
+    """Values that "%" formats closing one save_run block and opening the next."""
+    rows = block_rows(n_sites)
+    values = np.random.default_rng(5).gamma(0.5, 2.0, size=(rows + 3, n_sites))
+    values[rows - 1, -4:] = values[rows, :4] = [1e-5, 1e17, -0.0, 9.99999999999999999e-5]
+    return values
+
+
 @pytest.mark.parametrize("values", [
     np.zeros((5, 3)),
     np.array([[5e-324, 2.2250738585072014e-308, 1e-310, 1e300], [0.0, 1e-300, 7.5, 1.7976931348623157e308]]),
     np.array([[0.1]]),
-    np.random.default_rng(1).gamma(0.5, 2.0, size=(4095, 2)),
-    np.random.default_rng(2).gamma(0.5, 2.0, size=(4096, 1)),
-    np.random.default_rng(3).gamma(0.5, 2.0, size=(4097, 3)),
+    np.random.default_rng(1).gamma(0.5, 2.0, size=(block_rows(2) - 1, 2)),
+    np.random.default_rng(2).gamma(0.5, 2.0, size=(block_rows(1), 1)),
+    np.random.default_rng(3).gamma(0.5, 2.0, size=(block_rows(3) + 1, 3)),
     np.stack([np.nextafter(_POWERS, 0.0), _POWERS, np.nextafter(_POWERS, np.inf)], axis=1),
     np.array([[9.99999999999999999e-5, 0.000999999999999999999, 0.99999999999999999, 9.99999999999999999,
                99999.9999999999999, 9.99999999999999999e15, 99999999999999999.0]]),
     np.array([[2.0 ** 53 + 2, 2.0 ** 55 + 8, 12345678901234567.0, 2.0 ** 56 + 16, 99999999999999984.0]]),
     np.array([[12345 + 1 / 8192, 12345 + 3 / 8192, -0.0, 1e16, 0.0001, 100.5, 1234.0]]),
-    np.random.default_rng(4).gamma(0.5, 2.0, size=(SAVE_BLOCK_ROWS + 5, 25)),
-], ids=["zeros", "subnormal-and-huge", "one-site-one-row", "4095-rows", "4096-rows", "4097-rows",
-        "powers-of-ten-and-neighbours", "17th-digit-carries", "integers-above-2**53", "ties-and-signed-zero",
-        "25-sites-across-a-block"])
+    np.random.default_rng(4).gamma(0.5, 2.0, size=(block_rows(25) + 5, 25)),
+    fallbacks_across_a_block_edge(),
+    np.random.default_rng(6).gamma(0.5, 2.0, size=(2, SAVE_BLOCK_VALUES + 1)),
+], ids=["zeros", "subnormal-and-huge", "one-site-one-row", "a-row-short-of-a-block", "one-block",
+        "a-row-past-a-block", "powers-of-ten-and-neighbours", "17th-digit-carries", "integers-above-2**53",
+        "ties-and-signed-zero", "25-sites-across-a-block", "fallbacks-across-a-block-edge",
+        "rows-wider-than-a-block"])
 def test_save_run_bytes_equal_savetxt(tmp_path, values):
     ev.save_run(values, tmp_path / "run.csv")
     np.savetxt(tmp_path / "ref.csv", values, delimiter=",", fmt="%.17g")
