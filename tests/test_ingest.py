@@ -1,3 +1,4 @@
+import decimal
 import tracemalloc
 import warnings
 
@@ -216,6 +217,66 @@ def test_streamed_series_and_errors_equal_the_loaded_runs(tmp_path_factory, data
     with pytest.raises(ValueError) as info:
         ev.read_series(path, k, skip_header=header)
     assert str(info.value) == message
+
+
+_DOUBLES = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+_TRICKY_CELLS = ["9007199254740993", "9007199254740993.0", "4503599627370497.5", "0.30000000000000004",
+                 "1.7976931348623157e308", "2.2250738585072014e-308", "5e-324", "9223372036854775807",
+                 "9223372036854775808", "8999999999999999999", "9000000000000000001", "123456789012345678.9",
+                 "0.0000000000000000000001", "1" * 23, "1" * 24, ".5", "5.", "0.5", "1", "2", "1e22", "1e23",
+                 "0.49999999999999997", "0.99999999999999994", "1.99999999999999985",  # just below a power of two
+                 " 1.5", "1.5 ", "\t2", "+3", "\x0b4", "\x1c6", "1.e1", "+.5"]  # which float reads, or not
+
+
+@st.composite
+def cell_texts(draw):
+    """A cell in one of the forms np.loadtxt reads: the writer's, Python's repr, fixed point,
+    integers without a point, zeros, leading zeros, -0, exponent forms and midpoints of two
+    doubles, exact or a hair off."""
+    form = draw(st.sampled_from(["%.17g", "repr", "fixed", "integer", "zero", "leading zeros", "-0",
+                                 "exponent", "midpoint", "tricky"]))
+    if form == "%.17g":
+        return "%.17g" % draw(_DOUBLES)
+    if form == "repr":
+        return repr(draw(_DOUBLES))
+    if form == "fixed":
+        return "%.*f" % (draw(st.integers(0, 25)), draw(st.floats(0, 1e6)))
+    if form == "integer":
+        return str(draw(st.integers(0, 10 ** draw(st.integers(1, 19)) - 1)))
+    if form == "zero":
+        return draw(st.sampled_from(["0", "00", "0.0", ".0", "0.", "0." + "0" * 21]))
+    if form == "leading zeros":
+        return "0" * draw(st.integers(1, 12)) + "%.*f" % (draw(st.integers(0, 8)), draw(st.floats(0, 1e4)))
+    if form == "-0":
+        return draw(st.sampled_from(["-0", "-0.0", "-0.000"]))
+    if form == "exponent":  # rounded to fewer digits, the largest doubles would read as inf
+        return draw(st.sampled_from(["%.17e", "%.3E", "%g"])) % draw(st.floats(0, 1e300))
+    if form == "tricky":
+        return draw(st.sampled_from(_TRICKY_CELLS))
+    # the exact midpoint of a double and the next one up: a half-integer from 2**52, where
+    # the digits fit in an int64, or the long expansion of any other double
+    x = draw(st.one_of(st.floats(2.0 ** 52, 2.0 ** 62), _DOUBLES.filter(lambda v: v < 1e300)))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        mid = (decimal.Decimal(x) + decimal.Decimal(float(np.nextafter(x, np.inf)))) / 2
+        text = format(mid, "f")
+    return text + draw(st.sampled_from(["", "0", "000", "0001"] if "." in text else ["", ".0", ".0001"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n_cols=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_cells_read_as_loadtxt_reads_them_bit_for_bit(tmp_path_factory, data, n_cols, seed):
+    cells = data.draw(st.lists(cell_texts(), min_size=1, max_size=30), label="cells")
+    n_rows = data.draw(st.integers(1, READ_BLOCK_VALUES // n_cols + 2), label="n_rows")  # up to past a block
+    rng = np.random.default_rng(seed)
+    table = np.array(cells, dtype=object)[rng.integers(len(cells), size=(n_rows, n_cols))]
+    text = "".join(",".join(row) + "\n" for row in table)
+    out = tmp_path_factory.mktemp("cells")
+    (out / "lf.csv").write_text(text)
+    (out / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode())
+    read = np.concatenate([block for _, block in ev.read_blocks(out / "lf.csv")])
+    assert read.tobytes() == np.loadtxt(out / "lf.csv", delimiter=",", ndmin=2, comments=None).tobytes()
+    assert np.concatenate([block for _, block in ev.read_blocks(out / "crlf.csv")]).tobytes() == read.tobytes()
 
 
 class TestSaveRun:
