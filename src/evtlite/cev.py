@@ -132,7 +132,10 @@ def fit_conditional_pairs(x: np.ndarray, y: np.ndarray, q: float) -> CEVModel:
         raise ValueError("conditioning values must exceed a positive threshold q")
 
     log_x = np.log(x)
-    b1, nll = minimise_1d(lambda b: _working_fit(b, x, y, log_x)[1], BETA1_MIN, BETA1_MAX, 61)
+    def profile(b):  # minimise_1d's one column of beta1 values
+        return np.array([[_working_fit(v, x, y, log_x)[1]] for v in b[:, 0].tolist()])
+
+    b1, nll = (float(v[0]) for v in minimise_1d(profile, BETA1_MIN, BETA1_MAX, 61))
     b0 = _working_fit(b1, x, y, log_x)[0]
     residuals = (y - b0 * x) / x ** b1
     return CEVModel(

@@ -213,6 +213,7 @@ class Lines:
     def __init__(self, fh, head: bytes):
         self.fh = fh
         self.buf = _mapped(max(io.DEFAULT_BUFFER_SIZE, 2 * (len(_PAD) + len(head))))
+        self.is_newline = np.frombuffer(_mapped(len(self.buf)), dtype=bool)  # take's scan, reused like buf
         self.buf[:len(_PAD) + len(head)] = _PAD + head
         self.start, self.end = len(_PAD), len(_PAD) + len(head)  # the bytes not yet taken
         self.stop = len(_PAD)  # where the lines taken last end
@@ -232,24 +233,23 @@ class Lines:
         self.buf.move(len(_PAD), self.start, self.end - self.start)
         self.end -= self.start - len(_PAD)
         taken, self.stop = 0, len(_PAD)
-        while taken < n_lines:
-            newline = self.buf.find(b"\n", self.stop, self.end)
-            if newline >= 0:
-                taken, self.stop = taken + 1, newline + 1
+        while taken < n_lines:  # the "\n" bytes after stop, found in one numpy scan
+            mask = np.equal(np.frombuffer(self.buf, np.uint8, self.end - self.stop, self.stop), ord("\n"),
+                            out=self.is_newline[:self.end - self.stop])
+            if (newlines := np.flatnonzero(mask)[:n_lines - taken]).size:
+                taken, self.stop = taken + newlines.size, self.stop + int(newlines[-1]) + 1
                 continue
             if self.end == len(self.buf):  # too small for n_lines lines: double it
                 buf = _mapped(2 * len(self.buf))
                 buf[:self.end] = self.buf[:self.end]
-                self.buf = buf
+                self.buf, self.is_newline = buf, np.frombuffer(_mapped(len(buf)), dtype=bool)
             with memoryview(self.buf) as free:
                 got = self.fh.readinto(free[self.end:])
-            if not got:
-                if self.stop < self.end:
-                    self.buf[self.end:self.end + 1] = b"\n"
-                    self.end += 1
-                    taken, self.stop = taken + 1, self.end
+            if not got and self.stop == self.end:
                 break
-            self.end += got
+            if not got:  # the last line gets the "\n" it lacks, and the next scan takes it
+                self.buf[self.end:self.end + 1] = b"\n"
+            self.end += got or 1
         self.start = self.stop
         return taken
 

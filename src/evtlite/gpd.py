@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decluster import ClusterSet
-from .optimise import minimise_1d, root_1d
+from .optimise import minimise_1d
 from .summarise import SummarySeries
 from .threshold import ThresholdModel
 
@@ -28,6 +28,8 @@ XI_MAX = 2.0
 QQ_LEVEL = 0.95  # central coverage of qq_envelope's pointwise band
 QQ_SAMPLES = 200  # simulated samples behind qq_envelope, drawn from default_rng(0)
 MIN_MONTH_MAXIMA = 10  # fit_gp's by_month shape refuses a month with fewer cluster maxima
+SCALE_RTOL = 4 * np.finfo(np.float64).eps  # a scale's Newton step below this share of it ends its solve
+MMAP_THRESHOLD_VALUES = 128 * 1024 // 8  # float64 values in glibc's default 128 KiB mmap threshold
 
 SHAPE_MODES = ("constant", "by_month")
 
@@ -115,51 +117,73 @@ class GPModel:
         return tuple(f"xi[{m}]" for m in np.flatnonzero(edge) + 1)
 
 
-def _gp_negloglik(z: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> float:
-    """Pointwise GP negative log-likelihood; +inf outside the support."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = xi * z / sigma
-        if np.any(1.0 + t <= 0.0):
-            return float("inf")
-        small = np.abs(xi) < XI_ZERO_EPS
-        contrib = np.where(
-            small,
-            np.log(sigma) + z / sigma,
-            np.log(sigma) + (1.0 + 1.0 / np.where(small, 1.0, xi)) * np.log1p(np.where(small, 0.0, t)),
-        )
-        total = float(np.sum(contrib))
-    return total if np.isfinite(total) else float("inf")
+class _Profile:
+    """The GP profile negative log-likelihood of excess groups, one scale each, whose
+    shapes are shared within blocks of consecutive groups.
 
-
-def _scale_mle(z: np.ndarray, xi: float) -> float:
-    """GP scale MLE of an excess sample for a fixed shape xi > -1.
-
-    The score equation divided by xi is mean((s - z) / (s + xi z)) = 0. Where
-    every s + xi z > 0 the left side increases in s, is negative at min(z) or
-    just above the support edge -xi max(z), and is non-negative at max(z), so
-    it has one root. At xi = 0 the root is the sample mean.
+    For each group and shape xi > -1 the scale MLE s solves the score equation
+    n = (1 + xi) phi(s), phi(s) = sum(z / (s + xi z)). On s + xi max(z) > 0 the
+    reciprocal score psi(s) = 1 / phi(s) - (1 + xi) / n increases, is concave (1 / phi
+    is a parallel sum of linear functions) and is non-negative at max(z), so Newton's
+    method started at the bracket's left end, max(min(z), -xi max(z) (1 + 1e-12)),
+    where psi <= 0, rises monotonically to the one root. Iterates are clipped to
+    max(z), and each (shape, group) stops at its own convergence, so its scale does
+    not depend on the other shapes and groups solved with it.
     """
-    if abs(xi) < XI_ZERO_EPS:
-        return float(z.mean())
-    lo, hi = float(z.min()), float(z.max())
-    if lo == hi:
-        return lo
-    xz = xi * z
-    return root_1d(lambda s: ((s - z) / (s + xz)).sum(), max(lo, -xi * hi * (1.0 + 1e-12)), hi)
 
+    def __init__(self, groups: list[np.ndarray], shared: bool):
+        sizes = [g.size for g in groups]
+        self.z = np.concatenate(groups)
+        self.n = np.array(sizes, dtype=np.float64)
+        self.starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        self.group = np.repeat(np.arange(len(groups)), sizes)
+        self.z_min = np.minimum.reduceat(self.z, self.starts)
+        self.z_max = np.maximum.reduceat(self.z, self.starts)
+        self.z_sum = np.add.reduceat(self.z, self.starts)
+        self.shared = shared
+        self.block = np.zeros(len(groups), dtype=np.intp) if shared else np.arange(len(groups))
 
-def _fit_shared_shape(groups: list[np.ndarray]) -> tuple[np.ndarray, float, float]:
-    """GP maximum likelihood for excess samples with one scale each and a shared
-    shape: (scales, xi, negative log-likelihood).
+    def scales(self, xi: np.ndarray) -> np.ndarray:
+        """The (r, groups) scale MLEs at the (r, blocks) shapes xi."""
+        xi = xi[:, self.block]
+        xz = xi[:, self.group] * self.z
+        s = np.maximum(self.z_min, -xi * self.z_max * (1.0 + 1e-12))
+        c = (1.0 + xi) / self.n
+        while True:
+            den = s[:, self.group] + xz
+            a = self.z / den
+            phi = np.add.reduceat(a, self.starts, axis=1)
+            a /= den
+            step = phi * (c * phi - 1.0) / np.add.reduceat(a, self.starts, axis=1)  # -psi / psi'
+            move = step > SCALE_RTOL * s
+            if not move.any():
+                return s
+            s = np.where(move, np.minimum(s + step, self.z_max), s)
 
-    The scales are profiled out, and the profile is minimised over xi in
-    [XI_MIN, XI_MAX] by a 0.1-spaced grid refined by bounded Brent.
-    """
-    def profile(xi):
-        return sum(_gp_negloglik(z, _scale_mle(z, xi), xi) for z in groups)
+    def negloglik(self, xi: np.ndarray) -> np.ndarray:
+        """The (r, blocks) profile negative log-likelihoods at the (r, blocks) shapes xi,
+        in slabs of rows whose (rows, excesses) temporaries stay under malloc's mmap
+        threshold, so that they reuse heap memory."""
+        out = np.empty(xi.shape)
+        rows = max(1, MMAP_THRESHOLD_VALUES // self.z.size)
+        for i in range(0, xi.shape[0], rows):
+            x = xi[i:i + rows]
+            s = self.scales(x)
+            x = x[:, self.block]
+            small = np.abs(x) < XI_ZERO_EPS
+            t = x[:, self.group] * self.z
+            t /= s[:, self.group]
+            tail = np.where(small, self.z_sum / s, (1.0 + 1.0 / np.where(small, 1.0, x))
+                            * np.add.reduceat(np.log1p(t, out=t), self.starts, axis=1))
+            per_group = self.n * np.log(s) + tail
+            out[i:i + rows] = per_group.sum(axis=1, keepdims=True) if self.shared else per_group
+        return out
 
-    xi, nll = minimise_1d(profile, XI_MIN, XI_MAX, 30)
-    return np.array([_scale_mle(z, xi) for z in groups]), xi, nll
+    def fit(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(scales, shapes, negative log-likelihood) per group: the profile minimised over
+        each block's shape in [XI_MIN, XI_MAX] by a 0.1-spaced grid refined by bounded Brent."""
+        xi, nll = minimise_1d(self.negloglik, XI_MIN, XI_MAX, 30, 1 if self.shared else self.n.size)
+        return self.scales(xi[None])[0], xi[self.block], float(nll.sum())
 
 
 def _check_excesses(z: np.ndarray) -> None:
@@ -179,8 +203,8 @@ def fit_gp_excesses(z: np.ndarray) -> tuple[float, float, float]:
     """
     z = np.asarray(z, dtype=np.float64)
     _check_excesses(z)
-    sigma, xi, nll = _fit_shared_shape([z])
-    return float(sigma[0]), xi, -nll
+    sigma, xi, nll = _Profile([z], shared=True).fit()
+    return float(sigma[0]), float(xi[0]), -nll
 
 
 def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "constant") -> GPModel:
@@ -208,16 +232,12 @@ def fit_gp(cs: ClusterSet, thresholds: ThresholdModel, shape_mode: str = "consta
     z = cs.maxima - thresholds.u_by_month[months - 1]
     groups = [z[months == m] for m in range(1, 13)]
     blocks = {"": groups} if shape_mode == "constant" else {f"month {m}: ": [g] for m, g in enumerate(groups, 1)}
-    sigma, xi, nll = [], [], 0.0
     for where, block in blocks.items():
         try:
             _check_excesses(np.concatenate(block))
         except RuntimeError as exc:
             raise RuntimeError(f"{where}{exc}") from exc
-        block_sigma, block_xi, block_nll = _fit_shared_shape(block)
-        sigma.extend(block_sigma)
-        xi.extend([block_xi] * len(block))
-        nll += block_nll
+    sigma, xi, nll = _Profile(groups, shared=shape_mode == "constant").fit()
     return GPModel(log_sigma_by_month=np.log(sigma), shape_mode=shape_mode, xi_by_month=xi,
                    threshold_model=thresholds, loglik=-nll)
 

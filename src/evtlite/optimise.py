@@ -1,77 +1,30 @@
-"""Bracketed one-dimensional root finding and bounded minimisation.
+"""Bounded one-dimensional minimisation of k independent problems in lockstep.
 
-Both solvers are Brent's (Brent 1973, *Algorithms for Minimization Without
-Derivatives*, ch. 4 and 5). `root_1d` takes the steps of scipy.optimize.brentq
-and `_bounded_brent` those of scipy's bounded minimize_scalar, one for one in
-the same floating-point operations, so their results are bitwise equal to
-scipy's while the package imports numpy only.
+The refinement is Brent's bounded minimisation (Brent 1973, *Algorithms for
+Minimization Without Derivatives*, ch. 5). `_bounded_brent` takes the steps of
+scipy's bounded minimize_scalar one for one in the same floating-point
+operations, so its result is bitwise equal to scipy's while the package imports
+numpy only. `minimise_1d` runs one search per problem and evaluates the points
+of all of them in one call; each search stops at its own convergence, so its
+result does not depend on the problems that share its batch.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
-ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 2e-12, 4 * sys.float_info.epsilon, 100  # brentq's defaults
 MINIMISE_XATOL, MINIMISE_MAXFUN = 1e-10, 500
 
 
-def root_1d(f, a: float, b: float) -> float:
-    """A root of f in [a, b], where f(a) and f(b) differ in sign.
-
-    Raises ValueError when f returns NaN or the bracket does not change sign,
-    and RuntimeError when ROOT_MAXITER steps do not converge.
-    """
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN; the solver cannot continue")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the best point in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"failed to converge after {ROOT_MAXITER} iterations, value is {xcur!r}")
-
-
-def _bounded_brent(f, a: float, b: float) -> tuple[float, float]:
-    """(x, f(x)) from Brent's bounded minimisation on [a, b], with scipy's
-    bounded minimize_scalar steps at xatol MINIMISE_XATOL and maxfun MINIMISE_MAXFUN."""
+def _bounded_brent(a: float, b: float):
+    """Brent's bounded minimisation on [a, b], with scipy's bounded minimize_scalar steps at
+    xatol MINIMISE_XATOL and maxfun MINIMISE_MAXFUN, as a generator: it yields each point to
+    evaluate, is sent the function's value there, and returns (x, f(x))."""
     sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
     xf = nfc = fulc = a + golden_mean * (b - a)
-    fx = fnfc = ffulc = f(xf)
+    fx = fnfc = ffulc = yield xf
     rat = e = 0.0
     for _ in range(MINIMISE_MAXFUN - 1):  # one evaluation per step
         xm = 0.5 * (a + b)
@@ -99,7 +52,7 @@ def _bounded_brent(f, a: float, b: float) -> tuple[float, float]:
             e = a - xf if xf >= xm else b - xf
             rat = golden_mean * e
         x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
+        fu = yield x
         if fu <= fx:
             a, b = (xf, b) if x >= xf else (a, xf)
             fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
@@ -112,20 +65,34 @@ def _bounded_brent(f, a: float, b: float) -> tuple[float, float]:
     return xf, fx
 
 
-def minimise_1d(f, lo: float, hi: float, n_grid: int) -> tuple[float, float]:
-    """(x, f(x)) minimising f on [lo, hi].
+def minimise_1d(f, lo: float, hi: float, n_grid: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(x, f(x)), each of shape (k,), minimising k independent functions on [lo, hi].
 
-    f is evaluated on n_grid evenly spaced points including both ends, then
-    bounded Brent refines between the neighbours of the best one. The grid
-    point is kept when Brent does not improve on it, so a minimum on the
-    box edge comes back as exactly lo or hi.
+    f maps an (r, k) array of points, row i holding one point for each problem,
+    to their (r, k) values; column j's values depend on column j's points alone.
+    Each problem is evaluated on n_grid evenly spaced points including both ends
+    in one call, then bounded Brent refines between the neighbours of its best
+    one, the k searches taking their steps together. The grid point is kept when
+    Brent does not improve on it, so a minimum on the box edge comes back as
+    exactly lo or hi.
     """
     grid = np.linspace(lo, hi, n_grid)
-    values = np.array([f(x) for x in grid])
-    i = int(np.argmin(values))
-    if not np.isfinite(values[i]):
+    values = f(np.repeat(grid[:, None], k, axis=1))
+    i = np.argmin(values, axis=0)
+    best = values[i, np.arange(k)]
+    if not np.isfinite(best).all():
         raise RuntimeError("the profile likelihood is not finite anywhere on its search grid")
-    x, fx = _bounded_brent(f, float(grid[max(i - 1, 0)]), float(grid[min(i + 1, n_grid - 1)]))
-    if fx < values[i]:
-        return x, float(fx)
-    return float(grid[i]), float(values[i])
+    searches = [_bounded_brent(float(grid[max(j - 1, 0)]), float(grid[min(j + 1, n_grid - 1)])) for j in i]
+    points = [next(search) for search in searches]
+    found = [None] * k
+    while None in found:  # a search that has stopped evaluates its last point again
+        fu = f(np.array([points]))[0]
+        for j, search in enumerate(searches):
+            if found[j] is None:
+                try:
+                    points[j] = search.send(float(fu[j]))
+                except StopIteration as stop:
+                    found[j] = stop.value
+    x, fx = np.array(found).T
+    keep = ~(fx < best)
+    return np.where(keep, grid[i], x), np.where(keep, best, fx)

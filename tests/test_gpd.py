@@ -148,12 +148,10 @@ class TestFitGp:
         cs = make_cluster_set(z, months, n_days=60000)
         tm = constant_threshold_model(0.0)
         gp = ev.fit_gp(cs, tm, "constant")
-        from evtlite.gpd import _gp_negloglik
-
-        idx = months - 1
+        groups = [z[months == m] for m in range(1, 13)]
 
         def nll(log_sigma, xi):
-            return _gp_negloglik(z, np.exp(log_sigma)[idx], np.full(z.size, xi))
+            return gp_group_negloglik(groups, log_sigma, xi)
 
         best = nll(gp.log_sigma_by_month, gp.xi_by_month[0])
         for _ in range(50):
@@ -174,6 +172,16 @@ class TestFitGp:
         assert edge.size > 0 and by_month.at_bound == tuple(f"xi[{m}]" for m in edge)
         interior = ev.GPModel(np.zeros(12), "constant", np.full(12, 0.15), tm, 0.0)
         assert interior.at_bound == ()
+
+    def test_one_month_on_the_box_edge_is_the_one_reported(self):
+        # month 5 is a Pareto sample with xi = 3, the others have xi = 0.1: the months
+        # share one batched profile search, and each stops at its own optimum
+        rng = np.random.default_rng(8)
+        months = np.repeat(np.arange(1, 13), 200)
+        z = ev.gp_quantile(rng.random(months.size), 1.0, np.where(months == 5, 3.0, 0.1))
+        gp = ev.fit_gp(make_cluster_set(z, months, n_days=10 ** 5), constant_threshold_model(0.0), "by_month")
+        assert gp.at_bound == ("xi[5]",)
+        assert gp.xi_by_month[4] == 2.0 and np.all(np.abs(np.delete(gp.xi_by_month, 4) - 0.1) < 0.5)
 
 
 def gp_month_groups(seed, xi):
