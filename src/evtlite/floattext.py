@@ -2,8 +2,9 @@
 
 Formatter writes the "%.17g" text that np.savetxt writes, and PlainDecimals
 reads plain decimals as np.loadtxt reads them, bit for bit. Both rest on one
-exact product with a power of ten, _times_pow10. ingest reads and writes the
-files; Lines reads a file's lines into the buffer that PlainDecimals reads.
+exact product with a power of ten, _times_pow10. cell_value reads any other
+cell as np.loadtxt reads it. ingest reads and writes the files; Lines reads a
+file's lines into the buffer that PlainDecimals reads.
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ def _cell_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return from_x1.view(np.uint64), kept.view(np.uint64), frac
 
 
+def cell_value(cell: str) -> float:
+    """The value np.loadtxt reads from a cell, or ValueError where it refuses the cell.
+
+    np.loadtxt strips what str.strip strips, "\\x1c" to "\\x1f" included, which float
+    alone refuses, and refuses "_", which float takes between digits.
+    """
+    if "_" in cell:
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell.strip())
+
+
 def _mapped(n_bytes: int) -> mmap.mmap:
     """n_bytes of zeroed scratch in an anonymous mapping, outside malloc's heap: no longer
     used, it goes back to the system whole and leaves malloc's thresholds as they were."""
@@ -87,10 +99,8 @@ class PlainDecimals:
     give D / 10**f, correctly rounded: the quotient q of D rounded to float64 is off by
     at most about an ulp, and the residual D - q * 10**f, exact by _times_pow10, says by
     how many (below 2**53, q is exact). A residual within 2**-20 of half an ulp, or
-    below a power-of-two q, where the next ulp down is half, leaves the cell to Python's
-    float, like every other cell. float reads an ASCII cell without "_" as np.loadtxt
-    does, or refuses it; unlike an np.loadtxt call per piece, it leaves no buffers in
-    the heap.
+    below a power-of-two q, where the next ulp down is half, leaves the cell to
+    cell_value, like every other cell: the last cell of a "\\r\\n" line among them.
     """
 
     def __init__(self, n_values: int):
@@ -100,15 +110,16 @@ class PlainDecimals:
 
     def read(self, lines: Lines, out: np.ndarray) -> bool:
         """Write into out, of shape (n_rows, n_cols), the values of the n_rows lines that
-        lines took last; False where they hold a "\\r" (where text mode would split them),
-        or do not hold n_cols non-empty cells each, or a cell holds "_" or float refuses it."""
+        lines took last; False where they hold a "\\r" not followed by "\\n" (where text mode
+        would split them), or do not hold n_cols non-empty cells each, or cell_value refuses a cell."""
         n_rows, n_cols = out.shape
-        if lines.buf.find(b"\r", len(_PAD), lines.stop) >= 0:
-            return False
         buf = np.frombuffer(lines.buf, dtype=np.uint8, count=lines.stop)
         marks = np.flatnonzero(buf[len(_PAD):] <= ord("."))  # separators, points, signs, spaces
         marks += len(_PAD)
         kinds = buf[marks]
+        if (lines.buf.find(b"\r", len(_PAD), lines.stop) >= 0  # one scan where no line holds a "\r"
+                and (buf[np.compress(kinds == ord("\r"), marks) + 1] != ord("\n")).any()):
+            return False
         is_end = kinds == ord(",")
         is_end |= kinds == ord("\n")
         ends = np.compress(is_end, marks)
@@ -194,15 +205,12 @@ class PlainDecimals:
         j *= 2.0 ** -52
         values = np.add(q, j, out=out.reshape(n))
         redo = np.flatnonzero(~ok)
-        if redo.size:  # float reads an ASCII cell without "_" as np.loadtxt does, or refuses it
-            stops = ends[redo]
+        if redo.size:
             starts = np.where(redo > 0, ends[redo - 1] + 1, len(_PAD))
-            cells = [lines.buf[a:b].decode("ascii", "replace") for a, b in zip(starts.tolist(), stops.tolist())]
-            if any("_" in cell for cell in cells):
-                return False
+            cells = [lines.buf[a:b].decode("ascii", "replace") for a, b in zip(starts.tolist(), ends[redo].tolist())]
             try:
-                values[redo] = [float(cell) for cell in cells]
-            except ValueError:  # a cell np.loadtxt refuses too
+                values[redo] = [cell_value(cell) for cell in cells]
+            except ValueError:
                 return False
         return True
 
@@ -213,18 +221,9 @@ class Lines:
     def __init__(self, fh, head: bytes):
         self.fh = fh
         self.buf = _mapped(max(io.DEFAULT_BUFFER_SIZE, 2 * (len(_PAD) + len(head))))
-        self.is_newline = np.frombuffer(_mapped(len(self.buf)), dtype=bool)  # take's scan, reused like buf
         self.buf[:len(_PAD) + len(head)] = _PAD + head
         self.start, self.end = len(_PAD), len(_PAD) + len(head)  # the bytes not yet taken
         self.stop = len(_PAD)  # where the lines taken last end
-
-    def tell(self) -> int:
-        """The file offset of the first line not taken."""
-        return self.fh.tell() - (self.end - self.start)
-
-    def seek(self, offset: int) -> None:
-        self.fh.seek(offset)
-        self.start = self.end = self.stop = len(_PAD)
 
     def take(self, n_lines: int) -> int:
         """Move the next n_lines lines to self.buf[len(_PAD):self.stop], each ending in "\\n",
@@ -233,23 +232,24 @@ class Lines:
         self.buf.move(len(_PAD), self.start, self.end - self.start)
         self.end -= self.start - len(_PAD)
         taken, self.stop = 0, len(_PAD)
-        while taken < n_lines:  # the "\n" bytes after stop, found in one numpy scan
-            mask = np.equal(np.frombuffer(self.buf, np.uint8, self.end - self.stop, self.stop), ord("\n"),
-                            out=self.is_newline[:self.end - self.stop])
-            if (newlines := np.flatnonzero(mask)[:n_lines - taken]).size:
-                taken, self.stop = taken + newlines.size, self.stop + int(newlines[-1]) + 1
+        while taken < n_lines:
+            newline = self.buf.find(b"\n", self.stop, self.end)
+            if newline >= 0:
+                taken, self.stop = taken + 1, newline + 1
                 continue
             if self.end == len(self.buf):  # too small for n_lines lines: double it
                 buf = _mapped(2 * len(self.buf))
                 buf[:self.end] = self.buf[:self.end]
-                self.buf, self.is_newline = buf, np.frombuffer(_mapped(len(buf)), dtype=bool)
+                self.buf = buf
             with memoryview(self.buf) as free:
                 got = self.fh.readinto(free[self.end:])
-            if not got and self.stop == self.end:
+            if not got:
+                if self.stop < self.end:
+                    self.buf[self.end:self.end + 1] = b"\n"
+                    self.end += 1
+                    taken, self.stop = taken + 1, self.end
                 break
-            if not got:  # the last line gets the "\n" it lacks, and the next scan takes it
-                self.buf[self.end:self.end + 1] = b"\n"
-            self.end += got or 1
+            self.end += got
         self.start = self.stop
         return taken
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floattext import Formatter, Lines, PlainDecimals
+from .floattext import Formatter, Lines, PlainDecimals, cell_value
 
 NO_LEAP_MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 SAVE_BLOCK_VALUES = 2 ** 15  # values per block in save_run: 1.3 MB each of slots and mask at any site count
-READ_BLOCK_VALUES = 12800  # values per block in read_blocks: 512 rows at 25 sites
+READ_BLOCK_VALUES = 3200  # values per block in read_blocks: 128 rows at 25 sites
 
 
 @dataclass(frozen=True)
@@ -65,48 +65,24 @@ def _check_values(values: np.ndarray, first_row: int = 0) -> None:
         raise ValueError(f"row {first_row + row + 1}: {kind} value {values[row, col]} in column {col + 1}")
 
 
-def _parses(line: str, **kwargs) -> bool:
-    try:
-        np.loadtxt([line], delimiter=",", comments=None, **kwargs)
-    except ValueError:
-        return False
-    return True
-
-
-def _first_bad_row(lines: list[str], n_cols: int):
-    """The first malformed line of a block as (index in the block, message), or None.
-
-    Cells are tested by np.loadtxt itself, so exactly what the parser accepts passes.
-    """
-    for i, line in enumerate(lines):
+def _text_values(data: bytes, n_cols: int, first_row: int) -> np.ndarray:
+    """The values of a block's lines, split as text mode splits them (a bad byte
+    replaced, universal newlines) and each cell read by cell_value; or the block's
+    first fault, named by its row in the file."""
+    rows = []
+    for i, line in enumerate(io.StringIO(data.decode("ascii", "replace"), newline=None), start=first_row + 1):
         if line == "\n":
-            return i, "empty row"
-        cells = line.rstrip("\n").split(",")
+            raise ValueError(f"row {i}: empty row")
+        cells = line[:-1].split(",")
         if len(cells) != n_cols:
-            return i, f"expected {n_cols} columns, found {len(cells)}"
-        if _parses(line):
-            continue
+            raise ValueError(f"row {i}: expected {n_cols} columns, found {len(cells)}")
         for j, cell in enumerate(cells):
-            if not _parses(line, usecols=j):
-                return i, f"non-numeric value {cell!r} in column {j + 1}"
-    return None
-
-
-def _loadtxt_values(lines: list[str], n_cols: int, first_row: int) -> np.ndarray:
-    """The values of a block as np.loadtxt reads its lines, or its first fault, named by
-    its row in the file."""
-    try:
-        if "\n" in lines:  # loadtxt would skip it, and warn if nothing else is left
-            raise ValueError("empty line")
-        block = np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64, comments=None)
-        if block.shape[1] != n_cols:
-            raise ValueError("column count changed")
-    except ValueError as exc:
-        located = _first_bad_row(lines, n_cols)
-        if located is None:
-            raise ValueError(f"could not parse CSV: {exc}") from exc
-        raise ValueError(f"row {first_row + located[0] + 1}: {located[1]}") from exc
-    return block
+            try:
+                cells[j] = cell_value(cell)
+            except ValueError:
+                raise ValueError(f"row {i}: non-numeric value {cell!r} in column {j + 1}") from None
+        rows.append(cells)
+    return np.array(rows, dtype=np.float64)
 
 
 def _skip_line(fh) -> None:
@@ -132,10 +108,10 @@ def read_blocks(path, skip_header: bool = False) -> Iterator[tuple[int, np.ndarr
 
     Values are those np.loadtxt reads, bit for bit. The file is read as bytes
     (floattext.Lines), lines ending where text mode ends them. Plain decimals are
-    converted in numpy (floattext.PlainDecimals), a quarter block at a time, and
-    every other cell by np.loadtxt. A block with a "\\r", an empty cell, a line of
-    another column count or a cell np.loadtxt refuses is read again by np.loadtxt
-    line by line (_loadtxt_values), which names its fault.
+    converted in numpy (floattext.PlainDecimals), and every other cell by
+    floattext.cell_value. A block with a "\\r" not followed by "\\n", an empty
+    cell, a line of another column count or a cell that cell_value refuses is read
+    from the same bytes as text, line by line (_text_values), which names its fault.
     """
     first_row = 0
     with open(path, "rb") as fh:
@@ -144,23 +120,12 @@ def read_blocks(path, skip_header: bool = False) -> Iterator[tuple[int, np.ndarr
         head = fh.readline()
         n_cols = head.split(b"\r", 1)[0].count(b",") + 1
         rows = max(1, READ_BLOCK_VALUES // n_cols)
-        piece = max(1, rows // 4)  # rows converted at once, so that numpy's temporaries stay small
-        decimals = PlainDecimals(piece * n_cols)
+        decimals = PlainDecimals(rows * n_cols)
         lines = Lines(fh, head)
-        while True:
-            at, block, n_rows, plain = lines.tell(), np.empty((rows, n_cols)), 0, True
-            while plain and n_rows < rows and (taken := lines.take(min(piece, rows - n_rows))):
-                plain = decimals.read(lines, block[n_rows:n_rows + taken])
-                n_rows += taken
-            if not plain:  # the block again, as text mode reads it: a bad byte replaced, universal newlines
-                lines.seek(at)
-                lines.take(rows)
-                text = lines.data().decode("ascii", "replace")
-                block = _loadtxt_values(io.StringIO(text, newline=None).readlines(), n_cols, first_row)
-            elif n_rows:
-                block = block[:n_rows]
-            else:
-                break
+        while taken := lines.take(rows):
+            block = np.empty((taken, n_cols))
+            if not decimals.read(lines, block):
+                block = _text_values(lines.data(), n_cols, first_row)
             _check_values(block, first_row)
             yield first_row, block
             first_row += len(block)

@@ -755,6 +755,15 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert err.count(f"{path}: artifact schema {schema!r}") == 2 and "refit" in err
 
+    def test_truncated_artifact_exit_2(self, tmp_path, capsys):
+        # json's JSONDecodeError is a ValueError, named with the path like every other refusal
+        path = tmp_path / "run_1.json"
+        path.write_text('{"schema": ')
+        assert run_cli("estimate", "--out", tmp_path / "e", "--question", "q1", path) == 2
+        assert run_cli("diagnose", "--out", tmp_path / "d", path) == 2
+        assert capsys.readouterr().err.count(f"error: {path}: Expecting value") == 2
+        assert not (tmp_path / "e").exists() and not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("breakage, message", [
         ("threshold null", "malformed artifact: TypeError"),
         ("gp list", "malformed artifact: TypeError"),

@@ -133,6 +133,25 @@ class TestLoadRun:
             ev.read_series(path, 1)
         assert str(info.value) == f"row 2: non-numeric value {shown!r} in column 2"
 
+    @pytest.mark.parametrize("text, message", [
+        ("\r1,2\n", "row 1: empty row"),
+        ("1,2\r\r\n3,4\n", "row 2: empty row"),
+        ("1,2\n3\r,4\n", "row 2: expected 2 columns, found 1"),
+        ("1,2\r3,4\n", None),
+        ("1,2\n3,4\x1c\n", None),
+    ], ids=["leading-cr", "cr-then-crlf", "cr-inside-a-row", "cr-between-rows", "trailing-x1c"])
+    def test_lone_cr_splits_lines_as_text_mode_does(self, tmp_path, text, message):
+        # a "\r" not followed by "\n" ends a line; "\x1c" pads a cell, as np.loadtxt strips it
+        path = tmp_path / "run.csv"
+        path.write_bytes(text.encode())
+        if message is None:
+            read = np.concatenate([block for _, block in ev.read_blocks(path)])
+            assert read.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2, comments=None).tobytes()
+        else:
+            with pytest.raises(ValueError) as info:
+                list(ev.read_blocks(path))
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("text, skip_header, message", [
         ("", False, "file contains no data rows"),
         ("site_a,site_b\n", True, "file contains no data rows"),
@@ -162,11 +181,11 @@ class TestLoadRun:
         assert np.array_equal(series.values, values[:, 1])
 
     def test_wide_file_read_in_blocks_of_values(self, tmp_path):
-        # blocks of 512 rows held 2.56 million of this file's values at once, 41 MB traced
-        # (97 MB on a 1,200 x 5,000 run of 17-digit values)
+        # blocks of a fixed 128 rows, as at 25 sites, would hold 640,000 of this file's values
+        # at once; sized by its values, a block here is one row
         path = tmp_path / "wide.csv"
         path.write_text(("0.5," * 4999 + "0.5\n") * 700)
-        assert [first for first, _ in ev.read_blocks(path)] == list(range(0, 700, READ_BLOCK_VALUES // 5000))
+        assert [first for first, _ in ev.read_blocks(path)] == list(range(0, 700, max(1, READ_BLOCK_VALUES // 5000)))
         assert traced_peak_mb(lambda: ev.read_series(path, 3)) <= 16
 
 
@@ -274,9 +293,11 @@ def test_cells_read_as_loadtxt_reads_them_bit_for_bit(tmp_path_factory, data, n_
     out = tmp_path_factory.mktemp("cells")
     (out / "lf.csv").write_text(text)
     (out / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode())
+    (out / "cr.csv").write_bytes(text.replace("\n", "\r").encode())  # read as text, cell by cell
     read = np.concatenate([block for _, block in ev.read_blocks(out / "lf.csv")])
     assert read.tobytes() == np.loadtxt(out / "lf.csv", delimiter=",", ndmin=2, comments=None).tobytes()
-    assert np.concatenate([block for _, block in ev.read_blocks(out / "crlf.csv")]).tobytes() == read.tobytes()
+    for twin in ("crlf.csv", "cr.csv"):
+        assert np.concatenate([block for _, block in ev.read_blocks(out / twin)]).tobytes() == read.tobytes()
 
 
 class TestSaveRun:
