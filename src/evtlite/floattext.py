@@ -4,13 +4,12 @@ Formatter writes the "%.17g" text that np.savetxt writes, and PlainDecimals
 reads plain decimals as np.loadtxt reads them, bit for bit. Both rest on one
 exact product with a power of ten, _times_pow10. cell_value reads any other
 cell as np.loadtxt reads it. ingest reads and writes the files; Lines reads a
-file's lines into the buffer that PlainDecimals reads.
+file in chunks of whole lines into the buffer that PlainDecimals reads.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import mmap
 
 import numpy as np
@@ -55,6 +54,7 @@ def _times_pow10(x: np.ndarray, s: np.ndarray, work: np.ndarray) -> tuple[np.nda
 # byte p (24 without a point), selects the bytes taken from x1 and the bytes kept.
 _NO_POINT = 24
 _PAD = b"0" * 24  # the first cell's window starts in this padding
+_GATHER = 4096  # cells whose windows one indexing gathers into a new array: 96 KiB, under malloc's mmap threshold
 
 
 @functools.cache  # built on the first read
@@ -92,63 +92,68 @@ def _mapped(n_bytes: int) -> mmap.mmap:
 
 
 class PlainDecimals:
-    """Converts the lines that a Lines took last in numpy, up to n_values cells at a time,
-    into buffers that every call reuses.
+    """Converts the chunk that a Lines took last in numpy, in a mapping that every chunk reuses.
 
     A plain decimal's digits D, below 9e18, and its count f of digits after the point
     give D / 10**f, correctly rounded: the quotient q of D rounded to float64 is off by
     at most about an ulp, and the residual D - q * 10**f, exact by _times_pow10, says by
-    how many (below 2**53, q is exact). A residual within 2**-20 of half an ulp, or
-    below a power-of-two q, where the next ulp down is half, leaves the cell to
-    cell_value, like every other cell: the last cell of a "\\r\\n" line among them.
+    how many (below 2**53, q is exact). Its bytes prove it finite and non-negative. A
+    residual within 2**-20 of half an ulp, or below a power-of-two q, where the next ulp
+    down is half, leaves the cell to cell_value, like every other cell: the last cell of
+    a "\\r\\n" line among them.
     """
 
-    def __init__(self, n_values: int):
-        space = np.frombuffer(_mapped(9 * 8 * n_values), dtype=np.uint64)
-        self.words = space[:6 * n_values]  # two (cell, word) arrays, then five float rows
-        self.ints = space[6 * n_values:].view(np.int64).reshape(3, n_values)
+    space = np.zeros(0, dtype=np.uint64)  # 12 words a byte of the buffer, which holds a cell a byte at most
 
-    def read(self, lines: Lines, out: np.ndarray) -> bool:
-        """Write into out, of shape (n_rows, n_cols), the values of the n_rows lines that
-        lines took last; False where they hold a "\\r" not followed by "\\n" (where text mode
-        would split them), or do not hold n_cols non-empty cells each, or cell_value refuses a cell."""
-        n_rows, n_cols = out.shape
+    def read(self, lines: Lines, n_cols: int) -> np.ndarray | None:
+        """The (rows, n_cols) values of the lines that lines took last, a row per "\\n";
+        None where they hold a "\\r" not followed by "\\n" (where text mode would split
+        them), or do not hold n_cols non-empty cells each, or a cell that cell_value refuses
+        or reads as negative or non-finite."""
+        if len(lines.buf) > self.space.size // 12:
+            self.space = np.frombuffer(_mapped(12 * 8 * len(lines.buf)), dtype=np.uint64)
+        cap = self.space.size // 12  # words: the flags, then a (cell, word) array and two more, then five float rows
+        words, ints = self.space[:9 * cap], self.space[9 * cap:].view(np.int64).reshape(3, cap)
         buf = np.frombuffer(lines.buf, dtype=np.uint8, count=lines.stop)
-        marks = np.flatnonzero(buf[len(_PAD):] <= ord("."))  # separators, points, signs, spaces
+        flags = np.less_equal(buf[len(_PAD):], ord("."), out=words.view(bool)[:buf.size - len(_PAD)])
+        marks = np.flatnonzero(flags)  # separators, points, signs, spaces
         marks += len(_PAD)
         kinds = buf[marks]
         if (lines.buf.find(b"\r", len(_PAD), lines.stop) >= 0  # one scan where no line holds a "\r"
-                and (buf[np.compress(kinds == ord("\r"), marks) + 1] != ord("\n")).any()):
-            return False
-        is_end = kinds == ord(",")
-        is_end |= kinds == ord("\n")
+                and (buf[-1] != ord("\n") or (buf[np.compress(kinds == ord("\r"), marks) + 1] != ord("\n")).any())):
+            return None
+        is_end = kinds == ord("\n")
+        n = np.count_nonzero(is_end) * n_cols
+        is_end |= kinds == ord(",")
         ends = np.compress(is_end, marks)
-        n = n_rows * n_cols
         if ends.size != n or not (buf[ends[n_cols - 1::n_cols]] == ord("\n")).all():
-            return False  # each line holds one "\n", so the ends at n_cols - 1 mod n_cols are theirs
-        code, nf, digits = self.ints[:, :n]
+            return None  # so every row holds n_cols cells, its "\n" at n_cols - 1 mod n_cols
+        code, nf, digits = ints[:, :n]
         np.subtract(ends[1:], ends[:-1], out=code[1:])
         code[0] = ends[0] - len(_PAD) + 1
         code -= 1  # the cell's length
         if not code.all():
-            return False  # an empty cell
+            return None  # an empty cell
         np.minimum(code, 25, out=code)
         code *= 25
         code += _NO_POINT
-        inner = np.flatnonzero(~is_end)  # the marks inside cells
+        inner = np.flatnonzero(~is_end)  # the marks inside cells, fewer than the buffer's bytes
         not_point = kinds[inner] <= ord("-")
-        at = marks[inner]
+        at = np.take(marks, inner, out=ints[1, :inner.size], mode="clip")  # nf and digits rows are free
+        del marks, kinds, is_end  # so that malloc's heap need not hold a chunk's arrays at once
         cell = inner
         cell -= np.arange(inner.size)  # a mark's cell: the ends before it
         not_point[1:] |= cell[1:] == cell[:-1]
-        at -= ends[cell]
+        at -= np.take(ends, cell, out=ints[2, :inner.size], mode="clip")
         np.maximum(at, -_NO_POINT, out=at)
         code[cell] += at
         code[cell[not_point]] = 0  # a second point, a sign or a space: no plain decimal
         from_x1, kept, frac = _cell_tables()
         windows = np.ndarray(buf.size - 23, dtype="V24", buffer=buf, strides=(1,))
-        x = windows[ends - 24].view(np.uint64).reshape(n, 3)
-        d, mask = self.words[:6 * n].reshape(2, n, 3)
+        x = words[:3 * n].reshape(n, 3)
+        for a in range(0, n, _GATHER):
+            x[a:a + _GATHER].reshape(-1).view("V24")[:] = windows[ends[a:a + _GATHER] - 24]
+        d, mask = words[3 * n:9 * n].reshape(2, n, 3)
         np.left_shift(x, np.uint64(8), out=d)  # x1, whose first byte no code takes
         np.right_shift(x.reshape(-1)[:-1], np.uint64(56), out=mask.reshape(-1)[1:])
         d.reshape(-1)[1:] += mask.reshape(-1)[1:]
@@ -180,7 +185,7 @@ class PlainDecimals:
         digits *= ok
         nf *= ok
         df, p10, q = x.view(np.float64).reshape(3, n)  # x, d and mask are spent
-        work = self.words[:5 * n].view(np.float64).reshape(5, n)
+        work = words[3 * n:8 * n].view(np.float64).reshape(5, n)
         df[:] = digits
         np.take(_POW10, nf, out=p10, mode="clip")
         np.divide(df, p10, out=q)
@@ -203,7 +208,7 @@ class PlainDecimals:
         ok &= r < 0.5 - 2.0 ** -20
         j *= pw
         j *= 2.0 ** -52
-        values = np.add(q, j, out=out.reshape(n))
+        values = np.add(q, j)
         redo = np.flatnonzero(~ok)
         if redo.size:
             starts = np.where(redo > 0, ends[redo - 1] + 1, len(_PAD))
@@ -211,50 +216,58 @@ class PlainDecimals:
             try:
                 values[redo] = [cell_value(cell) for cell in cells]
             except ValueError:
-                return False
-        return True
+                return None
+            if not ((values[redo] >= 0) & (values[redo] < np.inf)).all():
+                return None  # left for the text read to name
+        return values.reshape(-1, n_cols)
 
 
 class Lines:
-    """The lines of a binary file, read after _PAD into one buffer that each call reuses."""
+    """A binary file's lines, read after _PAD in chunks into one buffer that each chunk reuses."""
 
-    def __init__(self, fh, head: bytes):
+    def __init__(self, fh, n_bytes: int):
         self.fh = fh
-        self.buf = _mapped(max(io.DEFAULT_BUFFER_SIZE, 2 * (len(_PAD) + len(head))))
-        self.buf[:len(_PAD) + len(head)] = _PAD + head
-        self.start, self.end = len(_PAD), len(_PAD) + len(head)  # the bytes not yet taken
-        self.stop = len(_PAD)  # where the lines taken last end
+        self.buf = _mapped(len(_PAD) + n_bytes)
+        self.buf[:len(_PAD)] = _PAD
+        self.stop = self.end = len(_PAD)  # the chunk taken last ends at stop, the bytes read at end
 
-    def take(self, n_lines: int) -> int:
-        """Move the next n_lines lines to self.buf[len(_PAD):self.stop], each ending in "\\n",
-        and return how many they are; fewer only at the end of the file, where a last line
-        gets the "\\n" it lacks. They stay there until the next call."""
-        self.buf.move(len(_PAD), self.start, self.end - self.start)
-        self.end -= self.start - len(_PAD)
-        taken, self.stop = 0, len(_PAD)
-        while taken < n_lines:
-            newline = self.buf.find(b"\n", self.stop, self.end)
-            if newline >= 0:
-                taken, self.stop = taken + 1, newline + 1
-                continue
-            if self.end == len(self.buf):  # too small for n_lines lines: double it
-                buf = _mapped(2 * len(self.buf))
-                buf[:self.end] = self.buf[:self.end]
-                self.buf = buf
+    def take(self) -> bool:
+        """Move the next chunk to self.buf[len(_PAD):self.stop], and return whether it holds any
+        bytes: the buffer, filled and cut after its last "\\n", or, with none, after its last "\\r"
+        but its final byte, so no "\\r\\n" is split. A longer line doubles the buffer; the file's
+        last line gets the "\\n" it lacks."""
+        self.buf.move(len(_PAD), self.stop, self.end - self.stop)
+        self.end -= self.stop - len(_PAD)
+        while True:
+            if self.end == len(self.buf):
+                self.buf, full = _mapped(2 * self.end), self.buf
+                self.buf[:self.end] = full
             with memoryview(self.buf) as free:
                 got = self.fh.readinto(free[self.end:])
             if not got:
-                if self.stop < self.end:
-                    self.buf[self.end:self.end + 1] = b"\n"
-                    self.end += 1
-                    taken, self.stop = taken + 1, self.end
                 break
             self.end += got
-        self.start = self.stop
-        return taken
+            self.stop = (self.buf.rfind(b"\n", len(_PAD), self.end) + 1
+                         or self.buf.rfind(b"\r", len(_PAD), self.end - 1) + 1)
+            if self.stop:
+                return True
+        if self.end > len(_PAD) and self.buf[self.end - 1] != ord("\n"):  # the last line's "\n"
+            self.buf[self.end], self.end = ord("\n"), self.end + 1
+        self.stop = self.end
+        return self.stop > len(_PAD)
+
+    def first_line(self, drop: bool = False) -> bytes:
+        """The first line of the chunk taken last, to its "\\n", "\\r" or "\\r\\n"; with drop,
+        the chunk ends before it, so that the next chunk starts after it."""
+        newline = self.buf.find(b"\n", len(_PAD), self.stop)
+        cr = self.buf.find(b"\r", len(_PAD), self.stop if newline < 0 else newline)
+        end = newline + 1 if cr < 0 else cr + 1 + (cr + 1 == newline)
+        if drop:
+            self.stop = end
+        return self.buf[len(_PAD):end]
 
     def data(self) -> bytes:
-        """The bytes of the lines taken last."""
+        """The bytes of the chunk taken last."""
         return self.buf[len(_PAD):self.stop]
 
 

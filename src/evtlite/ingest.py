@@ -18,7 +18,7 @@ from .floattext import Formatter, Lines, PlainDecimals, cell_value
 
 NO_LEAP_MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 SAVE_BLOCK_VALUES = 2 ** 15  # values per block in save_run: 1.3 MB each of slots and mask at any site count
-READ_BLOCK_VALUES = 3200  # values per block in read_blocks: 128 rows at 25 sites
+READ_BLOCK_BYTES = 2 ** 17  # bytes per chunk in read_blocks: about 6,700 values, 268 rows at 25 sites
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,9 @@ def _text_values(data: bytes, n_cols: int, first_row: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _skip_line(fh) -> None:
-    """Skip a line of a binary file as a text-mode reader reads it, to its first "\\n", "\\r" or "\\r\\n"."""
-    at = fh.tell()
-    line = fh.readline()
-    cr = line.find(b"\r")
-    if cr >= 0:
-        fh.seek(at + cr + 1 + (line[cr + 1:cr + 2] == b"\n"))
-
-
 def read_blocks(path, skip_header: bool = False) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first_row, values) for each block of READ_BLOCK_VALUES // n_cols rows of a run CSV.
+    """Yield (first_row, values) for each chunk of whole lines of a run CSV: READ_BLOCK_BYTES
+    bytes cut where text mode ends a line, grown where a line is longer.
 
     first_row counts the data rows before the block. Every block is checked
     before it is yielded: a malformed line (empty and "#" lines included,
@@ -103,30 +95,25 @@ def read_blocks(path, skip_header: bool = False) -> Iterator[tuple[int, np.ndarr
     the first row's, or a negative or non-finite value is refused, naming its
     1-based data row (header excluded when skip_header is set); the caller
     adds the path. A file without data rows is refused after its last line.
-    n_cols is counted on the first data line, so a block holds about
-    READ_BLOCK_VALUES values however wide the file is.
+    n_cols is counted on the first data line.
 
-    Values are those np.loadtxt reads, bit for bit. The file is read as bytes
-    (floattext.Lines), lines ending where text mode ends them. Plain decimals are
-    converted in numpy (floattext.PlainDecimals), and every other cell by
-    floattext.cell_value. A block with a "\\r" not followed by "\\n", an empty
-    cell, a line of another column count or a cell that cell_value refuses is read
-    from the same bytes as text, line by line (_text_values), which names its fault.
+    Values are those np.loadtxt reads, bit for bit. Plain decimals are converted in
+    numpy (floattext.PlainDecimals), and every other cell by floattext.cell_value. A
+    chunk with a "\\r" not followed by "\\n", an empty cell, a line of another column
+    count or a cell that cell_value refuses or reads as negative or non-finite is read
+    from the same bytes as text, line by line (_text_values), and checked (_check_values).
     """
-    first_row = 0
+    first_row = n_cols = 0
     with open(path, "rb") as fh:
-        if skip_header:
-            _skip_line(fh)
-        head = fh.readline()
-        n_cols = head.split(b"\r", 1)[0].count(b",") + 1
-        rows = max(1, READ_BLOCK_VALUES // n_cols)
-        decimals = PlainDecimals(rows * n_cols)
-        lines = Lines(fh, head)
-        while taken := lines.take(rows):
-            block = np.empty((taken, n_cols))
-            if not decimals.read(lines, block):
+        lines, decimals = Lines(fh, READ_BLOCK_BYTES), PlainDecimals()
+        if skip_header and lines.take():
+            lines.first_line(drop=True)
+        while lines.take():
+            n_cols = n_cols or lines.first_line().count(b",") + 1
+            block = decimals.read(lines, n_cols)
+            if block is None:
                 block = _text_values(lines.data(), n_cols, first_row)
-            _check_values(block, first_row)
+                _check_values(block, first_row)
             yield first_row, block
             first_row += len(block)
     if first_row == 0:

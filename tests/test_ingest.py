@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import evtlite as ev
-from evtlite.ingest import NO_LEAP_MONTH_LENGTHS, READ_BLOCK_VALUES, SAVE_BLOCK_VALUES
+from evtlite.ingest import NO_LEAP_MONTH_LENGTHS, READ_BLOCK_BYTES, SAVE_BLOCK_VALUES
 
 
 def traced_peak_mb(call):
@@ -20,6 +20,20 @@ def traced_peak_mb(call):
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def block_starts(data: bytes, skip_header: bool = False) -> list[int]:
+    """The first data row of each block that read_blocks yields from data, whose lines end in
+    "\\n" and are shorter than a chunk: READ_BLOCK_BYTES bytes at a time after the header, each
+    cut after its last "\\n"."""
+    at = data.index(b"\n") + 1 if skip_header else 0
+    starts, row = [], 0
+    while at < len(data):
+        cut = data.rfind(b"\n", at, at + READ_BLOCK_BYTES) + 1
+        starts.append(row)
+        row += data.count(b"\n", at, cut)
+        at = cut
+    return starts
 
 
 def write_csv(tmp_path, rows, name="run.csv"):
@@ -103,6 +117,14 @@ class TestLoadRun:
         with pytest.raises(ValueError, match="row 3"):
             ev.read_series(path, 1)
 
+    def test_short_rows_are_not_read_as_one(self, tmp_path):
+        # two rows of one cell end in as many separators as one row of two: the rows are counted
+        path = tmp_path / "run.csv"
+        path.write_text("1,2\n3\n4\n")
+        with pytest.raises(ValueError) as info:
+            list(ev.read_blocks(path))
+        assert str(info.value) == "row 2: expected 2 columns, found 1"
+
     def test_header_flag(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("site_a,site_b\n0.1,0.2\n0.3,0.4\n")
@@ -168,10 +190,12 @@ class TestLoadRun:
             assert str(info.value) == message
 
     def test_whole_blocks_read_without_a_warning(self, tmp_path):
-        rows = READ_BLOCK_VALUES // 3
-        values = np.arange(2 * rows * 3, dtype=np.float64).reshape(-1, 3)
+        # rows of 32 bytes: two chunks hold the file exactly, so the last ends with the file
+        rows = READ_BLOCK_BYTES // 32
+        values = np.arange(2 * rows * 4, dtype=np.float64).reshape(-1, 4)
         path = tmp_path / "run.csv"
-        np.savetxt(path, values, delimiter=",", fmt="%.17g")
+        np.savetxt(path, values, delimiter=",", fmt="%07d")
+        assert path.stat().st_size == 2 * READ_BLOCK_BYTES
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             blocks = list(ev.read_blocks(path))
@@ -182,21 +206,94 @@ class TestLoadRun:
 
     def test_wide_file_read_in_blocks_of_values(self, tmp_path):
         # blocks of a fixed 128 rows, as at 25 sites, would hold 640,000 of this file's values
-        # at once; sized by its values, a block here is one row
+        # at once; cut by bytes, a block here is six rows of 20,000 bytes
         path = tmp_path / "wide.csv"
         path.write_text(("0.5," * 4999 + "0.5\n") * 700)
-        assert [first for first, _ in ev.read_blocks(path)] == list(range(0, 700, max(1, READ_BLOCK_VALUES // 5000)))
+        assert [first for first, _ in ev.read_blocks(path)] == list(range(0, 700, READ_BLOCK_BYTES // 20_000))
         assert traced_peak_mb(lambda: ev.read_series(path, 3)) <= 16
 
+    def test_lone_cr_file_read_in_chunks(self, tmp_path):
+        # a file of lone "\r" line ends is cut after its last "\r" as one of "\n" ends is after
+        # its last "\n", so it is read a chunk at a time, not whole as one line
+        values = np.round(np.random.default_rng(5).gamma(0.5, 2.0, size=(40_000, 5)), 3)
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        np.savetxt(lf, values, delimiter=",", fmt="%.17g")
+        cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+        assert cr.stat().st_size > 20 * READ_BLOCK_BYTES
+        blocks = list(ev.read_blocks(cr))
+        assert len(blocks) > 20
+        assert np.concatenate([b for _, b in blocks]).tobytes() == values.tobytes()
+        assert traced_peak_mb(lambda: ev.read_series(cr, 3)) <= 4
 
-FAULTS = ("negative", "nan", "word", "underscore", "empty row", "extra column")
+    def test_line_longer_than_a_chunk_grows_it(self, tmp_path):
+        values = np.random.default_rng(6).gamma(0.5, 2.0, size=(3, READ_BLOCK_BYTES // 8))
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        np.savetxt(lf, values, delimiter=",", fmt="%.17g")
+        cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+        assert min(map(len, lf.read_bytes().splitlines())) > 2 * READ_BLOCK_BYTES
+        for path in (lf, cr):
+            blocks = list(ev.read_blocks(path))
+            assert [first for first, _ in blocks] == [0, 1, 2]
+            assert np.concatenate([b for _, b in blocks]).tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("n_cols", [2, READ_BLOCK_BYTES // 3], ids=["short-lines", "a-line-longer-than-a-chunk"])
+    def test_crlf_whose_cr_ends_a_chunk_stays_whole(self, tmp_path, n_cols):
+        # the first lines fill a chunk up to the "\r" of a "\r\n", its last byte: cut after that
+        # "\r", the next chunk would start with an empty row. Leading zeros pad the first cell
+        line = ",".join(["1"] * n_cols) + "\r\n"
+        m = (READ_BLOCK_BYTES + 1) // len(line)
+        text = "0" * (READ_BLOCK_BYTES + 1 - m * len(line)) + line * (m + 2)
+        assert text[READ_BLOCK_BYTES - 1:READ_BLOCK_BYTES + 1] == "\r\n"
+        path = tmp_path / "run.csv"
+        path.write_bytes(text.encode())
+        blocks = list(ev.read_blocks(path))
+        assert len(blocks) > 1 and blocks[1][0] == (m - 1 if m > 1 else 2)
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), np.ones((m + 2, n_cols)))
+
+    @pytest.mark.parametrize("cell, message", [
+        ("inf", "row 7: non-finite value inf in column 2"),
+        ("1e999", "row 7: non-finite value inf in column 2"),
+        ("nan", "row 7: non-finite value nan in column 2"),
+        ("-1.5", "row 7: negative value -1.5 in column 2"),
+    ])
+    def test_bad_value_among_plain_decimals_names_row_and_column(self, tmp_path, cell, message):
+        # a plain decimal's bytes prove it finite and non-negative; a cell read by float is checked
+        rows = [["0.5", "1.25", "3"]] * 10
+        rows[6] = ["0.5", cell, "3"]
+        path = tmp_path / "run.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(ValueError) as info:
+            list(ev.read_blocks(path))
+        assert str(info.value) == message
+
+
+FAULTS = ("negative", "nan", "inf", "1e999", "word", "underscore", "empty row", "extra column")
+
+
+def with_fault(lines, row, col, fault):
+    """A run's lines with fault at data row row (1-based) and column col, and the message
+    that names it."""
+    lines = list(lines)
+    cells = lines[row - 1].rstrip("\n").split(",")
+    if fault == "empty row":
+        lines.insert(row - 1, "\n")
+        return lines, f"row {row}: empty row"
+    if fault == "extra column":
+        lines[row - 1] = ",".join(cells + ["1"]) + "\n"
+        return lines, f"row {row}: expected {len(cells)} columns, found {len(cells) + 1}"
+    cells[col - 1] = {"negative": "-2.5", "nan": "nan", "inf": "inf", "1e999": "1e999", "word": "oops",
+                      "underscore": "1_000"}[fault]
+    lines[row - 1] = ",".join(cells) + "\n"
+    named = {"negative": "negative value -2.5", "nan": "non-finite value nan", "inf": "non-finite value inf",
+             "1e999": "non-finite value inf"}.get(fault, f"non-numeric value {cells[col - 1]!r}")
+    return lines, f"row {row}: {named} in column {col}"
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n_sites=st.integers(1, 30), header=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_streamed_series_and_errors_equal_the_loaded_runs(tmp_path_factory, data, n_sites, header, seed):
-    B = READ_BLOCK_VALUES // n_sites  # rows per block
-    n_days = data.draw(st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]), label="n_days")
+    B = READ_BLOCK_BYTES // (15 * n_sites)  # about the rows of a chunk: a cell and its separator take 15 bytes
+    n_days = data.draw(st.sampled_from([1, B // 2, 2 * B, 3 * B]), label="n_days")
     rng = np.random.default_rng(seed)
     values = np.round(rng.gamma(0.5, 2.0, size=(n_days, n_sites)), 1)  # rounded: ties and zeros
     values[rng.random(values.shape) < 0.1] = -0.0
@@ -211,28 +308,29 @@ def test_streamed_series_and_errors_equal_the_loaded_runs(tmp_path_factory, data
     assert series.values.tobytes() == expected.tobytes()
     assert np.array_equal(series.months, ev.Calendar().months_for(n_days))
     assert series.run_id == 3 and series.order_k == k
+    starts = block_starts(path.read_bytes(), header)
+    assert [first for first, _ in ev.read_blocks(path, header)] == starts
 
-    # one fault on either side of the first block edge is named by its row and column in the file
-    row = data.draw(st.sampled_from(sorted({min(B, n_days), min(B + 1, n_days)})), label="row")
+    # one fault in the last row of the first block or in the first row of the next, as the
+    # faulted file's bytes cut it, is named by its row and column in the file
+    lines = path.read_text().splitlines(keepends=True)
+    head, body = lines[:header], lines[header:]
     col = data.draw(st.integers(1, n_sites), label="col")
     fault = data.draw(st.sampled_from(FAULTS), label="fault")
-    assume(fault != "extra column" or row >= 2)  # the first row sets the column count
-    lines = path.read_text().splitlines(keepends=True)
-    at = row - 1 + header
-    cells = lines[at].rstrip("\n").split(",")
-    if fault == "empty row":
-        lines.insert(at, "\n")
-        message = f"row {row}: empty row"
-    elif fault == "extra column":
-        lines[at] = ",".join(cells + ["1"]) + "\n"
-        message = f"row {row}: expected {n_sites} columns, found {n_sites + 1}"
+    before = data.draw(st.booleans(), label="before the edge")
+    edge = starts[1] if len(starts) > 1 else n_days  # the rows of the first block
+    for row in (edge, edge - 1, edge - 2) if before else (edge + 1, edge + 2, edge + 3):
+        if not 1 <= row <= n_days:
+            continue
+        faulted, message = with_fault(body, row, col, fault)
+        text = "".join(head + faulted)
+        cut = block_starts(text.encode(), header) + [len(faulted)]
+        if (row <= cut[1]) == before:
+            break
     else:
-        cells[col - 1] = {"negative": "-2.5", "nan": "nan", "word": "oops", "underscore": "1_000"}[fault]
-        lines[at] = ",".join(cells) + "\n"
-        message = {"negative": f"row {row}: negative value -2.5 in column {col}",
-                   "nan": f"row {row}: non-finite value nan in column {col}"}.get(
-            fault, f"row {row}: non-numeric value {cells[col - 1]!r} in column {col}")
-    path.write_text("".join(lines))
+        assume(False)  # no row on that side of an edge: a file of one block
+    assume(fault != "extra column" or row >= 2)  # the first row sets the column count
+    path.write_text(text)
     with pytest.raises(ValueError) as info:
         ev.read_series(path, k, skip_header=header)
     assert str(info.value) == message
@@ -286,9 +384,11 @@ def cell_texts(draw):
 @given(data=st.data(), n_cols=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
 def test_cells_read_as_loadtxt_reads_them_bit_for_bit(tmp_path_factory, data, n_cols, seed):
     cells = data.draw(st.lists(cell_texts(), min_size=1, max_size=30), label="cells")
-    n_rows = data.draw(st.integers(1, READ_BLOCK_VALUES // n_cols + 2), label="n_rows")  # up to past a block
+    n_bytes = data.draw(st.sampled_from([1, READ_BLOCK_BYTES // 2, 3 * READ_BLOCK_BYTES // 2, 5 * READ_BLOCK_BYTES // 2]),
+                        label="n_bytes")  # up to past two chunks
     rng = np.random.default_rng(seed)
-    table = np.array(cells, dtype=object)[rng.integers(len(cells), size=(n_rows, n_cols))]
+    row_bytes = n_cols * (1 + np.mean([len(cell) for cell in cells]))
+    table = np.array(cells, dtype=object)[rng.integers(len(cells), size=(int(n_bytes // row_bytes) + 1, n_cols))]
     text = "".join(",".join(row) + "\n" for row in table)
     out = tmp_path_factory.mktemp("cells")
     (out / "lf.csv").write_text(text)
